@@ -2,9 +2,10 @@
 """Run the full identity verification suite and write a report.
 
 Runs the built-in symbolic grid (exact rational-function equality) and a
-p-adic grid per requested prime (agreement to a target valuation, checked
-against the definitional Riemann evaluator where an integral is involved),
-then writes JSON-lines reports and prints a summary table.
+p-adic grid per requested prime (agreement to a target valuation; THM1, EQ6
+and THM3 are checked against the definitional Riemann evaluator, the
+Bernstein identities compare two closed routes), then writes JSON-lines
+reports and prints a summary table.
 
 Usage:
   python3 scripts/run_verification.py [--primes 3] [--precision 24]

@@ -49,42 +49,74 @@ def _q_power_minus_one_poly(j: int):
     return _strip([-_ONE] + [Fraction(0)] * (j - 1) + [_ONE])
 
 
-class _SymbolicRecurrence:
-    """Raw-numerator pipeline for one of the two recurrences.
+class _Recurrence:
+    """One of the two recurrences, over the scalars of any context.
+
+    Entry k is ``(delta_{k,1} - [q] sum_{i<k} C(k,i) q^i v_i) / (q^{k+shift} - 1)``,
+    the bracketed q present for beta.  On the padic backend the whole run
+    to a requested index is first checked against the precision ledger.
+    """
+
+    def __init__(self, ctx: QContext, shift: int, leading_q: bool):
+        self.ctx = ctx
+        self.shift = shift          # divisor exponent is k + shift
+        self.leading_q = leading_q  # True for beta (q * (q beta + 1)^k)
+        self.values = [ctx.one()]
+
+    def extend_to(self, n: int):
+        if n < len(self.values):
+            return
+        if not self.ctx.is_symbolic:
+            self._check_precision(n)
+        for k in range(len(self.values), n + 1):
+            self.values.append(self._step(k))
+
+    def _check_precision(self, n: int):
+        for k, remaining in enumerate(_ledger(self.ctx, self.shift, n), start=1):
+            if remaining <= 0:
+                raise PrecisionExhausted(
+                    f"certified precision vanishes at recurrence step {k} "
+                    f"(need more than {self.ctx.pctx.precision} digits to reach index {n})"
+                )
+
+    def _step(self, k: int) -> Scalar:
+        ctx = self.ctx
+        q = ctx.q
+        s = ctx.zero()
+        qi = ctx.one()
+        for i in range(k):
+            s = s + comb(k, i) * qi * self.values[i]
+            qi = qi * q
+        if self.leading_q:
+            s = q * s
+        num = (ctx.one() if k == 1 else ctx.zero()) - s
+        return num / (q ** (k + self.shift) - ctx.one())
+
+
+def _ledger(ctx: QContext, shift: int, n: int):
+    """Yield the certified digits left after each recurrence step k = 1..n.
+
+    LTE: nu_p(q^m - 1) = nu_p(q-1) + nu_p(m) for odd p, q = 1 mod p, and
+    step k divides by q^(k+shift) - 1.
+    """
+    p = ctx.prime
+    e = ctx.q_minus_one_valuation
+    remaining = ctx.pctx.precision
+    for k in range(1, n + 1):
+        remaining -= e + int_valuation(k + shift, p)
+        yield remaining
+
+
+class _SymbolicIndeterminateRecurrence(_Recurrence):
+    """Fast path when q is the indeterminate: integer-polynomial numerators.
 
     Entry k is stored as ``num_k / den_k`` with den_k the cumulative product
     of the divisors ``q^{shift+j} - 1`` for j = 1..k; numerators stay in
     Z[q], so no gcd work happens until a value is exported.
     """
 
-    def __init__(self, q: RationalFunction, shift: int, leading_q: bool):
-        self.q = q
-        self.shift = shift          # divisor exponent is k + shift
-        self.leading_q = leading_q  # True for beta (q * (q beta + 1)^k)
-        self.values = [RationalFunction.from_fraction(1)]
-
-    def extend_to(self, n: int):
-        for k in range(len(self.values), n + 1):
-            self.values.append(self._step(k))
-
-    def _step(self, k: int) -> RationalFunction:
-        q = self.q
-        s = RationalFunction.from_fraction(0)
-        qi = RationalFunction.from_fraction(1)
-        for i in range(k):
-            s = s + comb(k, i) * qi * self.values[i]
-            qi = qi * q
-        if self.leading_q:
-            s = q * s
-        num = (1 if k == 1 else 0) - s
-        return num / (q ** (k + self.shift) - 1)
-
-
-class _SymbolicIndeterminateRecurrence(_SymbolicRecurrence):
-    """Fast path when q is the indeterminate: integer-polynomial numerators."""
-
-    def __init__(self, shift: int, leading_q: bool):
-        super().__init__(RationalFunction.indeterminate(), shift, leading_q)
+    def __init__(self, ctx: QContext, shift: int, leading_q: bool):
+        super().__init__(ctx, shift, leading_q)
         self.raw_num = [(_ONE,)]
         self.raw_den = [(_ONE,)]
 
@@ -121,16 +153,10 @@ class CarlitzTable:
     def __init__(self, ctx: QContext):
         self.ctx = ctx
         self._inverse: CarlitzTable | None = None
-        if ctx.is_symbolic:
-            if ctx.q == RationalFunction.indeterminate():
-                self._beta = _SymbolicIndeterminateRecurrence(1, True)
-                self._xi = _SymbolicIndeterminateRecurrence(0, False)
-            else:
-                self._beta = _SymbolicRecurrence(ctx.q, 1, True)
-                self._xi = _SymbolicRecurrence(ctx.q, 0, False)
-        else:
-            self._beta = _PadicRecurrence(ctx, 1, True)
-            self._xi = _PadicRecurrence(ctx, 0, False)
+        indeterminate = ctx.is_symbolic and ctx.q == RationalFunction.indeterminate()
+        recurrence = _SymbolicIndeterminateRecurrence if indeterminate else _Recurrence
+        self._beta = recurrence(ctx, 1, True)
+        self._xi = recurrence(ctx, 0, False)
 
     # -- the numbers ------------------------------------------------------
 
@@ -180,51 +206,9 @@ class CarlitzTable:
         """Lower bound K - sum_k nu_p(divisor_k) on the certified precision."""
         if self.ctx.is_symbolic:
             raise DomainError("the precision ledger applies to the padic backend")
+        # the digits left only decrease, so the least is the last
         shift = 1 if which == "beta" else 0
-        p = self.ctx.prime
-        e = self.ctx.q_minus_one_valuation
-        bound = self.ctx.pctx.precision
-        for k in range(1, n + 1):
-            bound -= e + int_valuation(k + shift, p)
-        return bound
-
-
-class _PadicRecurrence:
-    def __init__(self, ctx: QContext, shift: int, leading_q: bool):
-        self.ctx = ctx
-        self.shift = shift
-        self.leading_q = leading_q
-        self.values = [ctx.one()]
-
-    def extend_to(self, n: int):
-        if n < len(self.values):
-            return
-        self._check_precision(n)
-        ctx = self.ctx
-        q = ctx.q
-        for k in range(len(self.values), n + 1):
-            s = ctx.zero()
-            qi = ctx.one()
-            for i in range(k):
-                s = s + comb(k, i) * qi * self.values[i]
-                qi = qi * q
-            if self.leading_q:
-                s = q * s
-            num = (ctx.one() if k == 1 else ctx.zero()) - s
-            self.values.append(num / (q ** (k + self.shift) - ctx.one()))
-
-    def _check_precision(self, n: int):
-        # LTE: nu_p(q^m - 1) = nu_p(q-1) + nu_p(m) for odd p, q = 1 mod p.
-        p = self.ctx.prime
-        e = self.ctx.q_minus_one_valuation
-        remaining = self.ctx.pctx.precision
-        for k in range(1, n + 1):
-            remaining -= e + int_valuation(k + self.shift, p)
-            if remaining <= 0:
-                raise PrecisionExhausted(
-                    f"certified precision vanishes at recurrence step {k} "
-                    f"(need more than {self.ctx.pctx.precision} digits to reach index {n})"
-                )
+        return min(_ledger(self.ctx, shift, n), default=self.ctx.pctx.precision)
 
 
 # ---------------------------------------------------------------------------

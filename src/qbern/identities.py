@@ -1,10 +1,14 @@
-"""Parameterized verifiers for the identity catalog, with structured reports.
+"""The identity catalog: one table, one verifier and the suite driver.
 
-Every verifier returns IdentityReport objects rather than raising on
-mismatch: a Fail verdict carries the nonzero difference, out-of-hypothesis
-parameters short-circuit with ``domain_ok=False`` and no verdict, and
-instances probing a disputed reading are marked ``quarantined`` so a suite
-can report them without failing on them.
+Each row of ``CATALOG`` declares an identity's parameters, the shape of its
+report's ``parameters`` and a side function, which returns a reason string
+for parameters outside the identity's hypotheses and otherwise
+``(lhs, rhs, notes, quarantined)``.  ``verify`` runs a row and returns an
+IdentityReport rather than raising on mismatch: a Fail verdict carries the
+nonzero difference, out-of-hypothesis parameters short-circuit with
+``domain_ok=False`` and no verdict, and instances probing a disputed
+reading are marked ``quarantined`` so a suite can report them without
+failing on them.
 
 Identity catalog (ids are stable external labels):
 
@@ -22,15 +26,19 @@ Identity catalog (ids are stable external labels):
                 literal printed index is only distinguishable for s >= 3)
   EQ10_SYMMETRY B_{k,n}(x, q) = B_{n-k,n}(1-x, 1/q)
   Q_TO_1        beta_n -> ordinary Bernoulli at q = 1; xi_n has a pole there
+
+Only THM1, EQ6 (padic only) and THM3 on the padic backend compare against
+the Riemann oracle; the Bernstein identities compare two closed routes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from math import isinf
-from typing import Optional
+from itertools import product
+from math import comb, isinf, prod
+from typing import Callable, Optional
 
 from .bernstein import BernsteinSpec, bernstein_eval
 from .carlitz import CarlitzTable, classical_bernoulli, eval_at_one, table_for
@@ -38,13 +46,16 @@ from .errors import DomainError, MaxLevelExceeded, PoleAtOne
 from .integral import (
     BracketPower,
     ReflectedPower,
+    _power_integral_direct,
+    _power_integral_reflected,
+    _reflected_sum,
     bernstein_integral,
     bernstein_power_product_integral,
     bernstein_product_integral,
     closed_one_minus_x_power,
+    closed_reflected_power,
     integrate,
 )
-from .padic import PadicNumber
 from .qfield import QContext, RationalFunction, Scalar, invert_q, q_pow
 
 __all__ = [
@@ -52,6 +63,8 @@ __all__ = [
     "Verdict",
     "IdentityReport",
     "SuiteConfig",
+    "CATALOG",
+    "verify",
     "verify_theorem1",
     "verify_prop2",
     "verify_eq6_eq7",
@@ -67,6 +80,9 @@ __all__ = [
     "suite_exit_status",
     "summarize",
 ]
+
+# the valuation a Riemann-oracle side runs to when the caller sets no target
+ORACLE_TARGET = 8
 
 
 class IdentityId(str, Enum):
@@ -149,6 +165,11 @@ class IdentityReport:
         }
 
 
+def _agreement(diff: Scalar):
+    """The valuation to which a p-adic difference vanishes."""
+    return diff.prec if diff.is_zero() else diff.valuation
+
+
 def _compare(lhs: Scalar, rhs: Scalar, ctx: QContext, target: Optional[int]) -> Verdict:
     """Exact comparison in symbolic mode; valuation comparison in padic mode.
 
@@ -162,7 +183,7 @@ def _compare(lhs: Scalar, rhs: Scalar, ctx: QContext, target: Optional[int]) -> 
     certified = min(lhs.prec, rhs.prec)
     t = certified if target is None else target
     diff = lhs - rhs
-    achieved = diff.prec if diff.is_zero() else diff.valuation
+    achieved = _agreement(diff)
     if t > certified:
         # cannot certify the requested agreement; report what is achieved
         return Verdict.fail(diff, achieved=achieved)
@@ -174,228 +195,132 @@ def _compare(lhs: Scalar, rhs: Scalar, ctx: QContext, target: Optional[int]) -> 
     return Verdict.fail(diff, achieved=achieved)
 
 
-def _skip(identity, params, ctx, reason) -> IdentityReport:
-    return IdentityReport(identity, params, ctx.backend, domain_ok=False, notes=reason)
+@dataclass
+class _Run:
+    """What a side function needs besides the identity's parameters."""
 
+    ctx: QContext
+    tbl: CarlitzTable
+    target: Optional[int]
+    level_cap: Optional[int]
 
-def _integrate_value(f, ctx, target, level_cap):
-    """Adaptive integration that falls back to the capped value on a miss."""
-    try:
-        res = integrate(f, ctx, target, level_cap)
-        return res.value, ""
-    except MaxLevelExceeded as exc:
-        res = exc.result
-        return res.value, (
-            f"level cap {res.level} hit before stabilization at {target} "
-            f"(best {res.stabilization_valuation})"
-        )
+    def integrate(self, f, ctx: Optional[QContext] = None):
+        """Adaptive integration that falls back to the capped value on a miss."""
+        try:
+            return integrate(f, ctx or self.ctx, self.target, self.level_cap).value, ""
+        except MaxLevelExceeded as exc:
+            res = exc.result
+            return res.value, (
+                f"level cap {res.level} hit before stabilization at {self.target} "
+                f"(best {res.stabilization_valuation})"
+            )
 
 
 # ---------------------------------------------------------------------------
-# individual verifiers
+# side functions: a skip reason, or (lhs, rhs, notes, quarantined)
 # ---------------------------------------------------------------------------
 
+_NEEDS_PADIC = "Riemann oracle requires the padic backend"
 
-def verify_theorem1(n: int, x: int, ctx: QContext, target: int = 8,
-                    level_cap: Optional[int] = None) -> IdentityReport:
+
+def _theorem1(run: _Run, n: int, x: int):
     """Both sides by independent Riemann runs under the two measures, plus
-    the sign adjudication of the reflected closed form for even n."""
-    params = {"n": n, "x": x}
+    the sign adjudication of the reflected closed form for n >= 1."""
+    ctx = run.ctx
     if ctx.is_symbolic:
-        return _skip(IdentityId.THM1, params, ctx, "Riemann oracle requires the padic backend")
+        return _NEEDS_PADIC
     if n < 0:
-        return _skip(IdentityId.THM1, params, ctx, "need n >= 0")
-    ictx = invert_q(ctx)
-    lhs, note_l = _integrate_value(BracketPower(1 - x, n), ictx, target, level_cap)
-    rhs_int, note_r = _integrate_value(BracketPower(x, n), ctx, target, level_cap)
-    sign = 1 if n % 2 == 0 else -1
-    rhs = sign * q_pow(n, ctx) * rhs_int
-    verdict = _compare(lhs, rhs, ctx, target)
+        return "need n >= 0"
+    lhs, note_l = run.integrate(BracketPower(1 - x, n), invert_q(ctx))
+    rhs_int, note_r = run.integrate(BracketPower(x, n))
+    rhs = (-1) ** n * q_pow(n, ctx) * rhs_int
     notes = "; ".join(s for s in (note_l, note_r) if s)
     if n >= 1:
-        from .integral import closed_reflected_power
-
         closed = closed_reflected_power(n, x, ctx)
-        d_printed = lhs - closed
-        d_flipped = lhs + closed
-        val_printed = d_printed.prec if d_printed.is_zero() else d_printed.valuation
-        val_flipped = d_flipped.prec if d_flipped.is_zero() else d_flipped.valuation
         ruling = (
             "oracle supports the reflected closed form as printed "
-            f"(agreement {val_printed} vs {val_flipped} for the sign-flipped reading); "
+            f"(agreement {_agreement(lhs - closed)} vs {_agreement(lhs + closed)} "
+            "for the sign-flipped reading); "
             "for even n the plain bracket-power closed form therefore needs the "
             "1/(1-q)^(n-1) prefactor, not 1/(q-1)^(n-1)"
         )
         notes = f"{notes}; {ruling}" if notes else ruling
-    return IdentityReport(IdentityId.THM1, params, ctx.backend,
-                          verdict=verdict, lhs=lhs, rhs=rhs, notes=notes)
+    return lhs, rhs, notes, False
 
 
-def verify_prop2(n: int, ctx: QContext, target: Optional[int] = None,
-                 tbl: Optional[CarlitzTable] = None) -> IdentityReport:
-    params = {"n": n}
+def _prop2(run: _Run, n: int):
     if n <= 1:
-        return _skip(IdentityId.PROP2, params, ctx, "stated for n > 1 only")
-    tbl = tbl or table_for(ctx)
-    lhs = tbl.beta_poly(n, 2)
+        return "stated for n > 1 only"
+    ctx, tbl = run.ctx, run.tbl
     rhs = tbl.beta(n) / ctx.q ** 2 + ctx.embed(n + 1) - ctx.one() / ctx.q
-    return IdentityReport(IdentityId.PROP2, params, ctx.backend,
-                          verdict=_compare(lhs, rhs, ctx, target), lhs=lhs, rhs=rhs)
+    return tbl.beta_poly(n, 2), rhs, "", False
 
 
-def verify_eq6_eq7(n: int, ctx: QContext, target: Optional[int] = None,
-                   level_cap: Optional[int] = None,
-                   tbl: Optional[CarlitzTable] = None,
-                   oracle: bool = True) -> list:
-    """EQ7 is the closed identity (-q)^n beta_n(-1) = beta_{n,1/q}(2); on the
-    padic backend EQ6 additionally checks the Riemann integral of
-    [1-x]_{1/q}^n against the first expression."""
-    params = {"n": n}
-    reports = []
+def _reflected_image(run: _Run, n: int) -> Scalar:
+    # (-q)^n beta_n(-1): the closed image of the integral of [1-x]_{1/q}^n
+    return (-1) ** n * q_pow(n, run.ctx) * run.tbl.beta_poly(n, -1)
+
+
+def _eq6(run: _Run, n: int):
+    if run.ctx.is_symbolic:
+        return _NEEDS_PADIC
     if n < 0:
-        return [_skip(IdentityId.EQ7, params, ctx, "need n >= 0")]
-    tbl = tbl or table_for(ctx)
-    sign = 1 if n % 2 == 0 else -1
-    closed6 = sign * q_pow(n, ctx) * tbl.beta_poly(n, -1)
-    closed7 = tbl.inverse_table().beta_poly(n, 2)
-    reports.append(
-        IdentityReport(IdentityId.EQ7, params, ctx.backend,
-                       verdict=_compare(closed6, closed7, ctx, target),
-                       lhs=closed6, rhs=closed7)
-    )
-    if oracle and not ctx.is_symbolic:
-        t = 8 if target is None else target
-        value, note = _integrate_value(ReflectedPower(1, n), ctx, t, level_cap)
-        reports.append(
-            IdentityReport(IdentityId.EQ6, params, ctx.backend,
-                           verdict=_compare(value, closed6, ctx, t),
-                           lhs=value, rhs=closed6, notes=note)
-        )
-    return reports
+        return "need n >= 0"
+    value, note = run.integrate(ReflectedPower(1, n))
+    return value, _reflected_image(run, n), note, False
 
 
-def verify_theorem3(n: int, ctx: QContext, target: Optional[int] = None,
-                    level_cap: Optional[int] = None,
-                    tbl: Optional[CarlitzTable] = None) -> IdentityReport:
+def _eq7(run: _Run, n: int):
+    if n < 0:
+        return "need n >= 0"
+    return _reflected_image(run, n), run.tbl.inverse_table().beta_poly(n, 2), "", False
+
+
+def _theorem3(run: _Run, n: int):
     """Symbolically the integral is represented by its exact closed image
     (-q)^n beta_n(-1); padic runs use the Riemann oracle directly."""
-    params = {"n": n}
     if n <= 1:
-        return _skip(IdentityId.THM3, params, ctx, "stated for n > 1 only")
-    tbl = tbl or table_for(ctx)
-    rhs = closed_one_minus_x_power(n, ctx, tbl)
-    note = ""
-    if ctx.is_symbolic:
-        sign = 1 if n % 2 == 0 else -1
-        lhs = sign * q_pow(n, ctx) * tbl.beta_poly(n, -1)
-    else:
-        t = 8 if target is None else target
-        lhs, note = _integrate_value(ReflectedPower(1, n), ctx, t, level_cap)
-    return IdentityReport(IdentityId.THM3, params, ctx.backend,
-                          verdict=_compare(lhs, rhs, ctx, target),
-                          lhs=lhs, rhs=rhs, notes=note)
+        return "stated for n > 1 only"
+    rhs = closed_one_minus_x_power(n, run.ctx, run.tbl)
+    if run.ctx.is_symbolic:
+        return _reflected_image(run, n), rhs, "", False
+    lhs, note = run.integrate(ReflectedPower(1, n))
+    return lhs, rhs, note, False
 
 
-def verify_eq9_eq11(n: int, k: int, ctx: QContext, target: Optional[int] = None,
-                    level_cap: Optional[int] = None,
-                    tbl: Optional[CarlitzTable] = None,
-                    oracle: bool = False) -> IdentityReport:
-    params = {"n": n, "k": k}
+def _eq9_eq11(run: _Run, n: int, k: int):
     if not 0 <= k <= n:
-        return _skip(IdentityId.EQ9_EQ11, params, ctx, "need 0 <= k <= n")
+        return "need 0 <= k <= n"
     if n <= k + 1:
-        return _skip(IdentityId.EQ9_EQ11, params, ctx, "reflected route needs n > k + 1")
-    tbl = tbl or table_for(ctx)
-    lhs = bernstein_integral(k, n, ctx, "direct", tbl)
-    rhs = bernstein_integral(k, n, ctx, "reflected", tbl)
-    note = ""
-    if oracle and not ctx.is_symbolic:
-        t = 8 if target is None else target
-        from .integral import BernsteinProduct
-
-        val, note = _integrate_value(BernsteinProduct(((k, n, 1),)), ctx, t, level_cap)
-        d = val - lhs
-        achieved = d.prec if d.is_zero() else d.valuation
-        note = (note + "; " if note else "") + f"riemann oracle agreement {achieved}"
-    return IdentityReport(IdentityId.EQ9_EQ11, params, ctx.backend,
-                          verdict=_compare(lhs, rhs, ctx, target),
-                          lhs=lhs, rhs=rhs, notes=note)
+        return "reflected route needs n > k + 1"
+    return (bernstein_integral(k, n, run.ctx, "direct", run.tbl),
+            bernstein_integral(k, n, run.ctx, "reflected", run.tbl), "", False)
 
 
-def verify_two_product(n: int, m: int, k: int, ctx: QContext,
-                       target: Optional[int] = None,
-                       level_cap: Optional[int] = None,
-                       tbl: Optional[CarlitzTable] = None,
-                       oracle: bool = False) -> IdentityReport:
+def _two_product(run: _Run, n: int, m: int, k: int):
     """Two equal-k factors; hypotheses m, n, k >= 0 with n + m > 2k + 1."""
-    params = {"n": n, "m": m, "k": k}
     if min(n, m, k) < 0 or n + m <= 2 * k + 1:
-        return _skip(IdentityId.EQ13_EQ14, params, ctx, "needs n + m > 2k + 1")
-    tbl = tbl or table_for(ctx)
-    from math import comb
-
+        return "needs n + m > 2k + 1"
     coeff = comb(n, k) * comb(m, k)
-    from .integral import _power_integral_direct, _power_integral_reflected
-
-    lhs = coeff * _power_integral_reflected(2 * k, n + m - 2 * k, tbl)
-    rhs = coeff * _power_integral_direct(2 * k, n + m - 2 * k, tbl)
-    note = ""
-    if oracle and not ctx.is_symbolic and k <= min(n, m):
-        t = 8 if target is None else target
-        from .integral import BernsteinProduct
-
-        val, note = _integrate_value(
-            BernsteinProduct(((k, n, 1), (k, m, 1))), ctx, t, level_cap
-        )
-        d = val - rhs
-        achieved = d.prec if d.is_zero() else d.valuation
-        note = (note + "; " if note else "") + f"riemann oracle agreement {achieved}"
-    return IdentityReport(IdentityId.EQ13_EQ14, params, ctx.backend,
-                          verdict=_compare(lhs, rhs, ctx, target),
-                          lhs=lhs, rhs=rhs, notes=note)
+    return (coeff * _power_integral_reflected(2 * k, n + m - 2 * k, run.tbl),
+            coeff * _power_integral_direct(2 * k, n + m - 2 * k, run.tbl), "", False)
 
 
-def verify_theorem4(n_list, k: int, ctx: QContext, target: Optional[int] = None,
-                    level_cap: Optional[int] = None,
-                    tbl: Optional[CarlitzTable] = None,
-                    oracle: bool = False) -> IdentityReport:
+def _theorem4(run: _Run, n, k: int):
     """Route I vs route II for s equal-k factors; the equivalence domain is
     k, n_i >= 1 with sum n_i > s*k + 1 (k = 0 or n_i = 0 are route-II-only)."""
-    n_list = tuple(n_list)
-    s = len(n_list)
-    params = {"s": s, "n": list(n_list), "k": k}
-    if s < 1:
-        return _skip(IdentityId.THM4_COR5, params, ctx, "need at least one factor")
-    if k < 1 or any(n < 1 for n in n_list):
-        return _skip(IdentityId.THM4_COR5, params, ctx,
-                     "route I needs k >= 1 and every degree >= 1")
-    if sum(n_list) <= s * k + 1:
-        return _skip(IdentityId.THM4_COR5, params, ctx, "needs sum n_i > s*k + 1")
-    tbl = tbl or table_for(ctx)
-    factors = [(k, n) for n in n_list]
-    lhs = bernstein_product_integral(factors, ctx, "I", tbl)
-    rhs = bernstein_product_integral(factors, ctx, "II", tbl)
-    note = ""
-    if oracle and not ctx.is_symbolic and all(k <= n for n in n_list):
-        t = 8 if target is None else target
-        from .integral import BernsteinProduct
-
-        val, note = _integrate_value(
-            BernsteinProduct(tuple((k, n, 1) for n in n_list)), ctx, t, level_cap
-        )
-        d = val - rhs
-        achieved = d.prec if d.is_zero() else d.valuation
-        note = (note + "; " if note else "") + f"riemann oracle agreement {achieved}"
-    return IdentityReport(IdentityId.THM4_COR5, params, ctx.backend,
-                          verdict=_compare(lhs, rhs, ctx, target),
-                          lhs=lhs, rhs=rhs, notes=note)
+    if not n:
+        return "need at least one factor"
+    if k < 1 or any(d < 1 for d in n):
+        return "route I needs k >= 1 and every degree >= 1"
+    if sum(n) <= len(n) * k + 1:
+        return "needs sum n_i > s*k + 1"
+    factors = [(k, d) for d in n]
+    return (bernstein_product_integral(factors, run.ctx, "I", run.tbl),
+            bernstein_product_integral(factors, run.ctx, "II", run.tbl), "", False)
 
 
-def verify_theorem6(nm_list, k: int, ctx: QContext, target: Optional[int] = None,
-                    level_cap: Optional[int] = None,
-                    tbl: Optional[CarlitzTable] = None,
-                    reading: str = "sigma",
-                    oracle: bool = False) -> IdentityReport:
+def _theorem6(run: _Run, nm, k: int, reading: str):
     """Powered products; ``reading`` selects the route-I index convention.
 
     "sigma" reads the inverted-q index as sum_i n_i m_i - l (the adopted
@@ -403,119 +328,218 @@ def verify_theorem6(nm_list, k: int, ctx: QContext, target: Optional[int] = None
     n_1 m_1 + n_s m_s - l, which differs for s >= 3 and is reported
     quarantined since it probes a disputed reading.
     """
-    nm_list = tuple(tuple(t) for t in nm_list)
-    s = len(nm_list)
-    params = {"s": s, "nm": [list(t) for t in nm_list], "k": k, "reading": reading}
-    if s < 1:
-        return _skip(IdentityId.THM6, params, ctx, "need at least one factor")
-    if k < 0 or any(n < 0 or m < 0 for n, m in nm_list):
-        return _skip(IdentityId.THM6, params, ctx, "indices must be nonnegative")
-    weight = sum(m for _, m in nm_list)
-    total = sum(n * m for n, m in nm_list)
+    if not nm:
+        return "need at least one factor"
+    if k < 0 or any(n < 0 or m < 0 for n, m in nm):
+        return "indices must be nonnegative"
+    weight = sum(m for _, m in nm)
+    total = sum(n * m for n, m in nm)
     if total <= k * weight + 1:
-        return _skip(IdentityId.THM6, params, ctx, "needs sum m_i n_i > k sum m_i + 1")
-    tbl = tbl or table_for(ctx)
-    factors = [(k, n, m) for n, m in nm_list]
-    rhs = bernstein_power_product_integral(factors, ctx, "II", tbl)
-    quarantined = False
-    note = ""
+        return "needs sum m_i n_i > k sum m_i + 1"
+    factors = [(k, n, m) for n, m in nm]
+    rhs = bernstein_power_product_integral(factors, run.ctx, "II", run.tbl)
     if reading == "sigma":
-        lhs = bernstein_power_product_integral(factors, ctx, "I", tbl)
-        if s == 2:
-            note = ("for s = 2 the literal printed index coincides with the "
-                    "sum reading; s >= 3 instances separate them")
-    elif reading == "literal":
-        quarantined = True
-        lhs = _theorem6_literal_route(factors, k, tbl)
-        note = "probing the literal printed index n_1 m_1 + n_s m_s - l"
+        lhs = bernstein_power_product_integral(factors, run.ctx, "I", run.tbl)
+        note = ("for s = 2 the literal printed index coincides with the "
+                "sum reading; s >= 3 instances separate them") if len(nm) == 2 else ""
+        return lhs, rhs, note, False
+    if reading == "literal":
+        # route I with the index printed as n_1 m_1 + n_s m_s - l: only the
+        # first and last factor products enter the inverted-q index
+        top = nm[0][0] * nm[0][1] + nm[-1][0] * nm[-1][1]
+        coeff = prod(comb(n, k) ** m for n, m in nm)
+        lhs = coeff * _reflected_sum(k * weight, total, top, run.tbl)
+        return lhs, rhs, "probing the literal printed index n_1 m_1 + n_s m_s - l", True
+    raise DomainError(f"unknown reading {reading!r}")
+
+
+def _symmetry(run: _Run, k: int, n: int, x):
+    """Pointwise q-symmetry B_{k,n}(x, q) = B_{n-k,n}(1 - x, 1/q)."""
+    ctx = run.ctx
+    if not 0 <= k <= n:
+        return "need 0 <= k <= n"
+    if ctx.is_symbolic and not isinstance(x, int):
+        return "symbolic backend takes integer x only"
+    lhs = bernstein_eval(BernsteinSpec(k, n), x, ctx)
+    reflected = 1 - x if isinstance(x, int) else ctx.one() - x
+    rhs = bernstein_eval(BernsteinSpec(n - k, n), reflected, invert_q(ctx))
+    return lhs, rhs, "", False
+
+
+def _q_to_1(run: _Run, n: int, xi: bool):
+    """beta_n degenerates to the ordinary Bernoulli number at q = 1; with
+    ``xi`` the check is instead that xi_n has a pole there, and the side
+    function gives its Verdict in place of the left side."""
+    if not run.ctx.is_symbolic:
+        return "q -> 1 evaluation is symbolic"
+    tbl = run.tbl
+    if xi:
+        try:
+            eval_at_one(tbl.xi(n))
+        except PoleAtOne:
+            return Verdict.exact(), None, "xi has the expected pole at q = 1", False
+        return Verdict.fail(tbl.xi(n)), None, "xi unexpectedly finite at q = 1", False
+    lhs = RationalFunction.from_fraction(eval_at_one(tbl.beta(n)))
+    return lhs, RationalFunction.from_fraction(classical_bernoulli(n)), "", False
+
+
+# ---------------------------------------------------------------------------
+# the catalog and the verifier
+# ---------------------------------------------------------------------------
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_seq(v) -> bool:
+    return isinstance(v, (list, tuple))
+
+
+# parameter types: (what an error message calls it, predicate)
+_INT = ("an integer", _is_int)
+_INTS = ("a list of integers", lambda v: _is_seq(v) and all(map(_is_int, v)))
+_PAIRS = ("a list of [n, m] integer pairs",
+          lambda v: _is_seq(v) and all(_is_seq(t) and len(t) == 2 and all(map(_is_int, t))
+                                       for t in v))
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+_READING = ('"sigma" or "literal"', lambda v: v in ("sigma", "literal"))
+
+
+@dataclass(frozen=True)
+class _Entry:
+    sides: Callable       # (run, **params) -> skip reason | (lhs, rhs, notes, quarantined)
+    params: dict          # parameter name -> (type name, predicate)
+    defaults: dict = field(default_factory=dict)
+    shape: Callable = dict  # (**params) -> the report's ``parameters``
+    oracle: bool = False    # a padic side is the Riemann oracle
+
+
+CATALOG = {
+    IdentityId.THM1: _Entry(_theorem1, {"n": _INT, "x": _INT}, oracle=True),
+    IdentityId.PROP2: _Entry(_prop2, {"n": _INT}),
+    IdentityId.EQ6: _Entry(_eq6, {"n": _INT}, oracle=True),
+    IdentityId.EQ7: _Entry(_eq7, {"n": _INT}),
+    IdentityId.THM3: _Entry(_theorem3, {"n": _INT}, oracle=True),
+    IdentityId.EQ9_EQ11: _Entry(_eq9_eq11, {"n": _INT, "k": _INT}),
+    IdentityId.EQ13_EQ14: _Entry(_two_product, {"n": _INT, "m": _INT, "k": _INT}),
+    IdentityId.THM4_COR5: _Entry(
+        _theorem4, {"n": _INTS, "k": _INT},
+        shape=lambda n, k: {"s": len(n), "n": list(n), "k": k}),
+    IdentityId.THM6: _Entry(
+        _theorem6, {"nm": _PAIRS, "k": _INT, "reading": _READING},
+        defaults={"reading": "sigma"},
+        shape=lambda nm, k, reading: {"s": len(nm), "nm": [list(t) for t in nm],
+                                      "k": k, "reading": reading}),
+    IdentityId.EQ10_SYMMETRY: _Entry(
+        _symmetry, {"k": _INT, "n": _INT, "x": _INT},
+        shape=lambda k, n, x: {"k": k, "n": n, "x": str(x)}),
+    IdentityId.Q_TO_1: _Entry(_q_to_1, {"n": _INT, "xi": _BOOL}, defaults={"xi": False}),
+}
+
+
+def _check_params(identity: IdentityId, params: dict):
+    """Raise DomainError unless ``params`` fit the identity's declared ones."""
+    declared = CATALOG[identity].params
+    unknown = sorted(set(params) - set(declared))
+    if unknown:
+        raise DomainError(f"{identity.value}: unknown parameters {unknown}")
+    missing = sorted(set(declared) - set(params) - set(CATALOG[identity].defaults))
+    if missing:
+        raise DomainError(f"{identity.value}: missing parameters {missing}")
+    for name, value in params.items():
+        what, ok = declared[name]
+        if not ok(value):
+            raise DomainError(f"{identity.value}: parameter {name!r} must be {what}, "
+                              f"got {value!r}")
+
+
+def verify(identity, params: dict, ctx: QContext, target: Optional[int] = None,
+           level_cap: Optional[int] = None,
+           tbl: Optional[CarlitzTable] = None) -> IdentityReport:
+    """Verify one catalog entry with the given parameters.
+
+    ``target`` is the padic comparison valuation (None: the shared certified
+    precision; ORACLE_TARGET for an identity with a Riemann-oracle side).
+    """
+    identity = IdentityId(identity)
+    entry = CATALOG[identity]
+    params = {**entry.defaults, **params}
+    if target is None and entry.oracle and not ctx.is_symbolic:
+        target = ORACLE_TARGET
+    shape = entry.shape(**params)
+    sides = entry.sides(_Run(ctx, tbl or table_for(ctx), target, level_cap), **params)
+    if isinstance(sides, str):
+        return IdentityReport(identity, shape, ctx.backend, domain_ok=False, notes=sides)
+    lhs, rhs, notes, quarantined = sides
+    if isinstance(lhs, Verdict):
+        verdict, lhs = lhs, None
     else:
-        raise DomainError(f"unknown reading {reading!r}")
-    if oracle and not ctx.is_symbolic and all(k <= n for n, _ in nm_list):
-        t = 8 if target is None else target
-        from .integral import BernsteinProduct
-
-        val, onote = _integrate_value(BernsteinProduct(tuple(factors)), ctx, t, level_cap)
-        d = val - rhs
-        achieved = d.prec if d.is_zero() else d.valuation
-        note = (note + "; " if note else "") + (
-            (onote + "; " if onote else "") + f"riemann oracle agreement {achieved}"
-        )
-    return IdentityReport(IdentityId.THM6, params, ctx.backend,
-                          verdict=_compare(lhs, rhs, ctx, target),
-                          lhs=lhs, rhs=rhs, quarantined=quarantined, notes=note)
+        verdict = _compare(lhs, rhs, ctx, target)
+    return IdentityReport(identity, shape, ctx.backend, verdict=verdict, lhs=lhs,
+                          rhs=rhs, quarantined=quarantined, notes=notes)
 
 
-def _theorem6_literal_route(factors, k: int, tbl: CarlitzTable) -> Scalar:
-    # Route I with the index printed as n_1 m_1 + n_s m_s - l: only the first
-    # and last factor products enter the inverted-q index.
-    from math import comb
+def verify_theorem1(n: int, x: int, ctx: QContext, target: int = ORACLE_TARGET,
+                    level_cap: Optional[int] = None) -> IdentityReport:
+    return verify(IdentityId.THM1, {"n": n, "x": x}, ctx, target, level_cap)
 
-    ctx = tbl.ctx
-    weight = sum(m for _, _, m in factors)
-    total = sum(n * m for _, n, m in factors)
-    partial = factors[0][1] * factors[0][2] + factors[-1][1] * factors[-1][2]
-    coeff = 1
-    for _, n, m in factors:
-        coeff *= comb(n, k) ** m
-    a = k * weight
-    q2 = ctx.q ** 2
-    acc = ctx.zero()
-    for l in range(a + 1):
-        inner = ctx.embed(total - l + 1) - ctx.q + q2 * tbl.beta_inverse_q(partial - l)
-        term = comb(a, l) * inner
-        acc = acc + (term if (a + l) % 2 == 0 else -term)
-    return coeff * acc
+
+def verify_prop2(n: int, ctx: QContext, target: Optional[int] = None,
+                 tbl: Optional[CarlitzTable] = None) -> IdentityReport:
+    return verify(IdentityId.PROP2, {"n": n}, ctx, target, tbl=tbl)
+
+
+def verify_eq6_eq7(n: int, ctx: QContext, target: Optional[int] = None,
+                   level_cap: Optional[int] = None,
+                   tbl: Optional[CarlitzTable] = None) -> list:
+    """The EQ7 report and, on the padic backend with n >= 0, the EQ6 one."""
+    ids = [IdentityId.EQ7] if ctx.is_symbolic or n < 0 else [IdentityId.EQ7, IdentityId.EQ6]
+    return [verify(i, {"n": n}, ctx, target, level_cap, tbl) for i in ids]
+
+
+def verify_theorem3(n: int, ctx: QContext, target: Optional[int] = None,
+                    level_cap: Optional[int] = None,
+                    tbl: Optional[CarlitzTable] = None) -> IdentityReport:
+    return verify(IdentityId.THM3, {"n": n}, ctx, target, level_cap, tbl)
+
+
+def verify_eq9_eq11(n: int, k: int, ctx: QContext, target: Optional[int] = None,
+                    level_cap: Optional[int] = None,
+                    tbl: Optional[CarlitzTable] = None) -> IdentityReport:
+    return verify(IdentityId.EQ9_EQ11, {"n": n, "k": k}, ctx, target, level_cap, tbl)
+
+
+def verify_two_product(n: int, m: int, k: int, ctx: QContext,
+                       target: Optional[int] = None,
+                       level_cap: Optional[int] = None,
+                       tbl: Optional[CarlitzTable] = None) -> IdentityReport:
+    params = {"n": n, "m": m, "k": k}
+    return verify(IdentityId.EQ13_EQ14, params, ctx, target, level_cap, tbl)
+
+
+def verify_theorem4(n_list, k: int, ctx: QContext, target: Optional[int] = None,
+                    level_cap: Optional[int] = None,
+                    tbl: Optional[CarlitzTable] = None) -> IdentityReport:
+    params = {"n": tuple(n_list), "k": k}
+    return verify(IdentityId.THM4_COR5, params, ctx, target, level_cap, tbl)
+
+
+def verify_theorem6(nm_list, k: int, ctx: QContext, target: Optional[int] = None,
+                    level_cap: Optional[int] = None,
+                    tbl: Optional[CarlitzTable] = None,
+                    reading: str = "sigma") -> IdentityReport:
+    params = {"nm": tuple(map(tuple, nm_list)), "k": k, "reading": reading}
+    return verify(IdentityId.THM6, params, ctx, target, level_cap, tbl)
 
 
 def verify_symmetry_eq10(k: int, n: int, x, ctx: QContext,
                          target: Optional[int] = None) -> IdentityReport:
-    """Pointwise q-symmetry B_{k,n}(x, q) = B_{n-k,n}(1 - x, 1/q)."""
-    params = {"k": k, "n": n, "x": str(x)}
-    if not 0 <= k <= n:
-        return _skip(IdentityId.EQ10_SYMMETRY, params, ctx, "need 0 <= k <= n")
-    if ctx.is_symbolic and not isinstance(x, int):
-        return _skip(IdentityId.EQ10_SYMMETRY, params, ctx,
-                     "symbolic backend takes integer x only")
-    lhs = bernstein_eval(BernsteinSpec(k, n), x, ctx)
-    reflected = 1 - x if isinstance(x, int) else ctx.one() - _as_padic(x, ctx)
-    rhs = bernstein_eval(BernsteinSpec(n - k, n), reflected, invert_q(ctx))
-    return IdentityReport(IdentityId.EQ10_SYMMETRY, params, ctx.backend,
-                          verdict=_compare(lhs, rhs, ctx, target), lhs=lhs, rhs=rhs)
-
-
-def _as_padic(x, ctx: QContext) -> PadicNumber:
-    if isinstance(x, PadicNumber):
-        return x
-    from fractions import Fraction
-
-    return PadicNumber.from_fraction(Fraction(x), ctx.pctx)
+    return verify(IdentityId.EQ10_SYMMETRY, {"k": k, "n": n, "x": x}, ctx, target)
 
 
 def verify_q_to_1(n: int, ctx: QContext, xi_pole_expected: bool = False) -> IdentityReport:
-    """beta_n degenerates to the ordinary Bernoulli number at q = 1; for
-    xi_pole_expected the check is instead that xi_n has a pole there."""
-    params = {"n": n, "xi": xi_pole_expected}
-    if not ctx.is_symbolic:
-        return _skip(IdentityId.Q_TO_1, params, ctx, "q -> 1 evaluation is symbolic")
-    tbl = table_for(ctx)
-    if xi_pole_expected:
-        try:
-            eval_at_one(tbl.xi(n))
-        except PoleAtOne:
-            return IdentityReport(IdentityId.Q_TO_1, params, ctx.backend,
-                                  verdict=Verdict.exact(),
-                                  notes="xi has the expected pole at q = 1")
-        return IdentityReport(
-            IdentityId.Q_TO_1, params, ctx.backend,
-            verdict=Verdict.fail(tbl.xi(n)),
-            notes="xi unexpectedly finite at q = 1",
-        )
-    value = eval_at_one(tbl.beta(n))
-    expected = classical_bernoulli(n)
-    lhs = RationalFunction.from_fraction(value)
-    rhs = RationalFunction.from_fraction(expected)
-    return IdentityReport(IdentityId.Q_TO_1, params, ctx.backend,
-                          verdict=_compare(lhs, rhs, ctx, None), lhs=lhs, rhs=rhs)
+    return verify(IdentityId.Q_TO_1, {"n": n, "xi": xi_pole_expected}, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +567,8 @@ class SuiteConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "SuiteConfig":
+        if not isinstance(data, dict):
+            raise DomainError("a grid must be a JSON object")
         cfg = cls()
         allowed = {"backend", "prime", "precision", "q", "target_valuation",
                    "level_cap", "identities", "corrupt"}
@@ -554,16 +580,26 @@ class SuiteConfig:
                 setattr(cfg, key, data[key])
         if cfg.backend not in ("symbolic", "padic"):
             raise DomainError(f"unknown backend {cfg.backend!r}")
+        for key in ("prime", "precision", "target_valuation", "level_cap"):
+            value = getattr(cfg, key)
+            if not (_is_int(value) or key == "level_cap" and value is None):
+                raise DomainError(f"{key} must be an integer")
         if cfg.identities is not None:
+            if not isinstance(cfg.identities, list):
+                raise DomainError("identities must be a list")
             parsed = []
             for entry in cfg.identities:
                 if isinstance(entry, dict):
                     name, params = entry.get("identity"), entry.get("params", {})
-                else:
+                elif _is_seq(entry) and len(entry) == 2:
                     name, params = entry
-                IdentityId(name)  # validates
+                else:
+                    raise DomainError(f"grid entry {entry!r} is neither an object "
+                                      "nor an [identity, params] pair")
+                identity = IdentityId(name)  # validates
                 if not isinstance(params, dict):
                     raise DomainError(f"params for {name} must be an object")
+                _check_params(identity, params)
                 parsed.append((name, params))
             cfg.identities = parsed
         return cfg
@@ -597,16 +633,15 @@ def default_grid(backend: str) -> list:
                     if n + m > 2 * k + 1:
                         grid.append(("EQ13_EQ14", {"n": n, "m": m, "k": k}))
         for s in (1, 2, 3):
-            for combo in _compositions(s, 1, 4):
+            for combo in product(range(1, 5), repeat=s):
                 for k in range(1, 5):
                     if sum(combo) > s * k + 1:
                         grid.append(("THM4_COR5", {"n": list(combo), "k": k}))
-        for nm in _theorem6_grid():
+        # s = 2, m_i <= 2, n_i <= 3
+        for n1, n2, m1, m2 in product(range(1, 4), range(1, 4), range(1, 3), range(1, 3)):
             for k in range(0, 4):
-                weight = sum(m for _, m in nm)
-                total = sum(n * m for n, m in nm)
-                if total > k * weight + 1:
-                    grid.append(("THM6", {"nm": [list(t) for t in nm], "k": k}))
+                if n1 * m1 + n2 * m2 > k * (m1 + m2) + 1:
+                    grid.append(("THM6", {"nm": [[n1, m1], [n2, m2]], "k": k}))
         # disputed-reading probes: s = 3 separates the two index readings
         for nm in (((2, 1), (1, 1), (2, 1)), ((3, 1), (2, 1), (1, 1))):
             grid.append(("THM6", {"nm": [list(t) for t in nm], "k": 1,
@@ -643,72 +678,19 @@ def default_grid(backend: str) -> list:
     return grid
 
 
-def _compositions(s, lo, hi):
-    if s == 0:
-        yield ()
-        return
-    for first in range(lo, hi + 1):
-        for rest in _compositions(s - 1, lo, hi):
-            yield (first,) + rest
-
-
-def _theorem6_grid():
-    # s = 2, m_i <= 2, n_i <= 3
-    for n1 in range(1, 4):
-        for n2 in range(1, 4):
-            for m1 in range(1, 3):
-                for m2 in range(1, 3):
-                    yield ((n1, m1), (n2, m2))
-
-
 def run_suite(config: SuiteConfig) -> list:
-    """Run the configured grid; deterministic report order (grid order)."""
+    """Run the configured grid; one report per entry, in grid order."""
     ctx = config.context()
     tbl = table_for(ctx)
     grid = config.identities if config.identities is not None else default_grid(config.backend)
     target = None if ctx.is_symbolic else config.target_valuation
-    cap = config.level_cap
     reports = []
     for index, (name, params) in enumerate(grid):
-        identity = IdentityId(name)
-        corrupt_here = config.corrupt and index == 0
-        reports.extend(
-            _dispatch(identity, dict(params), ctx, tbl, target, cap, corrupt_here)
-        )
+        report = verify(name, params, ctx, target, config.level_cap, tbl)
+        if config.corrupt and index == 0:
+            report = _corrupted(report, ctx)
+        reports.append(report)
     return reports
-
-
-def _dispatch(identity, params, ctx, tbl, target, cap, corrupt=False):
-    if identity in (IdentityId.EQ6, IdentityId.EQ7):
-        with_oracle = identity == IdentityId.EQ6
-        reports = verify_eq6_eq7(params["n"], ctx, target, cap, tbl, oracle=with_oracle)
-        out = [r for r in reports if r.identity == identity or not r.domain_ok]
-    elif identity == IdentityId.THM1:
-        out = [verify_theorem1(params["n"], params["x"], ctx,
-                               8 if target is None else target, cap)]
-    elif identity == IdentityId.PROP2:
-        out = [verify_prop2(params["n"], ctx, target, tbl)]
-    elif identity == IdentityId.THM3:
-        out = [verify_theorem3(params["n"], ctx, target, cap, tbl)]
-    elif identity == IdentityId.EQ9_EQ11:
-        out = [verify_eq9_eq11(params["n"], params["k"], ctx, target, cap, tbl)]
-    elif identity == IdentityId.EQ13_EQ14:
-        out = [verify_two_product(params["n"], params["m"], params["k"], ctx,
-                                  target, cap, tbl)]
-    elif identity == IdentityId.THM4_COR5:
-        out = [verify_theorem4(params["n"], params["k"], ctx, target, cap, tbl)]
-    elif identity == IdentityId.THM6:
-        out = [verify_theorem6(params["nm"], params["k"], ctx, target, cap, tbl,
-                               reading=params.get("reading", "sigma"))]
-    elif identity == IdentityId.EQ10_SYMMETRY:
-        out = [verify_symmetry_eq10(params["k"], params["n"], params["x"], ctx, target)]
-    elif identity == IdentityId.Q_TO_1:
-        out = [verify_q_to_1(params["n"], ctx, params.get("xi", False))]
-    else:  # pragma: no cover
-        raise DomainError(f"unhandled identity {identity}")
-    if corrupt:
-        out = [_corrupted(r, ctx) for r in out]
-    return out
 
 
 def _corrupted(report: IdentityReport, ctx: QContext) -> IdentityReport:

@@ -28,9 +28,7 @@ the prefactor ``1/(1-q)^(m-1)``: that is the reading forced by its own
 degeneration to the q-Bernoulli values (and the one the oracle supports);
 the variant with ``1/(q-1)^(m-1)`` fails for even m by the sign (-1)^(m-1).
 
-Summation enumerates q^x incrementally (one multiplication per term) and
-may be split into contiguous blocks whose partial sums combine to a
-bit-identical result in any order, fixed-precision addition being exact.
+Summation enumerates q^x incrementally (one multiplication per term).
 """
 
 from __future__ import annotations
@@ -263,14 +261,8 @@ def riemann_sum(
     ctx: QContext,
     level: int,
     term_budget: int = DEFAULT_TERM_BUDGET,
-    blocks: int = 1,
 ) -> Scalar:
-    """The level-N q-Riemann sum (1/[p^N]_q) sum_{x<p^N} q^x f(x).
-
-    With blocks > 1 the range is split into contiguous blocks whose partial
-    sums are combined afterwards; the result is bit-identical to the
-    single-block evaluation.
-    """
+    """The level-N q-Riemann sum (1/[p^N]_q) sum_{x<p^N} q^x f(x)."""
     if ctx.is_symbolic:
         raise DomainError("the Riemann evaluator requires the padic backend")
     if level < 1:
@@ -284,19 +276,13 @@ def riemann_sum(
     term = _term_evaluator(f, ctx)
     q = ctx.q
 
-    bounds = [total * i // max(blocks, 1) for i in range(max(blocks, 1))] + [total]
+    qx = ctx.one()
     weighted = ctx.zero()
     weights = ctx.zero()
-    for lo, hi in zip(bounds, bounds[1:]):
-        qx = q_pow(lo, ctx)
-        s = ctx.zero()
-        w = ctx.zero()
-        for x in range(lo, hi):
-            s = s + qx * term(x, qx)
-            w = w + qx
-            qx = qx * q
-        weighted = weighted + s
-        weights = weights + w
+    for x in range(total):
+        weighted = weighted + qx * term(x, qx)
+        weights = weights + qx
+        qx = qx * q
     return weighted / weights
 
 
@@ -509,15 +495,24 @@ def _power_integral_reflected(a: int, b: int, tbl: CarlitzTable) -> Scalar:
     cache = _route_cache(tbl)
     key = ("reflected", a, b)
     if key not in cache:
-        ctx = tbl.ctx
-        q2 = ctx.q ** 2
-        acc = ctx.zero()
-        for l in range(a + 1):
-            inner = ctx.embed(a + b - l + 1) - ctx.q + q2 * tbl.beta_inverse_q(a + b - l)
-            term = comb(a, l) * inner
-            acc = acc + (term if (a + l) % 2 == 0 else -term)
-        cache[key] = acc
+        cache[key] = _reflected_sum(a, a + b, a + b, tbl)
     return cache[key]
+
+
+def _reflected_sum(a: int, total: int, top: int, tbl: CarlitzTable) -> Scalar:
+    """sum_l (-1)^(a+l) C(a,l) (total - l + 1 - q + q^2 beta_{top-l,1/q}).
+
+    With top = total this is the reflected expansion; the index of the
+    inverted-q values is the only place the route-I readings differ.
+    """
+    ctx = tbl.ctx
+    q2 = ctx.q ** 2
+    acc = ctx.zero()
+    for l in range(a + 1):
+        inner = ctx.embed(total - l + 1) - ctx.q + q2 * tbl.beta_inverse_q(top - l)
+        term = comb(a, l) * inner
+        acc = acc + (term if (a + l) % 2 == 0 else -term)
+    return acc
 
 
 def bernstein_integral(k: int, n: int, ctx: QContext, route: str = "direct",

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qbern.cli import main
 
 
@@ -128,11 +130,40 @@ def test_verify_small_grid(capsys, tmp_path):
     assert summary["skipped_out_of_domain"] == 1
 
 
-def test_verify_malformed_grid(capsys, tmp_path):
+def _grid(*entries, **fields):
+    return json.dumps({**fields, "identities": [
+        {"identity": name, "params": params} for name, params in entries]})
+
+
+MALFORMED_GRIDS = {
+    "not-json": "{not json",
+    "not-an-object": "5",
+    "identities-not-a-list": json.dumps({"identities": 5}),
+    "entry-not-a-pair": json.dumps({"identities": [5]}),
+    "unknown-identity": _grid(("NOPE", {"n": 2})),
+    "missing-params": _grid(("PROP2", {})),
+    "missing-one-param": _grid(("THM4_COR5", {"n": 3})),
+    "ill-typed-int": _grid(("PROP2", {"n": "x"})),
+    "bool-for-int": _grid(("PROP2", {"n": True})),
+    "ill-typed-list": _grid(("THM4_COR5", {"n": 3, "k": 1})),
+    "ill-typed-pairs": _grid(("THM6", {"nm": [[2, 1, 1]], "k": 1})),
+    "unknown-param": _grid(("PROP2", {"n": 2, "bogus": 1})),
+    "params-not-an-object": _grid(("PROP2", [2])),
+    "reading-in-domain": _grid(("THM6", {"nm": [[2, 1], [2, 1]], "k": 1,
+                                         "reading": "mystery"})),
+    "reading-out-of-domain": _grid(("THM6", {"nm": [[1, 1]], "k": 1,
+                                             "reading": "mystery"})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GRIDS))
+def test_verify_malformed_grid(name, capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _, err = run(capsys, "verify", "--grid", str(path))
+    path.write_text(MALFORMED_GRIDS[name])
+    code, out, err = run(capsys, "verify", "--grid", str(path))
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_byte_identical(capsys, tmp_path):

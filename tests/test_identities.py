@@ -197,6 +197,32 @@ def test_padic_suite_passes(padic_ctx3):
     assert "valuation" in kinds
 
 
+def test_eq6_symbolic_is_a_domain_skip():
+    reports = run_suite(SuiteConfig(backend="symbolic", identities=[("EQ6", {"n": 2})]))
+    assert [r.identity for r in reports] == [IdentityId.EQ6]
+    assert not reports[0].domain_ok
+    assert reports[0].notes == "Riemann oracle requires the padic backend"
+    assert summarize(reports)["total"] == 1
+
+
+def test_eq6_out_of_domain_keeps_its_label():
+    cfg = SuiteConfig(backend="padic", identities=[("EQ6", {"n": -1}), ("EQ7", {"n": -1})])
+    reports = run_suite(cfg)
+    assert [r.identity for r in reports] == [IdentityId.EQ6, IdentityId.EQ7]
+    assert all(not r.domain_ok and r.notes == "need n >= 0" for r in reports)
+
+
+def test_grid_defaults_fill_report_parameters():
+    cfg = SuiteConfig.from_json({"identities": [
+        {"identity": "THM6", "params": {"nm": [[2, 1], [2, 1]], "k": 1}},
+        ["Q_TO_1", {"n": 3, "xi": True}],
+    ]})
+    assert [r.parameters for r in run_suite(cfg)] == [
+        {"s": 2, "nm": [[2, 1], [2, 1]], "k": 1, "reading": "sigma"},
+        {"n": 3, "xi": True},
+    ]
+
+
 def test_grid_parsing_errors():
     with pytest.raises(DomainError):
         SuiteConfig.from_json({"backend": "quantum"})

@@ -71,13 +71,6 @@ def test_riemann_budget():
         riemann_sum(BracketPower(0, 1), ctx, 5, term_budget=100)
 
 
-def test_block_partition_bit_identical(padic_ctx3):
-    f = BracketPower(1, 2)
-    whole = riemann_sum(f, padic_ctx3, 4)
-    for blocks in (2, 3, 7):
-        assert riemann_sum(f, padic_ctx3, 4, blocks=blocks) == whole
-
-
 def test_block_reduction_order_free(padic_ctx3):
     # partial sums over contiguous blocks combine bit-identically in any order
     from itertools import permutations
