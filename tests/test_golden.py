@@ -20,6 +20,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "verify_symbolic": ["verify"],
     "verify_padic_p3": ["verify", "--backend", "padic", "--p", "3"],
+    "verify_padic_p5": ["verify", "--backend", "padic", "--p", "5"],
+    "verify_padic_p7": ["verify", "--backend", "padic", "--p", "7"],
     "selftest": ["selftest"],
     "selftest_corrupt": ["selftest", "--corrupt"],
 }
