@@ -77,6 +77,7 @@ def main(argv=None):
             f"  worst slack at cap: {worst_slack:+d} "
             f"(achieved valuation >= cap{worst_slack:+d}); {time.monotonic() - t0:.1f}s"
         )
+    return 0
 
 
 if __name__ == "__main__":

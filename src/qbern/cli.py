@@ -21,6 +21,7 @@ from .carlitz import eval_at_one, table_for
 from .errors import (
     BudgetExceeded,
     DomainError,
+    MaxLevelExceeded,
     PoleAtOne,
     PrecisionExhausted,
     QbernError,
@@ -198,12 +199,21 @@ def _cmd_integrate(args) -> int:
     ctx = _context(args)
     spec = args.integrand
     if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            data = json.load(fh)
+        try:
+            with open(spec[1:]) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise DomainError(f"cannot read integrand file: {exc}") from exc
     else:
         data = json.loads(spec)
     integrand = integrand_from_json(data)
-    result = integrate(integrand, ctx, args.target_valuation, args.level_cap)
+    try:
+        result = integrate(integrand, ctx, args.target_valuation, args.level_cap)
+    except MaxLevelExceeded as exc:
+        # the best result still goes out; the error line and exit 3 follow
+        if exc.result is not None:
+            _emit(args, json.dumps(exc.result.to_json(), sort_keys=True) + "\n")
+        raise
     _emit(args, json.dumps(result.to_json(), sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -28,7 +28,13 @@ the prefactor ``1/(1-q)^(m-1)``: that is the reading forced by its own
 degeneration to the q-Bernoulli values (and the one the oracle supports);
 the variant with ``1/(q-1)^(m-1)`` fails for even m by the sign (-1)^(m-1).
 
-Summation enumerates q^x incrementally (one multiplication per term).
+The structured integrands (bracket power, reflected power, Bernstein
+product) are summed by an integer kernel: q^x and the bracket are plain
+ints modulo p^(K + nu_p(scale)), the bracket stepping by
+``[y+1]_q = 1 + q[y]_q`` (or ``[y-1]_{1/q} = q([y]_{1/q} - 1)``) with no
+division.  Its contract is bit-identity with the ``PadicNumber`` loop that
+``Custom`` integrands still take: the same (valuation, unit, precision),
+or the same exception, for every sum.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .errors import (
     MaxLevelExceeded,
     PrecisionExhausted,
 )
-from .padic import int_valuation
+from .padic import PadicNumber, int_valuation
 from .qfield import QContext, Scalar, q_pow
 
 __all__ = [
@@ -262,7 +268,14 @@ def riemann_sum(
     level: int,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> Scalar:
-    """The level-N q-Riemann sum (1/[p^N]_q) sum_{x<p^N} q^x f(x)."""
+    """The level-N q-Riemann sum (1/[p^N]_q) sum_{x<p^N} q^x f(x).
+
+    ``BracketPower``, ``ReflectedPower`` and ``BernsteinProduct`` are summed
+    by the integer kernel ``_kernel_sum``; ``Custom`` and ``CustomHash``
+    (and any q not carried to exactly K digits) go through the
+    ``PadicNumber`` loop ``_object_sum``, the reference the kernel matches
+    bit for bit.
+    """
     if ctx.is_symbolic:
         raise DomainError("the Riemann evaluator requires the padic backend")
     if level < 1:
@@ -273,9 +286,16 @@ def riemann_sum(
         raise BudgetExceeded(
             f"level {level} needs {total} terms, over the budget of {term_budget}"
         )
+    # hoists the x-independent constants, which raise on too few digits
     term = _term_evaluator(f, ctx)
-    q = ctx.q
+    if isinstance(f, _KERNEL_INTEGRANDS) and ctx.q.prec == ctx.pctx.precision:
+        return _kernel_sum(f, ctx, total)
+    return _object_sum(term, ctx, total)
 
+
+def _object_sum(term, ctx: QContext, total: int) -> Scalar:
+    """sum_{x<total} q^x term(x, q^x) / sum_{x<total} q^x in PadicNumbers."""
+    q = ctx.q
     qx = ctx.one()
     weighted = ctx.zero()
     weights = ctx.zero()
@@ -284,6 +304,57 @@ def riemann_sum(
         weights = weights + qx
         qx = qx * q
     return weighted / weights
+
+
+_KERNEL_INTEGRANDS = (BracketPower, ReflectedPower, BernsteinProduct)
+
+
+def _kernel_sum(f: Integrand, ctx: QContext, total: int) -> Scalar:
+    """``_object_sum`` for a structured integrand, summed in plain ints.
+
+    Every such integrand is ``scale * y^a (1 - y)^b`` for a bracket y that
+    steps affinely with x: ``[x+c+1]_q = 1 + q[x+c]_q``,
+    ``[c-x-1]_{1/q} = q([c-x]_{1/q} - 1)`` and ``[x+1]_q = 1 + q[x]_q``.
+    With q = ctx.q.unit (q carried to exactly K digits) the terms are
+    p-adic integers and are summed modulo p^(K + nu_p(scale)).  The object
+    loop certifies its weight sum to K and its weighted sum to exactly
+    ``nu_p(scale) + K - nu(q-1)`` (``nu_p(scale) + K`` at degree 0): every
+    bracket term has valuation >= 0 and precision K - nu(q-1), and some
+    residue x makes a term a unit.  Rebuilt with those precisions and
+    divided by ``PadicNumber.__truediv__``, the two sums give the object
+    loop's (v, unit, prec) and its exceptions.
+    """
+    pctx = ctx.pctx
+    p, digits = pctx.prime, pctx.precision
+    if isinstance(f, BernsteinProduct):
+        (scale, a, b), offset = _bernstein_shape(f), 0
+    else:
+        scale, a, b, offset = 1, f.power, 0, f.offset
+    shift = int_valuation(scale, p)
+    mod = p ** (digits + shift)
+    u = ctx.q.unit
+    if isinstance(f, ReflectedPower):  # y = [c - x]_{1/q}
+        y, step = _int_bracket(offset, pow(u, -1, mod), mod), -u
+    else:  # y = [x + c]_q
+        y, step = _int_bracket(offset, u, mod), 1
+    weighted = weights = 0
+    qx = 1
+    for _ in range(total):
+        weighted += qx * pow(y, a, mod) * pow(1 - y, b, mod)
+        weights += qx
+        qx = qx * u % mod
+        y = (u * y + step) % mod
+    prec = shift + digits - (ctx.q_minus_one_valuation if a + b else 0)
+    return (PadicNumber(pctx, 0, scale * weighted, prec)
+            / PadicNumber(pctx, 0, weights, digits))
+
+
+def _int_bracket(c: int, r: int, mod: int) -> int:
+    """[c]_r modulo ``mod`` for a unit r, with [-n]_r = -r^(-n) [n]_r."""
+    acc = 0
+    for _ in range(abs(c)):
+        acc = (1 + r * acc) % mod
+    return acc if c >= 0 else -pow(r, c, mod) * acc % mod
 
 
 def integrate(
@@ -625,14 +696,39 @@ def integrand_to_json(f: Integrand) -> dict:
     raise DomainError(f"integrand {f!r} has no JSON form")
 
 
-def integrand_from_json(data: dict) -> Integrand:
+def integrand_from_json(data) -> Integrand:
+    """The integrand of a JSON form; malformed input raises DomainError."""
+    if not isinstance(data, dict):
+        raise DomainError(f"an integrand must be a JSON object, got {data!r}")
     kind = data.get("type")
     if kind == "bracket_power":
-        return BracketPower(int(data["offset"]), int(data["power"]))
+        return BracketPower(_json_int(data, "offset"), _json_int(data, "power"))
     if kind == "reflected_power":
-        return ReflectedPower(int(data["offset"]), int(data["power"]))
+        return ReflectedPower(_json_int(data, "offset"), _json_int(data, "power"))
     if kind == "bernstein_product":
-        return BernsteinProduct(tuple(tuple(int(v) for v in t) for t in data["factors"]))
+        factors = data.get("factors")
+        if not isinstance(factors, list) or not all(
+            isinstance(t, list) and len(t) == 3 and all(map(_is_json_int, t))
+            for t in factors
+        ):
+            raise DomainError(
+                f"bernstein_product factors must be a list of [k, n, m] integer "
+                f"triples, got {factors!r}"
+            )
+        return BernsteinProduct(tuple(tuple(t) for t in factors))
     if kind == "custom_hash":
-        return CustomHash(int(data.get("seed", 1)))
+        return CustomHash(_json_int(data, "seed") if "seed" in data else 1)
     raise DomainError(f"unknown integrand type {kind!r}")
+
+
+def _is_json_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _json_int(data: dict, key: str) -> int:
+    if key not in data:
+        raise DomainError(f"integrand {data['type']!r} needs the field {key!r}")
+    value = data[key]
+    if not _is_json_int(value):
+        raise DomainError(f"integrand field {key!r} must be an integer, got {value!r}")
+    return value

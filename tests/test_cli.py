@@ -108,6 +108,42 @@ def test_integrate_requires_padic(capsys):
     assert code == 2
 
 
+MALFORMED_INTEGRANDS = {
+    "missing-key": '{"type":"bracket_power","offset":0}',
+    "not-an-object": "[1]",
+    "not-json": "{not json",
+    "string-value": '{"type":"reflected_power","offset":"1","power":2}',
+    "bool-value": '{"type":"custom_hash","seed":true}',
+    "short-triple": '{"type":"bernstein_product","factors":[[1,2]]}',
+    "factors-not-a-list": '{"type":"bernstein_product","factors":5}',
+    "factors-missing": '{"type":"bernstein_product"}',
+    "unknown-type": '{"type":"nope"}',
+    "missing-file": "@{tmp}/missing.json",
+    "directory": "@{tmp}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INTEGRANDS))
+def test_integrate_malformed_integrand(name, capsys, tmp_path):
+    spec = MALFORMED_INTEGRANDS[name].replace("{tmp}", str(tmp_path))
+    code, out, err = run(capsys, "integrate", "--backend", "padic", "--integrand", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_integrate_capped_prints_best(capsys):
+    code, out, err = run(capsys, "integrate", "--backend", "padic", "--p", "3",
+                         "--level-cap", "2",
+                         "--integrand", '{"type":"bracket_power","offset":0,"power":2}')
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["level"] == 2
+    assert payload["stabilization_valuation"] == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "best achieved valuation 2" in err
+
+
 def test_verify_small_grid(capsys, tmp_path):
     grid = {
         "backend": "symbolic",

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from qbern.carlitz import table_for
-from qbern.errors import BudgetExceeded, DomainError, MaxLevelExceeded
+from qbern.errors import (
+    BudgetExceeded,
+    DivisionByZero,
+    DomainError,
+    MaxLevelExceeded,
+    PrecisionExhausted,
+)
 from qbern.integral import (
     BernsteinProduct,
     BracketPower,
@@ -26,7 +32,7 @@ from qbern.integral import (
     riemann_sum,
 )
 from qbern.padic import PadicNumber
-from qbern.qfield import QContext, RationalFunction, q_pow, scalars_equal
+from qbern.qfield import QContext, RationalFunction, invert_q, q_pow, scalars_equal
 
 SYM = QContext.symbolic()
 
@@ -101,6 +107,50 @@ def test_block_reduction_order_free(padic_ctx3):
             s = s + partials[i][0]
             w = w + partials[i][1]
         assert s / w == reference
+
+
+# q values per prime with nu(q - 1) = 1 and 2; each is also run inverted
+KERNEL_QS = {3: ("1+p", "1/4", "10"), 5: ("1+p", "26"), 7: ("1+p",)}
+# Bernstein shapes of degree 0, pure [x]_q, pure 1 - [x]_q and mixed; the
+# coefficients 9, 10, 7 and 6 include multiples of p
+KERNEL_SHAPES = (((0, 0, 2),), ((2, 2, 1),), ((0, 3, 1),), ((1, 3, 2),),
+                 ((2, 5, 1),), ((1, 7, 1),), ((1, 2, 1), (1, 3, 1)))
+
+
+def _outcome(compute):
+    try:
+        s = compute()
+    except (DivisionByZero, PrecisionExhausted) as exc:
+        return type(exc).__name__
+    return (s.v, s.unit, s.prec)
+
+
+@pytest.mark.parametrize("p", sorted(KERNEL_QS))
+def test_kernel_bit_identical_to_object_loop(p):
+    # the integer kernel returns the PadicNumber loop's (v, unit, prec), or
+    # raises the same exception class, on every structured integrand
+    from qbern.integral import _object_sum, _term_evaluator
+
+    integrands = [cls(c, m) for cls in (BracketPower, ReflectedPower)
+                  for c in (-2, 0, 3) for m in range(5)]
+    integrands += [BernsteinProduct(shape) for shape in KERNEL_SHAPES]
+    levels = (1, 2, 3) if p < 7 else (1, 2)
+    seen = set()
+    for digits in (2, 5, 24):
+        for spec in KERNEL_QS[p]:
+            try:
+                base = QContext.padic(p, digits, spec)
+            except DomainError:
+                continue  # q = 1 to K digits
+            for ctx in (base, invert_q(base)):
+                for f in integrands:
+                    for level in levels:
+                        got = _outcome(lambda: riemann_sum(f, ctx, level))
+                        want = _outcome(lambda: _object_sum(
+                            _term_evaluator(f, ctx), ctx, p**level))
+                        assert got == want, (digits, spec, ctx.q, f, level)
+                        seen.add(got if isinstance(got, str) else "value")
+    assert seen == {"value", "DivisionByZero", "PrecisionExhausted"}
 
 
 # -- convergence against an independent rational oracle -----------------------
