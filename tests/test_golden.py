@@ -1,9 +1,10 @@
-"""Golden reports: the suite's JSON-lines output and exit codes, byte for byte.
+"""Golden reports: the CLI's output and exit codes, byte for byte.
 
-Each file under ``tests/golden/`` is the stdout of one CLI invocation, and
+Each file under ``tests/golden/`` is the stdout of one CLI invocation, named
+after its ``CASES`` key (``.jsonl`` for reports, ``.csv`` for tables), and
 ``exit_codes.json`` holds its exit code.  A refactor of the identity layer
-must leave all of them unchanged.  To regenerate one after an intended
-change of the reports, run for example
+or of the symbolic kernels must leave all of them unchanged.  To regenerate
+one after an intended change of the reports, run for example
 ``PYTHONPATH=src python -m qbern.cli verify > tests/golden/verify_symbolic.jsonl``
 and review the diff.
 """
@@ -24,12 +25,15 @@ CASES = {
     "verify_padic_p7": ["verify", "--backend", "padic", "--p", "7"],
     "selftest": ["selftest"],
     "selftest_corrupt": ["selftest", "--corrupt"],
+    "table_beta_at_one": ["table", "--kind", "beta", "--range", "0:20", "--at-one",
+                          "--format", "csv"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name, tmp_path):
-    out = tmp_path / f"{name}.jsonl"
+    (golden,) = GOLDEN.glob(f"{name}.*")
+    out = tmp_path / golden.name
     code = main(CASES[name] + ["--out", str(out)])
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
-    assert out.read_bytes() == (GOLDEN / f"{name}.jsonl").read_bytes()
+    assert out.read_bytes() == golden.read_bytes()
