@@ -10,11 +10,14 @@ with divisor ``q^k - 1``.  The xi_k have a pole at q = 1 while the beta_k
 degenerate to the ordinary Bernoulli numbers.
 
 Symbolically the recurrence is run on raw numerators over the known common
-denominators ``prod_j (q^j - 1)``; only the final, memoized value is
-canonicalized.  On the padic backend the table pre-validates the certified
-precision of the whole run using nu_p(q^k - 1) = nu_p(q-1) + nu_p(k) (odd p,
-q = 1 mod p), so PrecisionExhausted is raised eagerly with the offending
-step.
+denominators ``prod_j (q^j - 1)``, as int lists in Z[q] multiplied by the
+Kronecker product of :mod:`qbern.qfield`; only the final, memoized value is
+turned into Fractions and canonicalized, with the certified heuristic gcd
+(a GCDHEU candidate accepted only when it divides both sides exactly, the
+pseudo-remainder sequence as fallback).  On the padic backend the table
+pre-validates the certified precision of the whole run using
+nu_p(q^k - 1) = nu_p(q-1) + nu_p(k) (odd p, q = 1 mod p), so
+PrecisionExhausted is raised eagerly with the offending step.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .qfield import (
     q_bracket,
     q_pow,
 )
-from .qfield import _padd, _pmul, _pscale, _strip  # polynomial plumbing
+from .qfield import _zmul  # the Z[q] product
 
 __all__ = [
     "CarlitzTable",
@@ -45,8 +48,8 @@ _ONE = Fraction(1)
 
 
 def _q_power_minus_one_poly(j: int):
-    # q^j - 1 as a dense coefficient tuple
-    return _strip([-_ONE] + [Fraction(0)] * (j - 1) + [_ONE])
+    # q^j - 1 as a dense integer coefficient list
+    return [-1] + [0] * (j - 1) + [1]
 
 
 class _Recurrence:
@@ -111,35 +114,42 @@ class _SymbolicIndeterminateRecurrence(_Recurrence):
     """Fast path when q is the indeterminate: integer-polynomial numerators.
 
     Entry k is stored as ``num_k / den_k`` with den_k the cumulative product
-    of the divisors ``q^{shift+j} - 1`` for j = 1..k; numerators stay in
-    Z[q], so no gcd work happens until a value is exported.
+    of the divisors ``q^{shift+j} - 1`` for j = 1..k; numerators and
+    denominators are plain int lists in Z[q], multiplied with the Kronecker
+    product of :mod:`qbern.qfield`, so no gcd or Fraction work happens until
+    a value is exported as a :class:`RationalFunction`.
     """
 
     def __init__(self, ctx: QContext, shift: int, leading_q: bool):
         super().__init__(ctx, shift, leading_q)
-        self.raw_num = [(_ONE,)]
-        self.raw_den = [(_ONE,)]
+        self.raw_num = [[1]]
+        self.raw_den = [[1]]
 
     def _step(self, k: int) -> RationalFunction:
         # values[i] = raw_num[i] / raw_den[i], raw_den[i] | raw_den[k-1]
         prev_den = self.raw_den[k - 1]
-        total = ()
-        ratio = (_ONE,)
+        lead = 1 if self.leading_q else 0  # the factor q of beta
+        total = []  # minus the q-weighted sum, the numerator for k > 1
+        ratio = [1]
         # iterate i downward carrying raw_den[k-1]/raw_den[i]
         for i in range(k - 1, -1, -1):
-            term = _pscale(_pmul(self.raw_num[i], ratio), Fraction(comb(k, i)))
-            term = (Fraction(0),) * i + term  # multiply by q^i
-            total = _padd(total, term)
+            c = comb(k, i)
+            term = _zmul(self.raw_num[i], ratio)
+            power = i + lead  # multiply by q^i, and by q for beta
+            total.extend([0] * (power + len(term) - len(total)))
+            for j, t in enumerate(term, power):
+                total[j] -= c * t
             if i > 0:
-                ratio = _pmul(ratio, _q_power_minus_one_poly(i + self.shift))
-        if self.leading_q:
-            total = (Fraction(0),) + total  # multiply by q
-        neg_total = tuple(-c for c in total)
-        num = _padd(prev_den, neg_total) if k == 1 else neg_total
-        new_den = _pmul(prev_den, _q_power_minus_one_poly(k + self.shift))
-        self.raw_num.append(num)
+                ratio = _zmul(ratio, _q_power_minus_one_poly(i + self.shift))
+        if k == 1:
+            for j, t in enumerate(prev_den):
+                total[j] += t
+        while total and not total[-1]:
+            total.pop()
+        new_den = _zmul(prev_den, _q_power_minus_one_poly(k + self.shift))
+        self.raw_num.append(total)
         self.raw_den.append(new_den)
-        return RationalFunction(num, new_den)
+        return RationalFunction(map(Fraction, total), map(Fraction, new_den))
 
 
 class CarlitzTable:

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from math import isinf
 
 from .bernstein import BernsteinSpec, bernstein_eval
@@ -32,7 +31,7 @@ from .integral import (
     integrand_from_json,
     integrate,
 )
-from .qfield import QContext
+from .qfield import QContext, rational_literal
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -131,7 +130,7 @@ def _parse_x(text: str):
     try:
         return int(text)
     except ValueError:
-        return Fraction(text)
+        return rational_literal(text)
 
 
 def _scalar_payload(value, ctx) -> dict:

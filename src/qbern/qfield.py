@@ -3,6 +3,22 @@
 The symbolic backend carries values as normalized ratios of polynomials in
 q over the rationals (coprime numerator/denominator, monic denominator), so
 identity verification reduces to syntactic equality of canonical forms.
+The coefficients are stored as Fractions, but the kernels under them work
+in Z[q] on plain int lists after clearing denominators:
+
+* products by Kronecker substitution, one big-int product of the lists
+  packed at 2^b, read back as signed digits (Harvey, J. Symb. Comput. 44,
+  2009);
+* exact division over the divisor's primitive part, raising
+  ArithmeticError on a remainder;
+* gcds by GCDHEU (Char, Geddes, Gonnet, J. Symb. Comput. 7, 1989): the
+  integer gcd of the values at xi = 2^b, read back as symmetric xi-adic
+  digits.  With xi >= 2 min(|x|_inf, |y|_inf) + 2 a candidate that divides
+  both inputs is the gcd, so a candidate is accepted only after its
+  cofactors multiply back to both inputs exactly.  After a few growing xi
+  the primitive pseudo-remainder sequence takes over.
+
+The canonical form is unique, so it does not depend on which gcd path ran.
 The p-adic backend reuses :mod:`qbern.padic` with a fixed admissible q
 (a unit with nu_p(q - 1) >= 1, i.e. |1 - q|_p < 1).
 
@@ -34,6 +50,7 @@ __all__ = [
     "reflected_bracket",
     "invert_q",
     "scalars_equal",
+    "rational_literal",
 ]
 
 _ZERO = Fraction(0)
@@ -64,44 +81,79 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
+def _clear_denominators(a):
+    # A Fraction tuple as (int list, least common denominator).
+    den = 1
+    for c in a:
+        if c.denominator != 1:
+            den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in a], den
+
+
+def _pack(x, b):
+    # x(2^b): Kronecker substitution; signed coefficients carry into the top
+    acc = 0
+    for c in reversed(x):
+        acc = (acc << b) + c
+    return acc
+
+
+def _unpack(n, b):
+    # The 2^b-adic digits of n in [-2^(b-1), 2^(b-1)), lowest first; b >= 2.
+    full = 1 << b
+    half = full >> 1
+    mask = full - 1
+    out = []
+    while n:
+        d = n & mask
+        n >>= b
+        if d >= half:
+            d -= full
+            n += 1
+        out.append(d)
+    return out
+
+
+def _zmul(x, y):
+    # Product in Z[q] by one big-int product.  Each product coefficient is at
+    # most max|x| * max|y| * min(len) in magnitude, so a sign bit (and one bit
+    # of slack) above that bound leaves every signed digit unambiguous.
+    if not x or not y:
+        return []
+    bound = max(map(abs, x)) * max(map(abs, y)) * min(len(x), len(y))
+    b = bound.bit_length() + 2
+    return _unpack(_pack(x, b) * _pack(y, b), b)
+
+
 def _pmul(a, b):
     if not a or not b:
         return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _strip(out)
+    x, dx = _clear_denominators(a)
+    y, dy = _clear_denominators(b)
+    den = dx * dy
+    if den == 1:
+        return tuple(map(Fraction, _zmul(x, y)))
+    return tuple(Fraction(c, den) for c in _zmul(x, y))
 
 
-def _pscale(a, c):
-    if not c:
-        return ()
-    return tuple(x * c for x in a)
-
-
-def _pdivmod(a, b):
-    # Polynomial division over Q; b must be nonzero.
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    q = [_ZERO] * max(len(a) - db, 0)
-    while len(r) > db and r:
-        while r and not r[-1]:
-            r.pop()
-        if len(r) <= db:
-            break
-        c = r[-1] / lb
-        d = len(r) - 1 - db
-        q[d] = c
-        for i in range(db + 1):
-            r[d + i] -= c * b[i]
-        r.pop()
-    return _strip(q), _strip(r)
+def _zexquo(x, y):
+    # The quotient x / y in Z[q]; ArithmeticError unless y divides x there.
+    # Long division over Q is unique, so a step that leaves a remainder
+    # modulo lc(y) shows that the quotient is not in Z[q].
+    r = list(x)
+    dy = len(y) - 1
+    q = [0] * max(len(r) - dy, 0)
+    for d in reversed(range(len(q))):
+        c, rem = divmod(r[d + dy], y[-1])
+        if rem:
+            raise ArithmeticError("polynomial division was expected to be exact")
+        if c:
+            q[d] = c
+            for i in range(dy):
+                r[d + i] -= c * y[i]
+    if any(r[:dy]):
+        raise ArithmeticError("polynomial division was expected to be exact")
+    return q
 
 
 def _peval(a, x: Fraction) -> Fraction:
@@ -113,18 +165,7 @@ def _peval(a, x: Fraction) -> Fraction:
 
 def _to_primitive_int(a):
     # Clear denominators and content; returns a primitive int-coefficient list.
-    den = 1
-    for c in a:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    return _int_primitive(_clear_denominators(a)[0])
 
 
 def _int_prem(a, b):
@@ -157,8 +198,49 @@ def _int_primitive(a):
     return a
 
 
+_HEU_TRIES = 6
+
+
+def _heugcd(x, y):
+    """GCDHEU (Char, Geddes, Gonnet 1989) on primitive x, y of degree >= 1.
+
+    Evaluates both at xi = 2^b, reads igcd(x(xi), y(xi)) back as symmetric
+    xi-adic digits and takes the primitive part h.  With
+    xi >= 2 min(|x|_inf, |y|_inf) + 2, h is gcd(x, y) as soon as it divides
+    both; that is checked here by exhibiting the cofactors x/h and y/h
+    (read from x(xi)/h(xi), then multiplied back).  Returns h, or None when
+    no xi of the few tried gives a checked h.
+    """
+    nx, ny = max(map(abs, x)), max(map(abs, y))
+    # 2^b >= 2 max(|x|, |y|) + 2 >= the certificate's 2 min(...) + 2, and
+    # leaves room to read back cofactors about as large as x and y
+    b = (2 * max(nx, ny) + 1).bit_length()
+    for _ in range(_HEU_TRIES):
+        xv, yv = _pack(x, b), _pack(y, b)
+        h = _int_primitive(_unpack(gcd(xv, yv), b))
+        hv = _pack(h, b)
+        if _zmul(h, _unpack(xv // hv, b)) == x and _zmul(h, _unpack(yv // hv, b)) == y:
+            return h
+        b += b // 4 + 2  # xi grows to about xi^(5/4)
+    return None
+
+
+def _prs_gcd(x, y):
+    # gcd of primitive x, y in Z[q] by a primitive pseudo-remainder sequence
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        r = _int_prem(x, y)
+        if not r:
+            return y
+        x, y = y, _int_primitive(r)
+    # the sequence bottomed out at a nonzero constant: coprime
+    return [1]
+
+
 def _pgcd(a, b):
-    # Monic gcd over Q via a primitive pseudo-remainder sequence over Z.
+    # Monic gcd over Q: the primitive gcd of the cleared integer polynomials,
+    # by the heuristic when it certifies one and the PRS otherwise.
     if not a:
         return _pmonic(b)
     if not b:
@@ -167,20 +249,7 @@ def _pgcd(a, b):
         return (_ONE,)
     x = _to_primitive_int(a)
     y = _to_primitive_int(b)
-    if len(x) < len(y):
-        x, y = y, x
-    while len(y) > 1:
-        r = _int_prem(x, y)
-        if not r:
-            x = y
-            break
-        x, y = y, _int_primitive(r)
-    else:
-        # remainder sequence bottomed out at a nonzero constant: coprime
-        return (_ONE,)
-    if len(x) == 1:
-        return (_ONE,)
-    return _pmonic(tuple(Fraction(c) for c in x))
+    return _pmonic(tuple(map(Fraction, _heugcd(x, y) or _prs_gcd(x, y))))
 
 
 def _pmonic(a):
@@ -191,10 +260,14 @@ def _pmonic(a):
 
 
 def _pexquo(a, b):
-    q, r = _pdivmod(a, b)
-    if r:
-        raise ArithmeticError("polynomial division was expected to be exact")
-    return q
+    # a / b over Q, known to be a polynomial: the dividend's cleared integer
+    # coefficients over the divisor's primitive part, a quotient that lies in
+    # Z[q] by Gauss's lemma, times the rational factor left over.
+    x, dx = _clear_denominators(a)
+    y, dy = _clear_denominators(b)
+    yp = _int_primitive(y)
+    scale = Fraction(dy * yp[-1], dx * y[-1])
+    return tuple(c * scale for c in _zexquo(x, yp))
 
 
 def _fmt_coeff(c: Fraction) -> str:
@@ -465,6 +538,15 @@ class RationalFunction:
 Scalar = Union[PadicNumber, RationalFunction]
 
 
+def rational_literal(text: str) -> Fraction:
+    """A rational literal such as "3", "-2/5" or "0.5"; a zero denominator
+    is a DomainError rather than a ZeroDivisionError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise DomainError(f"zero denominator in the rational literal {text!r}") from exc
+
+
 # ---------------------------------------------------------------------------
 # the working context
 # ---------------------------------------------------------------------------
@@ -511,9 +593,14 @@ class QContext:
     def padic(cls, prime: int, precision: int, q="1+p") -> "QContext":
         pctx = PadicContext(prime, precision)
         if isinstance(q, str):
-            q = Fraction(1 + prime) if q.strip() == "1+p" else Fraction(q)
+            q = Fraction(1 + prime) if q.strip() == "1+p" else rational_literal(q)
         if isinstance(q, (int, Fraction)):
             qval = PadicNumber.from_fraction(Fraction(q), pctx)
+            if q != 1 and (qval - 1).is_zero():
+                raise DomainError(
+                    f"q - 1 vanishes to the working precision: q = {q} is "
+                    f"congruent to 1 mod {prime}^{precision}"
+                )
         elif isinstance(q, PadicNumber):
             qval = q
         else:

@@ -202,6 +202,39 @@ def test_verify_malformed_grid(name, capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+ZERO_DENOMINATORS = {
+    "beta-q": ["beta", "--n", "3", "--backend", "padic", "--p", "3", "--q", "1/0"],
+    "bernstein-table-x": ["table", "--kind", "bernstein", "--range", "0:3", "--x", "1/0"],
+    "beta-poly-x": ["beta-poly", "--n", "2", "--backend", "padic", "--x", "5/0"],
+    "grid-q": ["verify", "--grid", _grid(("PROP2", {"n": 2}), backend="padic", q="1/0")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_DENOMINATORS))
+def test_zero_denominator_literal(name, capsys, tmp_path):
+    argv = list(ZERO_DENOMINATORS[name])
+    if argv[0] == "verify":
+        path = tmp_path / "grid.json"
+        path.write_text(argv[2])
+        argv[2] = str(path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "zero denominator" in err
+
+
+def test_q_congruent_to_one_exits_2(capsys):
+    # q = 10 is 1 mod 3^2, so q - 1 vanishes at precision 2; q itself is not 1
+    code, out, err = run(capsys, "beta", "--n", "1", "--backend", "padic",
+                         "--p", "3", "--precision", "2", "--q", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: q - 1 vanishes to the working precision: q = 10 is congruent to 1 mod 3^2\n"
+    code, _, err = run(capsys, "beta", "--n", "1", "--backend", "padic", "--q", "1")
+    assert code == 2
+    assert err == "error: q = 1 is not an admissible padic q\n"
+
+
 def test_verify_byte_identical(capsys, tmp_path):
     grid = {"backend": "symbolic",
             "identities": [{"identity": "EQ7", "params": {"n": 3}}]}

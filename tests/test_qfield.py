@@ -10,6 +10,7 @@ from qbern.errors import (
     DomainError,
     NonIntegerExponentInSymbolicMode,
 )
+from qbern import qfield
 from qbern.padic import PadicNumber
 from qbern.qfield import (
     QContext,
@@ -20,6 +21,7 @@ from qbern.qfield import (
     reflected_bracket,
     scalars_equal,
 )
+from qbern.qfield import _prs_gcd, _to_primitive_int
 
 RF = RationalFunction
 SYM = QContext.symbolic()
@@ -260,3 +262,183 @@ def test_backend_coherence(padic_contexts):
         want = PadicNumber.from_fraction(expr.evaluate(1 + p), ctx.pctx)
         got = (q_bracket(5, ctx) ** 2 - reflected_bracket(2, 3, ctx)) / (ctx.q ** 2 + 1)
         assert scalars_equal(got, want, ctx)
+
+
+def test_q_congruent_to_one_is_named():
+    # q = 10 is 1 mod 3^2 without being 1
+    with pytest.raises(DomainError, match="vanishes to the working precision"):
+        QContext.padic(3, 2, 10)
+    with pytest.raises(DomainError, match="q = 1 is not an admissible"):
+        QContext.padic(3, 2, 1)
+    assert QContext.padic(3, 3, 10).q_minus_one_valuation == 2
+
+
+def test_zero_denominator_q_literal():
+    with pytest.raises(DomainError, match="zero denominator"):
+        QContext.padic(3, 24, "1/0")
+
+
+# -- integer Z[q] kernels -------------------------------------------------------
+
+
+def _schoolbook(x, y):
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _fr(x):
+    return tuple(Fraction(c) for c in x)
+
+
+def _monic_prs(a, b):
+    # the reference gcd: the primitive PRS, made monic over Q
+    h = _prs_gcd(_to_primitive_int(a), _to_primitive_int(b))
+    return tuple(Fraction(c, h[-1]) for c in h)
+
+
+big_ints = st.one_of(st.integers(-3, 3), st.integers(-2 ** 220, 2 ** 220))
+int_polys = st.lists(big_ints, min_size=1, max_size=60)
+
+
+@settings(max_examples=120, deadline=None)
+@given(int_polys, int_polys)
+def test_kronecker_product_matches_schoolbook(x, y):
+    # zeros inside and at either end, length 1, coefficients past 2^200
+    assert qfield._zmul(x, y) == _schoolbook(x, y)
+
+
+def test_kronecker_product_edges():
+    assert qfield._zmul([0, 0, 5], [0, -1]) == [0, 0, 0, -5]
+    assert qfield._zmul([2 ** 300], [-(2 ** 300)]) == [-(2 ** 600)]
+    assert qfield._zmul([1, -1], [1, 1]) == [1, 0, -1]
+    assert qfield._zmul([], [1]) == []
+
+
+small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(any)
+
+
+def _nonconstant(draw, strategy):
+    x = draw(strategy)
+    while len(x) > 1 and not x[-1]:
+        x.pop()
+    return x if len(x) > 1 else x + [1]
+
+
+@st.composite
+def planted_pairs(draw):
+    # a = c_a g u, b = c_b g v with a non-monic primitive g such as 2q + 1
+    g = draw(st.sampled_from([[1, 2], [3, 0, 2], [-1, 1], [1, 1, 1], [5, -3, 0, 4]]))
+    g = _schoolbook(g, _nonconstant(draw, small_polys)) if draw(st.booleans()) else g
+    u = draw(small_polys)
+    v = draw(small_polys)
+    ca = draw(st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(bool))
+    cb = draw(st.integers(1, 36))
+    return (tuple(ca * c for c in _fr(_schoolbook(g, u))),
+            tuple(cb * c for c in _fr(_schoolbook(g, v))), _fr(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_pairs())
+def test_gcd_matches_prs_on_planted_factors(planted):
+    a, b, g = planted
+    h = qfield._pgcd(a, b)
+    assert h == _monic_prs(a, b)
+    assert h[-1] == 1
+    qfield._pexquo(h, g)  # the planted factor divides the gcd ...
+    qfield._pexquo(a, h)  # ... which divides both; each raises otherwise
+    qfield._pexquo(b, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_heuristic_gcd_is_the_prs_gcd(data):
+    x = _to_primitive_int(_fr(_nonconstant(data.draw, int_polys)))
+    y = _to_primitive_int(_fr(_nonconstant(data.draw, small_polys)))
+    h = qfield._heugcd(x, y)
+    assert h is None or h == _prs_gcd(x, y)
+
+
+def test_gcd_coprime_and_content():
+    assert qfield._pgcd(_fr([-1, 1]), _fr([1, 1])) == (1,)          # q - 1, q + 1
+    assert qfield._pgcd(_fr([6, 12]), _fr([4, 8, 0, 0])) == _fr([Fraction(1, 2), 1])
+    a = _fr(_schoolbook([6, 0, 4], [1, -3]))   # 2(3 + 2q^2)(1 - 3q)
+    b = _fr(_schoolbook([9, 0, 6], [7, 1, 1]))  # 3(3 + 2q^2)(7 + q + q^2)
+    assert qfield._pgcd(a, b) == (Fraction(3, 2), 0, 1)
+
+
+def test_heuristic_starts_at_the_certified_bound(monkeypatch):
+    # the first evaluation point xi = 2^b must satisfy xi >= 2 min(|x|, |y|) + 2
+    seen = []
+    pack = qfield._pack
+    monkeypatch.setattr(qfield, "_pack", lambda x, b: seen.append(b) or pack(x, b))
+    for x, y in (([1, 1], [-1, 0, 1]), ([3, 2 ** 70, 1], [5, -7, 1]), ([-4, 0, 9], [2, 0, 3])):
+        seen.clear()
+        qfield._heugcd(x, y)
+        assert 2 ** seen[0] >= 2 * min(max(map(abs, x)), max(map(abs, y))) + 2
+
+
+def test_prs_fallback_gives_the_same_gcd(monkeypatch, sym_table):
+    pairs = [
+        (_fr(_schoolbook([1, 2], [3, -1, 4])), _fr(_schoolbook([1, 2], [0, 5]))),
+        (_fr([-1, 0, 0, 0, 1]), _fr([1, 0, -1])),
+        (sym_table.beta(9).den, sym_table.beta(8).den),
+    ]
+    fast = [qfield._pgcd(a, b) for a, b in pairs]
+    calls = []
+    monkeypatch.setattr(qfield, "_heugcd", lambda x, y: calls.append(1))  # gives up
+    assert [qfield._pgcd(a, b) for a, b in pairs] == fast
+    assert len(calls) == len(pairs)
+    beta, factor = sym_table.beta(7), _fr([3, 2])  # a common factor 2q + 3
+    assert RF(qfield._pmul(beta.num, factor), qfield._pmul(beta.den, factor)) == beta
+
+
+def test_exact_division_raises_on_remainder():
+    with pytest.raises(ArithmeticError):
+        qfield._pexquo(_fr([1, 0, 1]), _fr([1, 1]))            # q^2 + 1 by q + 1
+    with pytest.raises(ArithmeticError):
+        qfield._pexquo(_fr([0, 0, 1]), _fr([1, 2]))            # q^2 by 2q + 1
+    with pytest.raises(ArithmeticError):
+        qfield._pexquo(_fr([1]), _fr([1, 1]))                  # degree too low
+    assert qfield._pexquo(_fr([1, 3, 2]), _fr([2, 4])) == _fr([Fraction(1, 2), Fraction(1, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs.filter(any), coeffs.filter(any))
+def test_exact_division_inverts_product(a, b):
+    a, b = qfield._strip(a), qfield._strip(b)
+    assert qfield._pexquo(qfield._pmul(a, b), b) == a
+
+
+@settings(max_examples=20, deadline=None)
+@given(rationals_of_q(), rationals_of_q())
+def test_canonical_forms_match_sympy(a, b):
+    sp = pytest.importorskip("sympy")
+    q = sp.Symbol("q")
+
+    def expr(f):
+        return (sum(sp.Rational(str(c)) * q ** i for i, c in enumerate(f.num))
+                / sum(sp.Rational(str(c)) * q ** i for i, c in enumerate(f.den)))
+
+    for f in (a * b + a, (a + b) * (a - b), a * a * b):
+        num, den = sp.fraction(sp.cancel(expr(f)))
+        num, den = sp.Poly(num, q), sp.Poly(den, q)
+        lc = den.LC()
+        want_num = [Fraction(str(c / lc)) for c in reversed(num.all_coeffs())] if not num.is_zero else []
+        want_den = [Fraction(str(c / lc)) for c in reversed(den.all_coeffs())]
+        assert (list(f.num), list(f.den)) == (want_num, want_den)
+
+
+def test_carlitz_canonical_forms_match_sympy(sym_table):
+    sp = pytest.importorskip("sympy")
+    q = sp.Symbol("q")
+    for n in (3, 6, 9, 12):
+        f = sym_table.beta(n)
+        num = sum(sp.Rational(str(c)) * q ** i for i, c in enumerate(f.num))
+        den = sum(sp.Rational(str(c)) * q ** i for i, c in enumerate(f.den))
+        assert sp.gcd(sp.Poly(num, q), sp.Poly(den, q)).degree() == 0
+        assert f.den[-1] == 1
