@@ -4,11 +4,14 @@
 For each prime and each structured integrand in the verification grid this
 prints, per level N up to the default cap:
 
-  * the valuation of S_N - closed_form (agreement with the limit), and
-  * the valuation of S_{N+1} - S_N (the stabilization certificate),
+  * the valuation of S_N - closed_form (agreement with the limit),
+  * the valuation of S_{N+1} - S_N (the raw level difference, no proof),
+  * the proven bound ``integrate`` certifies after level N, and
+  * the true agreement of the value it certifies with the closed form,
 
 plus a summary of the achieved agreement at the cap.  The observed slack
 (achieved valuation minus level) is what the test configuration freezes.
+The exit status is 1 if any proven bound exceeds its true agreement.
 
 Usage: python3 scripts/calibrate_convergence.py [--primes 3 5 7] [--precision 24]
 """
@@ -23,8 +26,10 @@ from qbern.integral import (
     ReflectedPower,
     closed_one_minus_x_power,
     default_level_cap,
+    integrate,
     riemann_sum,
 )
+from qbern.errors import MaxLevelExceeded
 from qbern.qfield import QContext
 
 
@@ -48,12 +53,21 @@ def valuation_of_diff(a, b):
     return d.prec if d.is_zero() else d.valuation
 
 
+def certified(f, ctx, level):
+    """The result ``integrate`` holds after summing levels 1..level."""
+    try:
+        return integrate(f, ctx, 10**6, level_cap=level)
+    except MaxLevelExceeded as exc:
+        return exc.result
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--primes", type=int, nargs="+", default=[3, 5, 7])
     ap.add_argument("--precision", type=int, default=24)
     args = ap.parse_args(argv)
 
+    status = 0
     for p in args.primes:
         ctx = QContext.padic(p, args.precision, "1+p")
         tbl = table_for(ctx)
@@ -61,6 +75,7 @@ def main(argv=None):
         print(f"\n=== p={p}, q=1+p, K={args.precision}, level cap {cap} ===")
         t0 = time.monotonic()
         worst_slack = None
+        overclaims = 0
         for f, tag in grid():
             closed = closed_value(tag, ctx, tbl)
             sums = [riemann_sum(f, ctx, n) for n in range(1, cap + 1)]
@@ -69,15 +84,22 @@ def main(argv=None):
             slack = agree[-1] - cap
             worst_slack = slack if worst_slack is None else min(worst_slack, slack)
             monotone = all(x <= y for x, y in zip(steps, steps[1:]))
+            results = [certified(f, ctx, n) for n in range(1, cap + 1)]
+            bounds = [r.stabilization_valuation for r in results]
+            true = [valuation_of_diff(r.value, closed) for r in results]
+            overclaims += sum(b > t for b, t in zip(bounds, true))
             print(
                 f"  {f!r:38s} agree@cap={agree[-1]:>3} slack={slack:+d} "
-                f"steps={steps} monotone={monotone}"
+                f"steps={steps} monotone={monotone}\n"
+                f"  {'':38s} proven={[str(b) for b in bounds]} true={true}"
             )
         print(
             f"  worst slack at cap: {worst_slack:+d} "
             f"(achieved valuation >= cap{worst_slack:+d}); {time.monotonic() - t0:.1f}s"
         )
-    return 0
+        print(f"  proven bounds above the true agreement: {overclaims}")
+        status = status or int(overclaims > 0)
+    return status
 
 
 if __name__ == "__main__":

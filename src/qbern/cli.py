@@ -313,9 +313,25 @@ def _cmd_selftest(args) -> int:
     return suite_exit_status(reports)
 
 
+# options whose value is a rational literal, which may start with "-"
+_LITERAL_OPTIONS = ("--x", "--q")
+
+
+def _join_literals(argv: list) -> list:
+    """``--x -1/2`` as ``--x=-1/2``: argparse reads a value that starts with
+    "-" and is not a plain number as the next option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _LITERAL_OPTIONS and token[:1] == "-" and token[:2] != "--":
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_literals(sys.argv[1:] if argv is None else list(argv)))
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)

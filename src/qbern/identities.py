@@ -211,7 +211,7 @@ class _Run:
         except MaxLevelExceeded as exc:
             res = exc.result
             return res.value, (
-                f"level cap {res.level} hit before stabilization at {self.target} "
+                f"level cap {res.level} hit before a certificate reached {self.target} "
                 f"(best {res.stabilization_valuation})"
             )
 

@@ -3,23 +3,24 @@
 The level-N Riemann sum of f is ``(1/[p^N]_q) sum_{x<p^N} q^x f(x)``; the
 measure of a residue class x + p^N Z_p is q^x/[p^N]_q, and the weights sum
 to 1 exactly because ``sum_{x<p^N} q^x = [p^N]_q`` (the evaluator divides
-by the accumulated weight sum, so this holds on the nose).  The adaptive
-controller raises the level until two consecutive sums agree to the target
-valuation.
+by the accumulated weight sum, so this holds on the nose).
 
-If the level cap comes first, the structured integrands are extrapolated
-from the sums already computed.  Each of them is a polynomial
+The adaptive controller raises the level until a proven certificate reaches
+the target valuation.  Each structured integrand is a polynomial
 ``sum_j g_j u^j`` of degree d in u = q^x, so the level-N sum is exactly
 ``P(t_N)`` with ``t_N = q^(p^N)`` and
 
     P(t) = sum_j g_j (1-q)/(1-q^(j+1)) (1 + t + ... + t^j),
 
-and the integral is P(1).  The value at t = 1 of the polynomial through the
-computed sums (Neville's scheme) is P(1) itself when there are at least
-d + 1 of them; with fewer, the interpolation error is the product of the
-``1 - t_N`` times a divided difference of P, whose valuation is at least
-the least coefficient valuation of P.  Either way the certificate is a
-proven bound and no closed form is consulted.
+and the integral is P(1).  After every level N the controller evaluates at
+t = 1 the polynomial through the sums of levels 1..N (Neville's scheme).
+That is P(1) itself when there are at least d + 1 of them; with fewer, the
+interpolation error is the product of the ``1 - t_N`` times a divided
+difference of P, whose valuation is at least the least coefficient
+valuation of P.  Either way the certificate is a proven bound and no
+closed form is consulted.  Agreement of two consecutive sums proves
+nothing (they can agree by accident), so only ``Custom`` integrands, which
+have no degree, still stop on it, and their certificate says so.
 
 The Riemann evaluator is the ground-truth oracle here: every closed form
 below is validated against it by the identities module rather than trusted.
@@ -180,18 +181,20 @@ class MeasureLevel:
 @dataclass(frozen=True)
 class RiemannResult:
     """Adaptive integration outcome: the value, the level reached, and the
-    convergence certificate ``stabilization_valuation``.
+    certificate ``stabilization_valuation`` with its kind ``certificate``.
 
-    When two consecutive sums agree, the certificate is the valuation of
-    their difference.  A value extrapolated at the level cap carries its
-    proven error bound instead: its own tracked precision when at least
-    d + 1 levels went into it, else the a-priori interpolation bound.
+    ``exact-degree``: at least d + 1 levels went into the extrapolated
+    value, so the certificate is its tracked precision.  ``a-priori-bound``:
+    fewer levels, so it is the interpolation error bound.  Both are proven
+    lower bounds on the valuation of the error.  ``heuristic``: the
+    valuation of the difference of the last two sums, which is no proof.
     ``history[i]`` is always the raw difference valuation between the sums
     at levels i+1 and i+2."""
 
     value: Scalar
     level: int
     stabilization_valuation: object
+    certificate: str
     history: tuple = ()
 
     def to_json(self) -> dict:
@@ -200,6 +203,7 @@ class RiemannResult:
             "value": _scalar_json(self.value),
             "level": self.level,
             "stabilization_valuation": "inf" if isinf(sv) else int(sv),
+            "certificate": self.certificate,
             "history": ["inf" if isinf(h) else int(h) for h in self.history],
         }
 
@@ -364,50 +368,44 @@ def integrate(
     level_cap: Optional[int] = None,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> RiemannResult:
-    """Raise the level until two consecutive sums agree to the target
-    valuation.
+    """Sum levels 1, 2, ... and return at the first level whose certificate
+    reaches the target valuation.
 
-    Reaching the cap first, a structured integrand is extrapolated to t = 1
-    from the sums of levels 1..cap (no further level is summed); the result
-    keeps ``level`` = cap and is returned if its proven bound reaches the
-    target.  Otherwise, and always for ``Custom``/``CustomHash``,
-    MaxLevelExceeded carries the best result.
+    For a structured integrand the value after level N is the extrapolation
+    to t = 1 over levels 1..N and the certificate its proven bound
+    (``exact-degree`` or ``a-priori-bound``).  ``Custom``/``CustomHash``
+    return the level-N sum, certified by its agreement with level N-1
+    (``heuristic``).  A certificate of no digit (<= 0) is recorded as -inf.
+    At the cap, MaxLevelExceeded carries the last level's result.
     """
     if ctx.is_symbolic:
         raise DomainError("the Riemann evaluator requires the padic backend")
     cap = default_level_cap(ctx.prime) if level_cap is None else level_cap
     if cap < 1:
         raise DomainError("level cap must be >= 1")
-    sums = [riemann_sum(f, ctx, 1, term_budget)]
-    history = []
-    best = RiemannResult(sums[0], 1, -inf, ())
-    for level in range(2, cap + 1):
-        prev = sums[-1]
-        cur = riemann_sum(f, ctx, level, term_budget)
-        diff = cur - prev
-        stabilized_exactly = diff.is_zero()
-        sv = diff.prec if stabilized_exactly else diff.valuation
-        history.append(sv)
-        if stabilized_exactly:
-            # the earlier level already carried the certified value
-            best = RiemannResult(prev, level - 1, sv, tuple(history))
-        else:
-            best = RiemannResult(cur, level, sv, tuple(history))
-        if sv >= target:
-            return best
-        sums.append(cur)
     valuations = _u_coefficient_valuations(f, ctx)
-    if valuations is not None:
-        try:
-            value, bound = _extrapolate(valuations, sums, ctx)
-        except (DivisionByZero, PrecisionExhausted):
-            pass  # too few digits to extrapolate; the raw best stands
+    sums, history = [], []
+    for level in range(1, cap + 1):
+        sums.append(riemann_sum(f, ctx, level, term_budget))
+        if level > 1:
+            diff = sums[-1] - sums[-2]
+            history.append(diff.prec if diff.is_zero() else diff.valuation)
+        value, bound = sums[-1], -inf
+        if valuations is None:
+            kind = "heuristic"
+            bound = history[-1] if history else -inf
         else:
-            best = RiemannResult(value, cap, bound, tuple(history))
-            if bound >= target:
-                return best
+            kind = "exact-degree" if level >= len(valuations) else "a-priori-bound"
+            try:
+                value, bound = _extrapolate(valuations, sums, ctx)
+            except (DivisionByZero, PrecisionExhausted):
+                pass  # 1 - t_N vanishes to the working precision
+        best = RiemannResult(value, level, bound if bound > 0 else -inf, kind,
+                             tuple(history))
+        if best.stabilization_valuation >= target:
+            return best
     raise MaxLevelExceeded(
-        f"no inter-level agreement at valuation {target} within level cap {cap}; "
+        f"no certificate reaches valuation {target} within level cap {cap}; "
         f"best achieved valuation {best.stabilization_valuation}",
         result=best,
     )

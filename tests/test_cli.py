@@ -87,19 +87,62 @@ def test_integrate_budget_exit(capsys):
 
 
 def test_integrate_certifies_at_cap(capsys):
-    # p = 5 reaches valuation 8 only through the extrapolation at the cap
+    # p = 5 reaches valuation 8 only through the extrapolation, here from
+    # levels 1..3, which fix the degree-2 polynomial
     code, out, _ = run(capsys, "integrate", "--backend", "padic", "--p", "5",
                        "--target-valuation", "8",
                        "--integrand", '{"type":"bracket_power","offset":0,"power":2}')
     assert code == 0
     payload = json.loads(out)
-    assert payload["level"] == 6
+    assert payload["level"] == 3
     assert payload["stabilization_valuation"] >= 8
     code, _, err = run(capsys, "integrate", "--backend", "padic", "--p", "5",
                        "--target-valuation", "8",
                        "--integrand", '{"type":"custom_hash","seed":7}')
     assert code == 3
     assert "level cap" in err
+
+
+@pytest.mark.parametrize("integrand,level_cap,kind", [
+    ('{"type":"bracket_power","offset":0,"power":2}', "8", "exact-degree"),
+    ('{"type":"bracket_power","offset":0,"power":6}', "3", "a-priori-bound"),
+    ('{"type":"custom_hash","seed":7}', "3", "heuristic"),
+])
+def test_integrate_prints_certificate_kind(capsys, integrand, level_cap, kind):
+    code, out, _ = run(capsys, "integrate", "--backend", "padic", "--p", "3",
+                       "--level-cap", level_cap, "--integrand", integrand)
+    assert code in (0, 3)
+    assert json.loads(out)["certificate"] == kind
+
+
+@pytest.mark.parametrize("argv", [
+    ["bernstein", "--k", "1", "--n", "2", "--x", "-1/2", "--backend", "padic"],
+    ["beta-poly", "--n", "2", "--x", "-1/2", "--backend", "padic"],
+    ["beta", "--n", "2", "--backend", "padic", "--q", "-1/2"],
+    ["bernstein", "--k", "1", "--n", "2", "--x", "-2", "--q", "-1/2", "--backend", "padic"],
+])
+def test_negative_literal_spaced_or_joined(capsys, argv):
+    spaced = run(capsys, *argv)
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in ("--x", "--q"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    assert spaced[0] == 0
+    assert spaced == run(capsys, *joined)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bernstein", "--k", "1", "--n", "2", "--backend", "padic", "--x"],
+    ["bernstein", "--k", "1", "--n", "2", "--x", "--backend", "padic"],
+    ["beta", "--n", "2", "--backend", "padic", "--q"],
+])
+def test_missing_literal_value_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_integrate_requires_padic(capsys):

@@ -1,6 +1,7 @@
 """Riemann evaluator, adaptive controller, and the closed-form routes."""
 
 from fractions import Fraction
+from math import comb, inf
 
 import pytest
 
@@ -31,7 +32,7 @@ from qbern.integral import (
     integrate,
     riemann_sum,
 )
-from qbern.padic import PadicNumber
+from qbern.padic import PadicNumber, int_valuation
 from qbern.qfield import QContext, RationalFunction, invert_q, q_pow, scalars_equal
 
 SYM = QContext.symbolic()
@@ -235,11 +236,12 @@ def test_history_monotone_for_plain_bracket(padic_ctx3):
 
 
 def test_cap_extrapolation_certifies_target(padic_ctx5):
-    # the raw level-5/6 sums agree only to 5; the extrapolated value is the
-    # integral to its tracked precision
+    # the raw level-2/3 sums agree only to 2; three levels fix the degree-2
+    # polynomial, so the extrapolated value is the integral to its tracked
+    # precision
     res = integrate(BracketPower(0, 2), padic_ctx5, 8, level_cap=6)
     true = agreement(res.value, table_for(padic_ctx5).beta_poly(2, 0))
-    assert res.level == 6
+    assert res.level == 3
     assert res.stabilization_valuation >= 8
     assert true >= 8
     assert true >= res.stabilization_valuation
@@ -266,20 +268,27 @@ def test_cap_extrapolation_short_of_target_carries_result(padic_ctx7):
 
 def test_cap_extrapolation_without_digits_keeps_raw_best():
     # nu(q - 1) = 2 and K = 5: 1 - t_N vanishes to working precision at
-    # levels 3 and 4, so no extrapolation is possible and the plain
-    # controller's best result stands
+    # levels 3 and 4, so no extrapolation is possible there, and the raw
+    # level difference of precision <= 0 certifies nothing
     ctx = QContext.padic(5, 5, "26")
     with pytest.raises(MaxLevelExceeded) as exc:
         integrate(BracketPower(0, 2), ctx, 30, level_cap=4)
     best = exc.value.result
-    assert best.level == 3
+    assert best.level == 4
     assert best.history == (1, 0, -1)
+    assert best.stabilization_valuation == -inf
+    assert best.value.prec <= 0
+    # one level bounds the error only by 5^-1: no digit, so no certificate
+    with pytest.raises(MaxLevelExceeded) as exc:
+        integrate(BracketPower(0, 2), ctx, 30, level_cap=1)
+    assert exc.value.result.stabilization_valuation == -inf
 
 
 def test_cap_extrapolation_history_is_raw(padic_ctx5):
     f = BracketPower(1, 3)
     res = integrate(f, padic_ctx5, 8, level_cap=5)
-    sums = [riemann_sum(f, padic_ctx5, N) for N in range(1, 6)]
+    assert res.level == 4
+    sums = [riemann_sum(f, padic_ctx5, N) for N in range(1, res.level + 1)]
     assert list(res.history) == [agreement(b, a) for a, b in zip(sums, sums[1:])]
 
 
@@ -295,8 +304,148 @@ def test_cap_extrapolation_sums_each_level_once(padic_ctx5, monkeypatch):
 
     monkeypatch.setattr(integral, "riemann_sum", counting)
     res = integrate(BracketPower(2, 4), padic_ctx5, 8, level_cap=5)
-    assert res.level == 5
-    assert levels == [1, 2, 3, 4, 5]
+    assert res.level == 4
+    assert levels == list(range(1, res.level + 1))
+
+
+def test_certificate_kinds(padic_ctx3, padic_ctx7):
+    exact = integrate(BracketPower(0, 2), padic_ctx3, 8)
+    assert (exact.level, exact.certificate) == (3, "exact-degree")
+    assert exact.stabilization_valuation == exact.value.prec
+    bounded = integrate(BracketPower(0, 6), padic_ctx7, 8, level_cap=5)
+    assert bounded.certificate == "a-priori-bound"
+    assert bounded.level < 7
+    from qbern.qfield import q_bracket
+
+    custom = integrate(Custom(lambda x, ctx: q_bracket(x, ctx) ** 2), padic_ctx3, 6)
+    assert custom.certificate == "heuristic"
+    assert custom.stabilization_valuation == custom.history[-1]
+    assert exact.to_json()["certificate"] == "exact-degree"
+
+
+@pytest.mark.parametrize("q,f,target,level,bound,true", [
+    ("1/4", BracketPower(0, 2), 4, 3, 20, 20),
+    ("1+p", BracketPower(2, 6), 6, 4, 8, 10),
+    ("1+p", BracketPower(2, 4), 4, 3, 5, 7),
+])
+def test_stop_certificate_is_proven(q, f, target, level, bound, true):
+    # consecutive sums agree by accident here (levels 1/2 or 2/3), which
+    # once stopped the integrator with a certificate above the agreement
+    ctx = QContext.padic(3, 24, q)
+    res = integrate(f, ctx, target)
+    agree = agreement(res.value, table_for(ctx).beta_poly(f.power, f.offset))
+    assert (res.level, res.stabilization_valuation, agree) == (level, bound, true)
+    assert target <= res.stabilization_valuation <= agree
+
+
+# -- exact rational cross-check ------------------------------------------------
+
+
+def _rational_bracket(y, r):
+    return (1 - r**y) / (1 - r)
+
+
+def _rational_integrand(f, x, q):
+    """f(x) from its definition, in exact rationals."""
+    if isinstance(f, BracketPower):
+        return _rational_bracket(x + f.offset, q) ** f.power
+    if isinstance(f, ReflectedPower):
+        return _rational_bracket(f.offset - x, 1 / q) ** f.power
+    value = Fraction(1)
+    y = _rational_bracket(x, q)
+    for k, n, m in f.factors:
+        value *= (comb(n, k) * y**k * (1 - y) ** (n - k)) ** m
+    return value
+
+
+def _u_coefficients(f, q):
+    """g_0..g_d with f(x) = sum_j g_j q^(jx), in exact rationals."""
+    if isinstance(f, BracketPower):
+        scale, factors = (1 - q) ** -f.power, [((1, -(q**f.offset)), f.power)]
+    elif isinstance(f, ReflectedPower):
+        scale, factors = (1 - 1 / q) ** -f.power, [((1, -(q**-f.offset)), f.power)]
+    else:
+        scale, factors = Fraction(1), []
+        for k, n, m in f.factors:
+            scale *= comb(n, k) ** m / (1 - q) ** (n * m)
+            factors += [((1, -1), k * m), ((-q, 1), (n - k) * m)]
+    poly = [scale]
+    for (c0, c1), power in factors:
+        for _ in range(power):
+            poly = [c0 * a + c1 * b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def _geometric(r, terms):
+    return (1 - r**terms) / (1 - r)
+
+
+def _true_agreement(w, exact, p):
+    """min(prec, nu(w - exact)) for a PadicNumber w and a Fraction."""
+    rep = Fraction(0) if w.is_zero() else Fraction(w.unit) * Fraction(p) ** w.v
+    d = rep - exact
+    if d == 0:
+        return w.prec
+    return min(w.prec, int_valuation(d.numerator, p) - int_valuation(d.denominator, p))
+
+
+XCHECK_QS = {3: ("1+p", "10"), 5: ("1+p", "26"), 7: ("1+p",)}
+XCHECK_INTEGRANDS = (
+    BracketPower(0, 1), BracketPower(0, 2), BracketPower(2, 4), BracketPower(2, 6),
+    BracketPower(-1, 3), ReflectedPower(1, 2), ReflectedPower(1, 4), ReflectedPower(1, 6),
+    BernsteinProduct(((1, 2, 1),)), BernsteinProduct(((1, 2, 1), (1, 3, 1))),
+    BernsteinProduct(((0, 3, 2),)), BernsteinProduct(((2, 5, 1),)),
+)
+
+
+@pytest.mark.parametrize("p", sorted(XCHECK_QS))
+def test_certificates_against_exact_rational_sums(p):
+    # The level-N sum at rational q is sum_j g_j G(q^(j+1), p^N) / G(q, p^N)
+    # with G(r, M) = 1 + r + ... + r^(M-1), and the integral is its limit
+    # sum_j g_j (j+1) / G(q, j+1).  Every level-N sum must match its exact
+    # value to its precision, and no certificate, carried at each cap 1..4
+    # or returned at a target, may exceed the true agreement.
+    kinds = set()
+    for digits in (6, 10, 24):
+        for spec in XCHECK_QS[p]:
+            base = QContext.padic(p, digits, spec)
+            q = Fraction(1 + p) if spec == "1+p" else Fraction(spec)
+            for ctx, qq in ((base, q), (invert_q(base), 1 / q)):
+                for f in XCHECK_INTEGRANDS:
+                    g = _u_coefficients(f, qq)
+                    assert all(
+                        sum(c * qq ** (j * x) for j, c in enumerate(g))
+                        == _rational_integrand(f, x, qq)
+                        for x in range(len(g) + 1)
+                    ), f
+                    limit = sum(c * (j + 1) / _geometric(qq, j + 1) for j, c in enumerate(g))
+                    results = []
+                    for cap in range(1, 5):
+                        try:
+                            s = riemann_sum(f, ctx, cap)
+                        except (DivisionByZero, PrecisionExhausted):
+                            break  # too few digits for this level; nothing claimed
+                        exact = sum(
+                            c * _geometric(qq ** (j + 1), p**cap) for j, c in enumerate(g)
+                        ) / _geometric(qq, p**cap)
+                        assert _true_agreement(s, exact, p) >= s.prec, (f, cap)
+                        with pytest.raises(MaxLevelExceeded) as exc:
+                            integrate(f, ctx, 10**6, level_cap=cap)
+                        results.append(exc.value.result)
+                        assert results[-1].level == cap
+                    summed = len(results)
+                    for target in (4, 8) if summed else ():
+                        try:
+                            results.append(integrate(f, ctx, target, level_cap=summed))
+                        except MaxLevelExceeded as err:
+                            results.append(err.result)
+                    for res in results:
+                        true = _true_agreement(res.value, limit, p)
+                        assert res.stabilization_valuation <= true, (
+                            digits, spec, qq, f, res.level, res.stabilization_valuation, true)
+                        if res.stabilization_valuation > 0:
+                            kinds.add(res.certificate)
+    assert kinds == {"exact-degree", "a-priori-bound"}
 
 
 def test_default_level_caps():
@@ -362,11 +511,11 @@ def test_closed_one_minus_x(sym_table):
 
 
 def test_closed_one_minus_x_against_oracle(padic_ctx3):
-    # the level-10 value agrees with the closed form one digit past the
-    # level-9/10 stabilization certificate
+    # the value extrapolated from levels 1..3 agrees with the closed form
+    # past the target
     res = integrate(ReflectedPower(1, 2), padic_ctx3, 9, level_cap=10)
     closed = closed_one_minus_x_power(2, padic_ctx3)
-    assert res.level == 10
+    assert res.level == 3
     assert agreement(res.value, closed) >= 10
 
 

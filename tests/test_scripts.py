@@ -26,3 +26,4 @@ def test_calibrate_convergence(capsys):
     out = capsys.readouterr().out
     assert "=== p=7, q=1+p, K=24, level cap 5 ===" in out
     assert "worst slack at cap: +0" in out
+    assert "proven bounds above the true agreement: 0" in out
