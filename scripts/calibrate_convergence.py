@@ -54,7 +54,7 @@ def valuation_of_diff(a, b):
 
 
 def certified(f, ctx, level):
-    """The result ``integrate`` holds after summing levels 1..level."""
+    """The best result ``integrate`` holds after summing levels 1..level."""
     try:
         return integrate(f, ctx, 10**6, level_cap=level)
     except MaxLevelExceeded as exc:

@@ -51,6 +51,16 @@ _GLOBAL_DEFAULTS = {
 }
 
 
+# options whose value is a rational literal, which may start with "-";
+# _add_literal declares them and _join_literals keeps their values attached
+_LITERAL_OPTIONS = set()
+
+
+def _add_literal(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
+    _LITERAL_OPTIONS.add(name)
+    parser.add_argument(name, **kwargs)
+
+
 def _global_flags() -> argparse.ArgumentParser:
     # Shared flags, accepted both before and after the subcommand; defaults
     # are suppressed here and filled in after parsing so the position of a
@@ -59,7 +69,7 @@ def _global_flags() -> argparse.ArgumentParser:
     common.add_argument("--p", type=int, help="odd prime (padic backend)")
     common.add_argument("--precision", type=int,
                         help="working precision K in base-p digits")
-    common.add_argument("--q", help='q as a rational "a/b" or the token "1+p" (padic only)')
+    _add_literal(common, "--q", help='q as a rational "a/b" or the token "1+p" (padic only)')
     common.add_argument("--backend", choices=("symbolic", "padic"))
     common.add_argument("--target-valuation", type=int)
     common.add_argument("--level-cap", type=int)
@@ -86,12 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_poly = sub.add_parser("beta-poly", parents=[common],
                             help="Carlitz q-Bernoulli polynomial value")
     p_poly.add_argument("--n", type=int, required=True)
-    p_poly.add_argument("--x", required=True, help="integer or rational argument")
+    _add_literal(p_poly, "--x", required=True, help="integer or rational argument")
 
     p_bern = sub.add_parser("bernstein", parents=[common], help="basis polynomial value")
     p_bern.add_argument("--k", type=int, required=True)
     p_bern.add_argument("--n", type=int, required=True)
-    p_bern.add_argument("--x", required=True)
+    _add_literal(p_bern, "--x", required=True)
 
     p_int = sub.add_parser("integrate", parents=[common],
                            help="adaptive p-adic q-integral")
@@ -105,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--kind", choices=("beta", "bernstein", "integral"),
                          required=True)
     p_table.add_argument("--range", required=True, help='index range "a:b" (inclusive)')
-    p_table.add_argument("--x", default="2", help="argument for bernstein tables")
+    _add_literal(p_table, "--x", default="2", help="argument for bernstein tables")
     p_table.add_argument("--k", type=int, default=0, help="lower index for integral tables")
     p_table.add_argument("--at-one", action="store_true", default=False,
                          help="add the q=1 column (symbolic tables)")
@@ -311,10 +321,6 @@ def _cmd_selftest(args) -> int:
     reports = run_suite(config)
     _emit(args, reports_to_jsonl(reports))
     return suite_exit_status(reports)
-
-
-# options whose value is a rational literal, which may start with "-"
-_LITERAL_OPTIONS = ("--x", "--q")
 
 
 def _join_literals(argv: list) -> list:

@@ -40,8 +40,8 @@ class BudgetExceeded(QbernError):
 class MaxLevelExceeded(BudgetExceeded):
     """The adaptive integrator hit its level cap before reaching the target.
 
-    Carries the result of the last level summed in ``result`` so callers
-    can still inspect the value and its certificate.
+    Carries the best result achieved so far in ``result`` so callers can
+    still inspect the value and its certificate.
     """
 
     def __init__(self, message, result=None):

@@ -18,7 +18,8 @@ That is P(1) itself when there are at least d + 1 of them; with fewer, the
 interpolation error is the product of the ``1 - t_N`` times a divided
 difference of P, whose valuation is at least the least coefficient
 valuation of P.  Either way the certificate is a proven bound and no
-closed form is consulted.  Agreement of two consecutive sums proves
+closed form is consulted, and the value is truncated to the bound, so it
+never carries an unproven digit.  Agreement of two consecutive sums proves
 nothing (they can agree by accident), so only ``Custom`` integrands, which
 have no degree, still stop on it, and their certificate says so.
 
@@ -40,7 +41,7 @@ or the same exception, for every sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, inf, isinf
 from typing import Callable, Optional, Union
 from weakref import WeakKeyDictionary
@@ -188,8 +189,11 @@ class RiemannResult:
     fewer levels, so it is the interpolation error bound.  Both are proven
     lower bounds on the valuation of the error.  ``heuristic``: the
     valuation of the difference of the last two sums, which is no proof.
-    ``history[i]`` is always the raw difference valuation between the sums
-    at levels i+1 and i+2."""
+    ``none``: no digit is certified, and the certificate is -inf.  The
+    value's precision never exceeds the certificate (nor 0 under ``none``).
+    ``history[i]`` is the raw difference valuation between the sums at
+    levels i+1 and i+2, for every level summed: on a cap miss it runs past
+    ``level``."""
 
     value: Scalar
     level: int
@@ -202,7 +206,7 @@ class RiemannResult:
         return {
             "value": _scalar_json(self.value),
             "level": self.level,
-            "stabilization_valuation": "inf" if isinf(sv) else int(sv),
+            "stabilization_valuation": str(sv) if isinf(sv) else int(sv),
             "certificate": self.certificate,
             "history": ["inf" if isinf(h) else int(h) for h in self.history],
         }
@@ -375,8 +379,11 @@ def integrate(
     to t = 1 over levels 1..N and the certificate its proven bound
     (``exact-degree`` or ``a-priori-bound``).  ``Custom``/``CustomHash``
     return the level-N sum, certified by its agreement with level N-1
-    (``heuristic``).  A certificate of no digit (<= 0) is recorded as -inf.
-    At the cap, MaxLevelExceeded carries the last level's result.
+    (``heuristic``).  The value is truncated to its certificate, so it never
+    carries a digit the certificate does not cover.  A certificate of no
+    digit (<= 0) is recorded as -inf with kind ``none``.  At the cap,
+    MaxLevelExceeded carries the best result, the latest level whose
+    certificate is the highest, with the history of every level summed.
     """
     if ctx.is_symbolic:
         raise DomainError("the Riemann evaluator requires the padic backend")
@@ -390,24 +397,27 @@ def integrate(
         if level > 1:
             diff = sums[-1] - sums[-2]
             history.append(diff.prec if diff.is_zero() else diff.valuation)
-        value, bound = sums[-1], -inf
+        value, bound, kind = sums[-1], 0, "none"
         if valuations is None:
-            kind = "heuristic"
-            bound = history[-1] if history else -inf
+            if history:
+                bound, kind = history[-1], "heuristic"
         else:
-            kind = "exact-degree" if level >= len(valuations) else "a-priori-bound"
             try:
                 value, bound = _extrapolate(valuations, sums, ctx)
             except (DivisionByZero, PrecisionExhausted):
                 pass  # 1 - t_N vanishes to the working precision
-        best = RiemannResult(value, level, bound if bound > 0 else -inf, kind,
-                             tuple(history))
+            else:
+                kind = "exact-degree" if level >= len(valuations) else "a-priori-bound"
+        res = RiemannResult(value.truncated(bound), level, bound if bound > 0 else -inf,
+                            kind if bound > 0 else "none", tuple(history))
+        if level == 1 or res.stabilization_valuation >= best.stabilization_valuation:
+            best = res
         if best.stabilization_valuation >= target:
             return best
     raise MaxLevelExceeded(
         f"no certificate reaches valuation {target} within level cap {cap}; "
         f"best achieved valuation {best.stabilization_valuation}",
-        result=best,
+        result=replace(best, history=tuple(history)),
     )
 
 

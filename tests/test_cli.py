@@ -106,13 +106,16 @@ def test_integrate_certifies_at_cap(capsys):
 @pytest.mark.parametrize("integrand,level_cap,kind", [
     ('{"type":"bracket_power","offset":0,"power":2}', "8", "exact-degree"),
     ('{"type":"bracket_power","offset":0,"power":6}', "3", "a-priori-bound"),
-    ('{"type":"custom_hash","seed":7}', "3", "heuristic"),
+    ('{"type":"custom_hash","seed":7}', "3", "none"),
 ])
 def test_integrate_prints_certificate_kind(capsys, integrand, level_cap, kind):
     code, out, _ = run(capsys, "integrate", "--backend", "padic", "--p", "3",
                        "--level-cap", level_cap, "--integrand", integrand)
     assert code in (0, 3)
-    assert json.loads(out)["certificate"] == kind
+    payload = json.loads(out)
+    assert payload["certificate"] == kind
+    # no certificate prints as "-inf", never as "inf"
+    assert (payload["stabilization_valuation"] == "-inf") == (kind == "none")
 
 
 @pytest.mark.parametrize("argv", [

@@ -252,7 +252,9 @@ def test_cap_extrapolation_bound_with_few_levels(padic_ctx7):
     res = integrate(BracketPower(0, 6), padic_ctx7, 8, level_cap=5)
     true = agreement(res.value, table_for(padic_ctx7).beta_poly(6, 0))
     assert res.level == 5
-    assert res.stabilization_valuation < res.value.prec
+    assert res.certificate == "a-priori-bound"
+    # the value is truncated to the bound, below its tracked precision
+    assert res.stabilization_valuation == res.value.prec
     assert res.stabilization_valuation <= true
 
 
@@ -269,19 +271,23 @@ def test_cap_extrapolation_short_of_target_carries_result(padic_ctx7):
 def test_cap_extrapolation_without_digits_keeps_raw_best():
     # nu(q - 1) = 2 and K = 5: 1 - t_N vanishes to working precision at
     # levels 3 and 4, so no extrapolation is possible there, and the raw
-    # level difference of precision <= 0 certifies nothing
+    # level difference of precision <= 0 certifies nothing; the one digit
+    # proven at level 2 stays the best
     ctx = QContext.padic(5, 5, "26")
     with pytest.raises(MaxLevelExceeded) as exc:
         integrate(BracketPower(0, 2), ctx, 30, level_cap=4)
     best = exc.value.result
-    assert best.level == 4
+    assert (best.level, best.stabilization_valuation) == (2, 1)
+    assert best.certificate == "a-priori-bound"
     assert best.history == (1, 0, -1)
-    assert best.stabilization_valuation == -inf
-    assert best.value.prec <= 0
+    assert best.value.prec == 1
+    assert agreement(best.value, table_for(ctx).beta_poly(2, 0)) == 1
     # one level bounds the error only by 5^-1: no digit, so no certificate
     with pytest.raises(MaxLevelExceeded) as exc:
         integrate(BracketPower(0, 2), ctx, 30, level_cap=1)
-    assert exc.value.result.stabilization_valuation == -inf
+    none = exc.value.result
+    assert (none.stabilization_valuation, none.certificate) == (-inf, "none")
+    assert none.value.prec <= 0
 
 
 def test_cap_extrapolation_history_is_raw(padic_ctx5):
@@ -315,6 +321,12 @@ def test_certificate_kinds(padic_ctx3, padic_ctx7):
     bounded = integrate(BracketPower(0, 6), padic_ctx7, 8, level_cap=5)
     assert bounded.certificate == "a-priori-bound"
     assert bounded.level < 7
+    assert bounded.stabilization_valuation == bounded.value.prec
+    with pytest.raises(MaxLevelExceeded) as exc:
+        integrate(CustomHash(7), padic_ctx3, 6, level_cap=1)
+    none = exc.value.result
+    assert (none.certificate, none.stabilization_valuation) == ("none", -inf)
+    assert none.to_json()["stabilization_valuation"] == "-inf"
     from qbern.qfield import q_bracket
 
     custom = integrate(Custom(lambda x, ctx: q_bracket(x, ctx) ** 2), padic_ctx3, 6)
@@ -325,12 +337,13 @@ def test_certificate_kinds(padic_ctx3, padic_ctx7):
 
 @pytest.mark.parametrize("q,f,target,level,bound,true", [
     ("1/4", BracketPower(0, 2), 4, 3, 20, 20),
-    ("1+p", BracketPower(2, 6), 6, 4, 8, 10),
-    ("1+p", BracketPower(2, 4), 4, 3, 5, 7),
+    ("1+p", BracketPower(2, 6), 6, 4, 8, 8),
+    ("1+p", BracketPower(2, 4), 4, 3, 5, 5),
 ])
 def test_stop_certificate_is_proven(q, f, target, level, bound, true):
     # consecutive sums agree by accident here (levels 1/2 or 2/3), which
-    # once stopped the integrator with a certificate above the agreement
+    # once stopped the integrator with a certificate above the agreement;
+    # the value is truncated to the bound, so it agrees exactly that far
     ctx = QContext.padic(3, 24, q)
     res = integrate(f, ctx, target)
     agree = agreement(res.value, table_for(ctx).beta_poly(f.power, f.offset))
@@ -432,7 +445,11 @@ def test_certificates_against_exact_rational_sums(p):
                         with pytest.raises(MaxLevelExceeded) as exc:
                             integrate(f, ctx, 10**6, level_cap=cap)
                         results.append(exc.value.result)
-                        assert results[-1].level == cap
+                        # the best so far: a later cap never carries less
+                        assert results[-1].level <= cap
+                        assert len(results[-1].history) == cap - 1
+                        assert all(r.stabilization_valuation <= results[-1].stabilization_valuation
+                                   for r in results)
                     summed = len(results)
                     for target in (4, 8) if summed else ():
                         try:
@@ -443,9 +460,28 @@ def test_certificates_against_exact_rational_sums(p):
                         true = _true_agreement(res.value, limit, p)
                         assert res.stabilization_valuation <= true, (
                             digits, spec, qq, f, res.level, res.stabilization_valuation, true)
+                        # the value claims no digit beyond its certificate
+                        if res.stabilization_valuation > 0:
+                            assert res.value.prec == res.stabilization_valuation
+                        else:
+                            assert res.value.prec <= 0
                         if res.stabilization_valuation > 0:
                             kinds.add(res.certificate)
     assert kinds == {"exact-degree", "a-priori-bound"}
+
+
+def test_cap_miss_carries_best_certificate():
+    # dividing by [p^N]_q costs N digits: with K = 6 level 2 proves 2 digits
+    # and level 3 only 1, so the cap miss carries level 2
+    ctx = QContext.padic(3, 6, "10")
+    with pytest.raises(MaxLevelExceeded) as exc:
+        integrate(BracketPower(0, 2), ctx, 30, level_cap=3)
+    best = exc.value.result
+    assert (best.level, best.stabilization_valuation, len(best.history)) == (2, 2, 2)
+    q = Fraction(10)
+    g = _u_coefficients(BracketPower(0, 2), q)
+    limit = sum(c * (j + 1) / _geometric(q, j + 1) for j, c in enumerate(g))
+    assert _true_agreement(best.value, limit, 3) == 2
 
 
 def test_default_level_caps():
