@@ -23,8 +23,10 @@ from qbern.identities import (
     verify_theorem4,
     verify_theorem6,
     verify_two_product,
+    _compare,
 )
 from qbern.errors import DomainError
+from qbern.padic import PadicNumber
 from qbern.qfield import QContext
 
 SYM = QContext.symbolic()
@@ -193,8 +195,20 @@ def test_padic_suite_passes(padic_ctx3):
     cfg = SuiteConfig(backend="padic", prime=3, precision=24, target_valuation=8)
     reports = run_suite(cfg)
     assert suite_exit_status(reports) == 0
+    # every integral is truncated to its proven certificate, so two sides
+    # that agree to the target also agree to their shared precision
     kinds = {r.verdict.kind for r in reports if r.verdict is not None}
-    assert "valuation" in kinds
+    assert kinds == {"exact"}
+
+
+def test_compare_valuation_verdict(padic_ctx3):
+    # sides that claim 20 digits but agree only to 10 pass at the target
+    # with a valuation verdict, and fail above what they achieve
+    one = padic_ctx3.one()
+    lhs = one + PadicNumber.from_int(3**10, padic_ctx3.pctx)
+    assert _compare(lhs, one, padic_ctx3, 8) == Verdict.to_valuation(8)
+    verdict = _compare(lhs, one, padic_ctx3, 12)
+    assert (verdict.kind, verdict.valuation) == ("fail", 10)
 
 
 def test_eq6_symbolic_is_a_domain_skip():
