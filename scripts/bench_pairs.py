@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on the benchmark in alternating pairs.
+
+Usage, from the repository root:
+
+    git archive HEAD~ | tar -x -C /tmp/parent
+    python3 scripts/bench_pairs.py --parent /tmp/parent --workload symbolic_grid \
+        --seed 11 --pairs 10 --out BENCH_7.json
+
+For every workload (``--workload`` may repeat; all of them by default) pair
+i runs ``perfbench/run.py --seed SEED+i`` once in the parent checkout and
+once in this working tree, the side that goes first alternating from pair
+to pair so that a drift of the host's speed falls on both sides alike.
+Each run lasts ``--seconds``, by default the ``run_seconds`` of
+BENCHMARK.json.  It prints each side's median and quartiles of every
+end-to-end metric and the number of pairs in which the change's ``wall_s``
+is lower, and writes those figures as JSON to ``--out``.  The exit code is
+1 when any run reports ``correct: false``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def run_side(directory: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``directory``: its final JSON object."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=directory, capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        return {"correct": False, "metrics": {}}
+    return json.loads(lines[-1])
+
+
+def quartiles(series: list) -> dict:
+    if len(series) == 1:
+        return {"median": series[0], "q1": series[0], "q3": series[0]}
+    q1, median, q3 = statistics.quantiles(series, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(dirs: dict, workload: str, seed: int, pairs: int, seconds: float):
+    """(summary, all runs correct) for one workload over alternating pairs."""
+    values = {side: {} for side in SIDES}
+    correct = True
+    for i in range(pairs):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            out = run_side(dirs[side], workload, seed + i, seconds)
+            correct = correct and bool(out.get("correct"))
+            for name, metric in out.get("metrics", {}).items():
+                values[side].setdefault(name, []).append(metric["value"])
+    walls = zip(values["parent"].get("wall_s", []), values["change"].get("wall_s", []))
+    summary = {side: {name: quartiles(series) for name, series in values[side].items()}
+               for side in SIDES}
+    summary["wall_s_wins"] = sum(change < parent for parent, change in walls)
+    summary["all_correct"] = correct
+    return summary, correct
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--workload", action="append")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    dirs = {"parent": args.parent, "change": ROOT}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = args.seconds or spec["run_seconds"]
+    report = {
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                 "python": platform.python_version()},
+        "pairs": args.pairs, "seeds": [args.seed, args.seed + args.pairs - 1],
+        "seconds": seconds, "workloads": {},
+    }
+    ok = True
+    for workload in workloads:
+        summary, correct = compare(dirs, workload, args.seed, args.pairs, seconds)
+        ok = ok and correct
+        report["workloads"][workload] = summary
+        for side in SIDES:
+            for name, q in summary[side].items():
+                print(f"{workload} {side:6} {name}: median {q['median']:.6g} "
+                      f"(q1 {q['q1']:.6g}, q3 {q['q3']:.6g})")
+        print(f"{workload}: change lower in wall_s in {summary['wall_s_wins']}/{args.pairs} "
+              f"pairs; all runs correct: {correct}")
+    if args.out is not None:
+        args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,10 +12,11 @@ degenerate to the ordinary Bernoulli numbers.
 Symbolically the recurrence is run on raw numerators over the known common
 denominators ``prod_j (q^j - 1)``, as int lists in Z[q] multiplied by the
 Kronecker product of :mod:`qbern.qfield`; only the final, memoized value is
-turned into Fractions and canonicalized, with the certified heuristic gcd
-(a GCDHEU candidate accepted only when it divides both sides exactly, the
-pseudo-remainder sequence as fallback).  On the padic backend the table
-pre-validates the certified precision of the whole run using
+canonicalized, with the certified heuristic gcd (a GCDHEU candidate
+accepted only when it divides both sides exactly, the pseudo-remainder
+sequence as fallback).  The table at the indeterminate 1/q is that table
+with q -> 1/q substituted, not a second recurrence.  On the padic backend
+the table pre-validates the certified precision of the whole run using
 nu_p(q^k - 1) = nu_p(q-1) + nu_p(k) (odd p, q = 1 mod p), so
 PrecisionExhausted is raised eagerly with the offending step.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .errors import DomainError, PoleAtOne, PrecisionExhausted
+from .errors import DivisionByZero, DomainError, PoleAtOne, PrecisionExhausted
 from .padic import int_valuation
 from .qfield import (
     QContext,
@@ -116,8 +117,8 @@ class _SymbolicIndeterminateRecurrence(_Recurrence):
     Entry k is stored as ``num_k / den_k`` with den_k the cumulative product
     of the divisors ``q^{shift+j} - 1`` for j = 1..k; numerators and
     denominators are plain int lists in Z[q], multiplied with the Kronecker
-    product of :mod:`qbern.qfield`, so no gcd or Fraction work happens until
-    a value is exported as a :class:`RationalFunction`.
+    product of :mod:`qbern.qfield`, so no gcd work happens until a value is
+    exported as a :class:`RationalFunction`.
     """
 
     def __init__(self, ctx: QContext, shift: int, leading_q: bool):
@@ -149,7 +150,21 @@ class _SymbolicIndeterminateRecurrence(_Recurrence):
         new_den = _zmul(prev_den, _q_power_minus_one_poly(k + self.shift))
         self.raw_num.append(total)
         self.raw_den.append(new_den)
-        return RationalFunction(map(Fraction, total), map(Fraction, new_den))
+        return RationalFunction(total, new_den)
+
+
+class _Substituted:
+    """The values of another recurrence with q -> 1/q substituted: the
+    table at the indeterminate 1/q, read off the one at q."""
+
+    def __init__(self, source: _Recurrence):
+        self.source = source
+        self.values = []
+
+    def extend_to(self, n: int):
+        self.source.extend_to(n)
+        self.values.extend(v.substitute_reciprocal()
+                           for v in self.source.values[len(self.values):n + 1])
 
 
 class CarlitzTable:
@@ -163,8 +178,13 @@ class CarlitzTable:
     def __init__(self, ctx: QContext):
         self.ctx = ctx
         self._inverse: CarlitzTable | None = None
-        indeterminate = ctx.is_symbolic and ctx.q == RationalFunction.indeterminate()
-        recurrence = _SymbolicIndeterminateRecurrence if indeterminate else _Recurrence
+        q = RationalFunction.indeterminate()
+        if ctx.is_symbolic and ctx.q == q.reciprocal():
+            base = table_for(invert_q(ctx))
+            self._beta, self._xi = _Substituted(base._beta), _Substituted(base._xi)
+            return
+        recurrence = (_SymbolicIndeterminateRecurrence if ctx.is_symbolic and ctx.q == q
+                      else _Recurrence)
         self._beta = recurrence(ctx, 1, True)
         self._xi = recurrence(ctx, 0, False)
 
@@ -243,11 +263,10 @@ def classical_bernoulli(n: int) -> Fraction:
 def eval_at_one(f: RationalFunction) -> Fraction:
     """Substitute q = 1 after canonical cancellation; PoleAtOne if the
     reduced denominator vanishes there."""
-    from .qfield import _peval
-
-    if _peval(f.den, _ONE) == 0:
-        raise PoleAtOne("reduced denominator vanishes at q = 1")
-    return f.evaluate(_ONE)
+    try:
+        return f.evaluate(_ONE)
+    except DivisionByZero:
+        raise PoleAtOne("reduced denominator vanishes at q = 1") from None
 
 
 # per-context memoized tables; recomputation is deterministic so sharing is safe

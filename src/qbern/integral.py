@@ -383,7 +383,10 @@ def integrate(
     carries a digit the certificate does not cover.  A certificate of no
     digit (<= 0) is recorded as -inf with kind ``none``.  At the cap,
     MaxLevelExceeded carries the best result, the latest level whose
-    certificate is the highest, with the history of every level summed.
+    certificate is the highest, with the history of every level summed.  A
+    level whose sum cannot be formed at the working precision (it raises
+    DivisionByZero or PrecisionExhausted) ends the run the same way; at
+    level 1 the error escapes.
     """
     if ctx.is_symbolic:
         raise DomainError("the Riemann evaluator requires the padic backend")
@@ -392,8 +395,15 @@ def integrate(
         raise DomainError("level cap must be >= 1")
     valuations = _u_coefficient_valuations(f, ctx)
     sums, history = [], []
+    stop = f"within level cap {cap}"
     for level in range(1, cap + 1):
-        sums.append(riemann_sum(f, ctx, level, term_budget))
+        try:
+            sums.append(riemann_sum(f, ctx, level, term_budget))
+        except (DivisionByZero, PrecisionExhausted) as exc:
+            if level == 1:
+                raise
+            stop = f"before level {level} ({exc})"
+            break
         if level > 1:
             diff = sums[-1] - sums[-2]
             history.append(diff.prec if diff.is_zero() else diff.valuation)
@@ -415,7 +425,7 @@ def integrate(
         if best.stabilization_valuation >= target:
             return best
     raise MaxLevelExceeded(
-        f"no certificate reaches valuation {target} within level cap {cap}; "
+        f"no certificate reaches valuation {target} {stop}; "
         f"best achieved valuation {best.stabilization_valuation}",
         result=replace(best, history=tuple(history)),
     )

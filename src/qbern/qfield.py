@@ -1,26 +1,30 @@
 """Scalar backends: exact rational functions of q, and p-adic values of q.
 
-The symbolic backend carries values as normalized ratios of polynomials in
-q over the rationals (coprime numerator/denominator, monic denominator), so
-identity verification reduces to syntactic equality of canonical forms.
-The coefficients are stored as Fractions, but the kernels under them work
-in Z[q] on plain int lists after clearing denominators:
+The symbolic backend stores a value as ``c * n(q) / d(q)``: n and d are
+coprime primitive int lists in Z[q] with positive leading coefficients, and
+c is one Fraction (zero is c = 0, n = ()).  That form is unique, so
+identity verification reduces to tuple equality.  Every operation works on
+the int lists, following the primitive-part arithmetic of Geddes, Czapor
+and Labahn, *Algorithms for Computer Algebra* (1992); by Gauss's lemma a
+product of primitive parts is primitive, so only the numerator of a sum has
+a content to take.  Under it:
 
 * products by Kronecker substitution, one big-int product of the lists
   packed at 2^b, read back as signed digits (Harvey, J. Symb. Comput. 44,
   2009);
-* exact division over the divisor's primitive part, raising
-  ArithmeticError on a remainder;
 * gcds by GCDHEU (Char, Geddes, Gonnet, J. Symb. Comput. 7, 1989): the
   integer gcd of the values at xi = 2^b, read back as symmetric xi-adic
   digits.  With xi >= 2 min(|x|_inf, |y|_inf) + 2 a candidate that divides
   both inputs is the gcd, so a candidate is accepted only after its
-  cofactors multiply back to both inputs exactly.  After a few growing xi
-  the primitive pseudo-remainder sequence takes over.
+  cofactors multiply back to both inputs exactly; those cofactors are the
+  reduced operands.  After a few growing xi the primitive pseudo-remainder
+  sequence takes over, and exact division in Z[q] gives the cofactors.
 
-The canonical form is unique, so it does not depend on which gcd path ran.
-The p-adic backend reuses :mod:`qbern.padic` with a fixed admissible q
-(a unit with nu_p(q - 1) >= 1, i.e. |1 - q|_p < 1).
+Fractions appear only at the edges: the public constructor clears the
+denominators of its coefficients, and ``num``/``den`` rebuild the canonical
+Fraction tuples (monic denominator) on demand.  The p-adic backend reuses
+:mod:`qbern.padic` with a fixed admissible q (a unit with
+nu_p(q - 1) >= 1, i.e. |1 - q|_p < 1).
 
 A ``Scalar`` is either a :class:`RationalFunction` or a
 :class:`~qbern.padic.PadicNumber`; binary operations require matching
@@ -57,7 +61,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (ascending coefficients, no trailing zeros)
+# dense Z[q] helpers (ascending coefficients, no trailing zeros)
 # ---------------------------------------------------------------------------
 
 
@@ -66,19 +70,6 @@ def _strip(coeffs):
     while i and not coeffs[i - 1]:
         i -= 1
     return tuple(coeffs[:i])
-
-
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _strip(out)
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
 
 
 def _clear_denominators(a):
@@ -120,20 +111,25 @@ def _zmul(x, y):
     # of slack) above that bound leaves every signed digit unambiguous.
     if not x or not y:
         return []
+    if len(x) == 1:
+        x, y = y, x
+    if len(y) == 1 and y[0] and x[-1]:
+        return [y[0] * c for c in x]
     bound = max(map(abs, x)) * max(map(abs, y)) * min(len(x), len(y))
     b = bound.bit_length() + 2
     return _unpack(_pack(x, b) * _pack(y, b), b)
 
 
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    x, dx = _clear_denominators(a)
-    y, dy = _clear_denominators(b)
-    den = dx * dy
-    if den == 1:
-        return tuple(map(Fraction, _zmul(x, y)))
-    return tuple(Fraction(c, den) for c in _zmul(x, y))
+def _zcomb(s, x, t, y):
+    # s x + t y in Z[q], no trailing zeros
+    if len(x) < len(y):
+        s, x, t, y = t, y, s, x
+    out = [s * c for c in x]
+    for i, c in enumerate(y):
+        out[i] += t * c
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _zexquo(x, y):
@@ -163,11 +159,6 @@ def _peval(a, x: Fraction) -> Fraction:
     return acc
 
 
-def _to_primitive_int(a):
-    # Clear denominators and content; returns a primitive int-coefficient list.
-    return _int_primitive(_clear_denominators(a)[0])
-
-
 def _int_prem(a, b):
     # Pseudo-remainder over Z (Collins); scaling skipped for monic divisors.
     r = list(a)
@@ -187,15 +178,19 @@ def _int_prem(a, b):
     return r
 
 
-def _int_primitive(a):
+def _content(a):
+    # The gcd of the coefficients of a nonzero a, signed like its leading one.
     g = 0
     for c in a:
         g = gcd(g, c)
-    if g > 1:
-        a = [c // g for c in a]
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
+        if g == 1:
+            break
+    return -g if a[-1] < 0 else g
+
+
+def _int_primitive(a):
+    g = _content(a) if a else 1
+    return list(a) if g == 1 else [c // g for c in a]
 
 
 _HEU_TRIES = 6
@@ -208,9 +203,11 @@ def _heugcd(x, y):
     xi-adic digits and takes the primitive part h.  With
     xi >= 2 min(|x|_inf, |y|_inf) + 2, h is gcd(x, y) as soon as it divides
     both; that is checked here by exhibiting the cofactors x/h and y/h
-    (read from x(xi)/h(xi), then multiplied back).  Returns h, or None when
-    no xi of the few tried gives a checked h.
+    (read from x(xi)/h(xi), then multiplied back).  A constant h divides
+    everything, so x and y are then coprime.  Returns (h, x/h, y/h), or
+    None when no xi of the few tried gives a checked h.
     """
+    x, y = list(x), list(y)
     nx, ny = max(map(abs, x)), max(map(abs, y))
     # 2^b >= 2 max(|x|, |y|) + 2 >= the certificate's 2 min(...) + 2, and
     # leaves room to read back cofactors about as large as x and y
@@ -218,9 +215,12 @@ def _heugcd(x, y):
     for _ in range(_HEU_TRIES):
         xv, yv = _pack(x, b), _pack(y, b)
         h = _int_primitive(_unpack(gcd(xv, yv), b))
+        if len(h) == 1:
+            return [1], x, y
         hv = _pack(h, b)
-        if _zmul(h, _unpack(xv // hv, b)) == x and _zmul(h, _unpack(yv // hv, b)) == y:
-            return h
+        cx, cy = _unpack(xv // hv, b), _unpack(yv // hv, b)
+        if _zmul(h, cx) == x and _zmul(h, cy) == y:
+            return h, cx, cy
         b += b // 4 + 2  # xi grows to about xi^(5/4)
     return None
 
@@ -238,60 +238,48 @@ def _prs_gcd(x, y):
     return [1]
 
 
-def _pgcd(a, b):
-    # Monic gcd over Q: the primitive gcd of the cleared integer polynomials,
-    # by the heuristic when it certifies one and the PRS otherwise.
-    if not a:
-        return _pmonic(b)
-    if not b:
-        return _pmonic(a)
-    if len(a) == 1 or len(b) == 1:
-        return (_ONE,)
-    x = _to_primitive_int(a)
-    y = _to_primitive_int(b)
-    return _pmonic(tuple(map(Fraction, _heugcd(x, y) or _prs_gcd(x, y))))
+def _zgcd(x, y):
+    # (h, x/h, y/h) with h = gcd(x, y) for nonzero primitive x, y with
+    # positive leading coefficients; h and both cofactors are of that kind
+    if len(x) == 1 or len(y) == 1:
+        return [1], x, y
+    found = _heugcd(x, y)
+    if found is not None:
+        return found
+    h = _prs_gcd(x, y)
+    return h, _zexquo(x, h), _zexquo(y, h)
 
 
-def _pmonic(a):
-    if not a or a[-1] == 1:
-        return tuple(a)
-    lc = a[-1]
-    return tuple(c / lc for c in a)
-
-
-def _pexquo(a, b):
-    # a / b over Q, known to be a polynomial: the dividend's cleared integer
-    # coefficients over the divisor's primitive part, a quotient that lies in
-    # Z[q] by Gauss's lemma, times the rational factor left over.
-    x, dx = _clear_denominators(a)
-    y, dy = _clear_denominators(b)
-    yp = _int_primitive(y)
-    scale = Fraction(dy * yp[-1], dx * y[-1])
-    return tuple(c * scale for c in _zexquo(x, yp))
-
-
-def _fmt_coeff(c: Fraction) -> str:
-    return str(c)
+def _fmt_scaled(a, p, r):
+    # The coefficients p * c / r of a in lowest terms, as str(Fraction) would
+    # print them; r > 0.
+    out = []
+    for c in a:
+        c *= p
+        g = gcd(c, r)
+        out.append(str(c // g) if g == r else f"{c // g}/{r // g}")
+    return out
 
 
 def _fmt_poly(a) -> str:
-    if not a:
-        return "0"
+    # a: coefficient strings, ascending
     parts = []
     for i, c in enumerate(a):
-        if not c:
+        if c == "0":
             continue
         if i == 0:
-            term = _fmt_coeff(c)
+            term = c
         else:
             mon = "q" if i == 1 else f"q^{i}"
-            if c == 1:
+            if c == "1":
                 term = mon
-            elif c == -1:
+            elif c == "-1":
                 term = f"-{mon}"
             else:
-                term = f"{_fmt_coeff(c)}*{mon}"
+                term = f"{c}*{mon}"
         parts.append(term)
+    if not parts:
+        return "0"
     out = parts[0]
     for term in parts[1:]:
         if term.startswith("-"):
@@ -306,66 +294,76 @@ def _fmt_poly(a) -> str:
 # ---------------------------------------------------------------------------
 
 
-class RationalFunction:
-    """A normalized ratio of polynomials in q over Q.
+def _rf(c, n, d):
+    # A RationalFunction from its parts, already in canonical form.
+    f = object.__new__(RationalFunction)
+    f._c, f._n, f._d = c, tuple(n), tuple(d)
+    return f
 
-    Canonical form: numerator and denominator coprime, denominator monic.
-    Equality of values is tuple equality of the canonical coefficients.
+
+class RationalFunction:
+    """A ratio of polynomials in q over Q, as ``c * n / d``.
+
+    n and d are coprime primitive polynomials in Z[q] with positive leading
+    coefficients and c is a Fraction; zero is c = 0, n = ().  The form is
+    unique, so equality of values is equality of (c, n, d).  The constructor
+    takes Fraction or int coefficients in any form.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_c", "_n", "_d")
 
-    def __init__(self, num, den=(_ONE,), *, _canonical=False):
-        num = tuple(num)
-        den = tuple(den)
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
-        num = _strip(num)
-        den = _strip(den)
+    def __init__(self, num, den=(1,)):
+        num = _strip(tuple(num))
+        den = _strip(tuple(den))
         if not den:
             raise DivisionByZero("rational function with zero denominator")
         if not num:
-            self.num = ()
-            self.den = (_ONE,)
+            self._c, self._n, self._d = _ZERO, (), (1,)
             return
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pexquo(num, g)
-            den = _pexquo(den, g)
-        lc = den[-1]
-        if lc != 1:
-            num = tuple(c / lc for c in num)
-            den = tuple(c / lc for c in den)
-        self.num = tuple(num)
-        self.den = tuple(den)
+        x, dx = _clear_denominators(num)
+        y, dy = _clear_denominators(den)
+        cx, cy = _content(x), _content(y)
+        _, n, d = _zgcd([c // cx for c in x], [c // cy for c in y])
+        self._c = Fraction(cx * dy, dx * cy)
+        self._n, self._d = tuple(n), tuple(d)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_fraction(cls, fr) -> "RationalFunction":
         fr = Fraction(fr)
-        if not fr:
-            return cls((), (_ONE,), _canonical=True)
-        return cls((fr,), (_ONE,), _canonical=True)
+        return _rf(fr, (1,) if fr else (), (1,))
 
     @classmethod
     def indeterminate(cls) -> "RationalFunction":
-        return cls((_ZERO, _ONE), (_ONE,), _canonical=True)
+        return _rf(_ONE, (0, 1), (1,))
+
+    # -- the canonical Fraction form ----------------------------------------
+
+    @property
+    def num(self) -> tuple:
+        """Numerator coefficients over Q, ascending, for a monic denominator."""
+        scale = self._c / self._d[-1]
+        return tuple(scale * c for c in self._n)
+
+    @property
+    def den(self) -> tuple:
+        """Monic denominator coefficients over Q, ascending."""
+        lc = self._d[-1]
+        return tuple(Fraction(c, lc) for c in self._d)
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def is_polynomial(self) -> bool:
-        return self.den == (_ONE,)
+        return self._d == (1,)
 
     def as_fraction(self) -> Fraction:
-        if self.den != (_ONE,) or len(self.num) > 1:
+        if self._d != (1,) or len(self._n) > 1:
             raise DomainError("value is not a rational constant")
-        return self.num[0] if self.num else _ZERO
+        return self._c
 
     # -- arithmetic -------------------------------------------------------
 
@@ -380,37 +378,33 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero():
+        if not self._n:
             return other
-        if other.is_zero():
+        if not other._n:
             return self
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if d1 == (_ONE,) and d2 == (_ONE,):
-            return RationalFunction(_padd(n1, n2), (_ONE,), _canonical=True)
-        g = _pgcd(d1, d2)
-        if len(g) == 1:
-            num = _padd(_pmul(n1, d2), _pmul(n2, d1))
-            den = _pmul(d1, d2)
-            if not num:
-                return RationalFunction.from_fraction(0)
-            return RationalFunction(num, den, _canonical=True)
-        d1g = _pexquo(d1, g)
-        d2g = _pexquo(d2, g)
-        t = _padd(_pmul(n1, d2g), _pmul(n2, d1g))
+        c1, n1, d1 = self._c, self._n, self._d
+        c2, n2, d2 = other._c, other._n, other._d
+        # c1 = k s1 and c2 = k s2 with coprime ints s1, s2
+        a1, b1, a2, b2 = c1.numerator, c1.denominator, c2.numerator, c2.denominator
+        g, m = gcd(a1, a2), lcm(b1, b2)
+        s1, s2 = a1 // g * (m // b1), a2 // g * (m // b2)
+        if d1 == d2:
+            h, e1, e2 = d1, [1], [1]
+        else:
+            h, e1, e2 = _zgcd(d1, d2)
+        # d1 = h e1, d2 = h e2: the sum is k t / (h e1 e2) with t below, and
+        # t is prime to e1 and e2, so only a common factor with h can cancel
+        t = _zcomb(s1, _zmul(n1, e2), s2, _zmul(n2, e1))
         if not t:
             return RationalFunction.from_fraction(0)
-        h = _pgcd(t, g)
-        if len(h) > 1:
-            t = _pexquo(t, h)
-            den = _pmul(d1g, _pexquo(d2, h))
-        else:
-            den = _pmul(d1g, d2)
-        return RationalFunction(t, den, _canonical=True)
+        ct = _content(t)
+        _, t, h = _zgcd([c // ct for c in t], h)
+        return _rf(Fraction(g * ct, m), t, _zmul(_zmul(e1, e2), h))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(_pneg(self.num), self.den, _canonical=True)
+        return _rf(-self._c, self._n, self._d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -428,36 +422,18 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if not self._n or not other._n:
             return RationalFunction.from_fraction(0)
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        g1 = _pgcd(n1, d2)
-        if len(g1) > 1:
-            n1 = _pexquo(n1, g1)
-            d2 = _pexquo(d2, g1)
-        g2 = _pgcd(n2, d1)
-        if len(g2) > 1:
-            n2 = _pexquo(n2, g2)
-            d1 = _pexquo(d1, g2)
-        num = _pmul(n1, n2)
-        den = _pmul(d1, d2)
-        lc = den[-1]
-        if lc != 1:
-            num = tuple(c / lc for c in num)
-            den = tuple(c / lc for c in den)
-        return RationalFunction(num, den, _canonical=True)
+        _, n1, d2 = _zgcd(self._n, other._d)
+        _, n2, d1 = _zgcd(other._n, self._d)
+        return _rf(self._c * other._c, _zmul(n1, n2), _zmul(d1, d2))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RationalFunction":
-        if self.is_zero():
+        if not self._n:
             raise DivisionByZero("reciprocal of zero rational function")
-        num, den = self.den, self.num
-        lc = den[-1]
-        if lc != 1:
-            num = tuple(c / lc for c in num)
-            den = tuple(c / lc for c in den)
-        return RationalFunction(num, den, _canonical=True)
+        return _rf(1 / self._c, self._d, self._n)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -478,47 +454,56 @@ class RationalFunction:
             return RationalFunction.from_fraction(1)
         base = self.reciprocal() if e < 0 else self
         e = abs(e)
-        num, den = base.num, base.den
+        num, den = base._n, base._d
         rn, rd = num, den
         for _ in range(e - 1):
-            rn = _pmul(rn, num)
-            rd = _pmul(rd, den)
-        # powers of a reduced fraction stay reduced; denominator stays monic
-        return RationalFunction(rn, rd, _canonical=True)
+            rn = _zmul(rn, num)
+            rd = _zmul(rd, den)
+        # powers of coprime primitive parts stay coprime and primitive
+        return _rf(base._c ** e, rn, rd)
 
     # -- structure --------------------------------------------------------
 
     def substitute_reciprocal(self) -> "RationalFunction":
         """The rational function q -> f(1/q)."""
-        d = max(len(self.num), len(self.den)) - 1
-        num = tuple(reversed(self.num + (_ZERO,) * (d + 1 - len(self.num))))
-        den = tuple(reversed(self.den + (_ZERO,) * (d + 1 - len(self.den))))
-        return RationalFunction(num, den)
+        # q^D n(1/q) / q^D d(1/q) with D the larger degree: the reversed
+        # lists stay primitive and coprime (q can divide only one of them)
+        top = max(len(self._n), len(self._d))
+        n = _strip((0,) * (top - len(self._n)) + self._n[::-1])
+        d = _strip((0,) * (top - len(self._d)) + self._d[::-1])
+        c = self._c
+        if n and n[-1] < 0:
+            c, n = -c, [-a for a in n]
+        if d[-1] < 0:
+            c, d = -c, [-a for a in d]
+        return _rf(c, n, d)
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
-        dv = _peval(self.den, x)
+        dv = _peval(self._d, x)
         if dv == 0:
             raise DivisionByZero(f"denominator vanishes at q = {x}")
-        return _peval(self.num, x) / dv
+        return self._c * _peval(self._n, x) / dv
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RationalFunction.from_fraction(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._c == other._c and self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._c, self._n, self._d))
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        """{"num": ["c0", "c1", ...], "den": [...]}, ascending degree."""
+        """{"num": ["c0", "c1", ...], "den": [...]}, ascending degree, for a
+        monic denominator."""
+        lc = self._d[-1]
         return {
-            "num": [str(c) for c in self.num],
-            "den": [str(c) for c in self.den],
+            "num": _fmt_scaled(self._n, self._c.numerator, self._c.denominator * lc),
+            "den": _fmt_scaled(self._d, 1, lc),
         }
 
     @classmethod
@@ -529,7 +514,8 @@ class RationalFunction:
 
     def render(self) -> str:
         """Single-line canonical rendering "(num)/(den)", ascending terms."""
-        return f"({_fmt_poly(self.num)})/({_fmt_poly(self.den)})"
+        data = self.to_json()
+        return f"({_fmt_poly(data['num'])})/({_fmt_poly(data['den'])})"
 
     def __repr__(self):
         return self.render()

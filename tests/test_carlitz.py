@@ -195,9 +195,26 @@ def test_xi_padic(padic_ctx3):
 
 
 def test_general_rational_q_recurrence():
-    # a symbolic context at q -> 1/q runs the recurrence on rational functions
+    # a symbolic context at q -> 1/q gives beta_n as rational functions of q
     from qbern.qfield import invert_q
 
     ictx = invert_q(QContext.symbolic())
     tbl = table_for(ictx)
     assert tbl.beta(2) == rf((0, 0, 1), (1, 2, 2, 1))
+
+
+def test_inverse_table_is_the_substituted_table():
+    # the table at 1/q reads its values off the table at q; a direct run of
+    # the recurrence on rational functions at 1/q gives the same values
+    from qbern.carlitz import _Recurrence
+    from qbern.qfield import invert_q
+
+    ictx = invert_q(QContext.symbolic())
+    tbl = table_for(ictx)
+    assert tbl._beta.source is table_for(QContext.symbolic())._beta
+    beta, xi = _Recurrence(ictx, 1, True), _Recurrence(ictx, 0, False)
+    beta.extend_to(16)
+    xi.extend_to(16)
+    for n in range(17):
+        assert tbl.beta(n) == beta.values[n]
+        assert tbl.xi(n) == xi.values[n]

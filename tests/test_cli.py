@@ -190,6 +190,22 @@ def test_integrate_capped_prints_best(capsys):
     assert "best achieved valuation 2" in err
 
 
+def test_integrate_unsummable_level_prints_best(capsys):
+    # level 4 keeps no digit at K = 6, q = 10: cap 4 ends like cap 3
+    argv = ["integrate", "--backend", "padic", "--p", "3", "--precision", "6",
+            "--q", "10", "--target-valuation", "8",
+            "--integrand", '{"type":"bracket_power","offset":0,"power":2}']
+    outs = []
+    for cap in ("3", "4"):
+        code, out, err = run(capsys, *argv, "--level-cap", cap)
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "best achieved valuation 2" in err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[1])["stabilization_valuation"] == 2
+
+
 def test_verify_small_grid(capsys, tmp_path):
     grid = {
         "backend": "symbolic",

@@ -484,6 +484,28 @@ def test_cap_miss_carries_best_certificate():
     assert _true_agreement(best.value, limit, 3) == 2
 
 
+def test_unsummable_level_ends_the_run():
+    # with K = 6 and q = 10 at p = 3 the level-4 sum divides by [3^4]_q and
+    # keeps no digit; the run ends there with what levels 1..3 proved
+    ctx = QContext.padic(3, 6, "10")
+    with pytest.raises(PrecisionExhausted):
+        riemann_sum(BracketPower(0, 2), ctx, 4)
+    with pytest.raises(MaxLevelExceeded) as capped:
+        integrate(BracketPower(0, 2), ctx, 30, level_cap=3)
+    with pytest.raises(MaxLevelExceeded) as cut:
+        integrate(BracketPower(0, 2), ctx, 30, level_cap=4)
+    assert cut.value.result == capped.value.result
+    assert "before level 4" in str(cut.value)
+    # at K = 3 already level 2 keeps no digit: level 1 is all there is
+    with pytest.raises(MaxLevelExceeded) as cut:
+        integrate(BracketPower(0, 2), QContext.padic(3, 3, "1+p"), 30, level_cap=4)
+    assert (cut.value.result.level, cut.value.result.history) == (1, ())
+    assert "before level 2" in str(cut.value)
+    # at level 1 there is nothing to carry, so the error escapes
+    with pytest.raises(PrecisionExhausted):
+        integrate(BracketPower(0, 2), QContext.padic(3, 2, "1+p"), 30, level_cap=4)
+
+
 def test_default_level_caps():
     assert default_level_cap(3) == 8
     assert default_level_cap(5) == 6

@@ -21,7 +21,7 @@ from qbern.qfield import (
     reflected_bracket,
     scalars_equal,
 )
-from qbern.qfield import _prs_gcd, _to_primitive_int
+from qbern.qfield import _int_primitive, _prs_gcd
 
 RF = RationalFunction
 SYM = QContext.symbolic()
@@ -295,10 +295,16 @@ def _fr(x):
     return tuple(Fraction(c) for c in x)
 
 
-def _monic_prs(a, b):
-    # the reference gcd: the primitive PRS, made monic over Q
-    h = _prs_gcd(_to_primitive_int(a), _to_primitive_int(b))
-    return tuple(Fraction(c, h[-1]) for c in h)
+def _prim(a):
+    # the primitive int list, positive leading coefficient, of a nonzero a over Q
+    return _int_primitive(qfield._clear_denominators(a)[0])
+
+
+def _check_gcd(x, y, found):
+    # found = (h, x/h, y/h): the PRS gcd, with cofactors that multiply back
+    h, cx, cy = found
+    assert list(h) == _prs_gcd(x, y)
+    assert qfield._zmul(h, cx) == list(x) and qfield._zmul(h, cy) == list(y)
 
 
 big_ints = st.one_of(st.integers(-3, 3), st.integers(-2 ** 220, 2 ** 220))
@@ -346,29 +352,36 @@ def planted_pairs(draw):
 @given(planted_pairs())
 def test_gcd_matches_prs_on_planted_factors(planted):
     a, b, g = planted
-    h = qfield._pgcd(a, b)
-    assert h == _monic_prs(a, b)
-    assert h[-1] == 1
-    qfield._pexquo(h, g)  # the planted factor divides the gcd ...
-    qfield._pexquo(a, h)  # ... which divides both; each raises otherwise
-    qfield._pexquo(b, h)
+    x, y = _prim(a), _prim(b)
+    found = qfield._zgcd(x, y)
+    _check_gcd(x, y, found)
+    h = found[0]
+    assert h[-1] > 0 and _int_primitive(h) == list(h)
+    qfield._zexquo(h, _prim(g))  # the planted factor divides the gcd ...
+    qfield._zexquo(x, h)         # ... which divides both; each raises otherwise
+    qfield._zexquo(y, h)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_heuristic_gcd_is_the_prs_gcd(data):
-    x = _to_primitive_int(_fr(_nonconstant(data.draw, int_polys)))
-    y = _to_primitive_int(_fr(_nonconstant(data.draw, small_polys)))
-    h = qfield._heugcd(x, y)
-    assert h is None or h == _prs_gcd(x, y)
+    x = _prim(_fr(_nonconstant(data.draw, int_polys)))
+    y = _prim(_fr(_nonconstant(data.draw, small_polys)))
+    found = qfield._heugcd(x, y)
+    if found is not None:
+        _check_gcd(x, y, found)
 
 
 def test_gcd_coprime_and_content():
-    assert qfield._pgcd(_fr([-1, 1]), _fr([1, 1])) == (1,)          # q - 1, q + 1
-    assert qfield._pgcd(_fr([6, 12]), _fr([4, 8, 0, 0])) == _fr([Fraction(1, 2), 1])
-    a = _fr(_schoolbook([6, 0, 4], [1, -3]))   # 2(3 + 2q^2)(1 - 3q)
-    b = _fr(_schoolbook([9, 0, 6], [7, 1, 1]))  # 3(3 + 2q^2)(7 + q + q^2)
-    assert qfield._pgcd(a, b) == (Fraction(3, 2), 0, 1)
+    assert qfield._zgcd([-1, 1], [1, 1]) == ([1], [-1, 1], [1, 1])  # q - 1, q + 1
+    assert qfield._zgcd(_prim(_fr([6, 12])), _prim(_fr([4, 8, 0, 0])))[0] == [1, 2]
+    a = _schoolbook([6, 0, 4], [1, -3])   # 2(3 + 2q^2)(1 - 3q)
+    b = _schoolbook([9, 0, 6], [7, 1, 1])  # 3(3 + 2q^2)(7 + q + q^2)
+    assert qfield._zgcd(_prim(_fr(a)), _prim(_fr(b))) == ([3, 0, 2], [-1, 3], [7, 1, 1])
+    # over Q the gcd is monic and the contents land in c
+    f = rf(a, b)
+    assert f == rf((2, -6), (21, 3, 3))
+    assert (f._c, f._n, f._d) == (Fraction(-2, 3), (-1, 3), (7, 1, 1))
 
 
 def test_heuristic_starts_at_the_certified_bound(monkeypatch):
@@ -384,53 +397,122 @@ def test_heuristic_starts_at_the_certified_bound(monkeypatch):
 
 def test_prs_fallback_gives_the_same_gcd(monkeypatch, sym_table):
     pairs = [
-        (_fr(_schoolbook([1, 2], [3, -1, 4])), _fr(_schoolbook([1, 2], [0, 5]))),
-        (_fr([-1, 0, 0, 0, 1]), _fr([1, 0, -1])),
-        (sym_table.beta(9).den, sym_table.beta(8).den),
+        (_schoolbook([1, 2], [3, -1, 4]), _schoolbook([1, 2], [0, 5])),
+        ([-1, 0, 0, 0, 1], [1, 0, -1]),
+        (_prim(sym_table.beta(9).den), _prim(sym_table.beta(8).den)),
     ]
-    fast = [qfield._pgcd(a, b) for a, b in pairs]
+    pairs = [(_prim(_fr(a)), _prim(_fr(b))) for a, b in pairs]
+    fast = [qfield._zgcd(a, b) for a, b in pairs]
     calls = []
     monkeypatch.setattr(qfield, "_heugcd", lambda x, y: calls.append(1))  # gives up
-    assert [qfield._pgcd(a, b) for a, b in pairs] == fast
+    slow = [qfield._zgcd(a, b) for a, b in pairs]
+    assert [tuple(map(list, s)) for s in slow] == [tuple(map(list, f)) for f in fast]
     assert len(calls) == len(pairs)
     beta, factor = sym_table.beta(7), _fr([3, 2])  # a common factor 2q + 3
-    assert RF(qfield._pmul(beta.num, factor), qfield._pmul(beta.den, factor)) == beta
+    assert RF(_schoolbook(beta.num, factor), _schoolbook(beta.den, factor)) == beta
 
 
 def test_exact_division_raises_on_remainder():
     with pytest.raises(ArithmeticError):
-        qfield._pexquo(_fr([1, 0, 1]), _fr([1, 1]))            # q^2 + 1 by q + 1
+        qfield._zexquo([1, 0, 1], [1, 1])            # q^2 + 1 by q + 1
     with pytest.raises(ArithmeticError):
-        qfield._pexquo(_fr([0, 0, 1]), _fr([1, 2]))            # q^2 by 2q + 1
+        qfield._zexquo([0, 0, 1], [1, 2])            # q^2 by 2q + 1
     with pytest.raises(ArithmeticError):
-        qfield._pexquo(_fr([1]), _fr([1, 1]))                  # degree too low
-    assert qfield._pexquo(_fr([1, 3, 2]), _fr([2, 4])) == _fr([Fraction(1, 2), Fraction(1, 2)])
+        qfield._zexquo([1], [1, 1])                  # degree too low
+    with pytest.raises(ArithmeticError):
+        qfield._zexquo([1, 3, 2], [2, 4])            # (1 + q)/2 is not in Z[q]
+    assert qfield._zexquo([1, 3, 2], [1, 2]) == [1, 1]
 
 
 @settings(max_examples=60, deadline=None)
-@given(coeffs.filter(any), coeffs.filter(any))
+@given(int_polys.filter(any), int_polys.filter(any))
 def test_exact_division_inverts_product(a, b):
-    a, b = qfield._strip(a), qfield._strip(b)
-    assert qfield._pexquo(qfield._pmul(a, b), b) == a
+    a, b = list(qfield._strip(a)), list(qfield._strip(b))
+    assert qfield._zexquo(qfield._zmul(a, b), b) == a
+
+
+# -- the stored form matches sympy's canonical form --------------------------------
+
+
+def _sympy_canonical(expr):
+    # (num, den) over Q with a monic denominator, ascending, from sympy
+    sp = pytest.importorskip("sympy")
+    q = sp.Symbol("q")
+    num, den = sp.fraction(sp.cancel(sp.together(expr)))
+    num, den = sp.Poly(num, q), sp.Poly(den, q)
+    lc = den.LC()
+    want_num = [Fraction(str(c / lc)) for c in reversed(num.all_coeffs())] if not num.is_zero else []
+    want_den = [Fraction(str(c / lc)) for c in reversed(den.all_coeffs())]
+    return want_num, want_den
+
+
+def _sympy_expr(num, den):
+    sp = pytest.importorskip("sympy")
+    q = sp.Symbol("q")
+    return (sum(sp.Rational(str(c)) * q ** i for i, c in enumerate(num))
+            / sum(sp.Rational(str(c)) * q ** i for i, c in enumerate(den)))
 
 
 @settings(max_examples=20, deadline=None)
 @given(rationals_of_q(), rationals_of_q())
 def test_canonical_forms_match_sympy(a, b):
+    for f in (a * b + a, (a + b) * (a - b), a * a * b):
+        assert (list(f.num), list(f.den)) == _sympy_canonical(_sympy_expr(f.num, f.den))
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def noncanonical_inputs(draw):
+    # coefficient lists with negative leading coefficients, rational content,
+    # a common factor, constants and zero
+    num = draw(st.lists(small_fractions, max_size=4))
+    den = draw(st.lists(small_fractions, min_size=1, max_size=3).filter(any))
+    factor = draw(st.sampled_from([[1], [-1], [3, 2], [-2, 0, -5], [1, 1], [0, 1]]))
+    content = draw(small_fractions.filter(bool))
+    num = [content * c for c in _schoolbook(num, factor)]
+    den = [c / content for c in _schoolbook(den, factor)]
+    return num, den
+
+
+def _check_value(f, expr):
+    assert (list(f.num), list(f.den)) == _sympy_canonical(expr)
+    assert f.to_json() == {"num": [str(c) for c in f.num], "den": [str(c) for c in f.den]}
+    g = RF(f.num, f.den)
+    assert g == f and hash(g) == hash(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(noncanonical_inputs(), noncanonical_inputs(), st.integers(1, 3),
+       st.fractions(min_value=-3, max_value=3, max_denominator=3))
+def test_stored_form_changes_no_value(a_in, b_in, e, x):
     sp = pytest.importorskip("sympy")
     q = sp.Symbol("q")
-
-    def expr(f):
-        return (sum(sp.Rational(str(c)) * q ** i for i, c in enumerate(f.num))
-                / sum(sp.Rational(str(c)) * q ** i for i, c in enumerate(f.den)))
-
-    for f in (a * b + a, (a + b) * (a - b), a * a * b):
-        num, den = sp.fraction(sp.cancel(expr(f)))
-        num, den = sp.Poly(num, q), sp.Poly(den, q)
-        lc = den.LC()
-        want_num = [Fraction(str(c / lc)) for c in reversed(num.all_coeffs())] if not num.is_zero else []
-        want_den = [Fraction(str(c / lc)) for c in reversed(den.all_coeffs())]
-        assert (list(f.num), list(f.den)) == (want_num, want_den)
+    a, b = RF(*a_in), RF(*b_in)
+    ea, eb = _sympy_expr(*a_in), _sympy_expr(*b_in)
+    _check_value(a, ea)
+    _check_value(a + b, ea + eb)
+    _check_value(a - b, ea - eb)
+    _check_value(a * b, ea * eb)
+    _check_value(a ** e, ea ** e)
+    _check_value(a.substitute_reciprocal(), ea.subs(q, 1 / q))
+    if not a.is_zero():
+        _check_value(a ** -e, ea ** -e)
+        _check_value(a.reciprocal(), 1 / ea)
+    if not b.is_zero():
+        _check_value(a / b, ea / eb)
+        for route in ((a * b) / b, (a / b) * b):
+            assert route == a and hash(route) == hash(a)
+    route = (a + b) - b
+    assert route == a and hash(route) == hash(a)
+    want_den = _sympy_canonical(ea)[1]
+    if sum(c * x ** i for i, c in enumerate(want_den)) == 0:
+        with pytest.raises(DivisionByZero):
+            a.evaluate(x)
+    else:
+        value = sp.cancel(ea).subs(q, sp.Rational(str(x)))
+        assert a.evaluate(x) == Fraction(str(value))
 
 
 def test_carlitz_canonical_forms_match_sympy(sym_table):
