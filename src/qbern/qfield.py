@@ -111,10 +111,6 @@ def _zmul(x, y):
     # of slack) above that bound leaves every signed digit unambiguous.
     if not x or not y:
         return []
-    if len(x) == 1:
-        x, y = y, x
-    if len(y) == 1 and y[0] and x[-1]:
-        return [y[0] * c for c in x]
     bound = max(map(abs, x)) * max(map(abs, y)) * min(len(x), len(y))
     b = bound.bit_length() + 2
     return _unpack(_pack(x, b) * _pack(y, b), b)
