@@ -27,6 +27,7 @@ CASES = {
     "selftest_corrupt": ["selftest", "--corrupt"],
     "table_beta_at_one": ["table", "--kind", "beta", "--range", "0:20", "--at-one",
                           "--format", "csv"],
+    "table_integral_k1": ["table", "--kind", "integral", "--range", "0:8", "--k", "1"],
 }
 
 
