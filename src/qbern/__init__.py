@@ -2,7 +2,7 @@
 and the p-adic q-integral on Z_p, with symbolic and p-adic identity
 verification."""
 
-from .bernstein import BernsteinSpec, bernstein_eval, bernstein_operator
+from .bernstein import BernsteinSpec, bernstein_eval
 from .carlitz import CarlitzTable, classical_bernoulli, eval_at_one, table_for
 from .errors import (
     BudgetExceeded,
@@ -29,12 +29,9 @@ from .integral import (
     BracketPower,
     Custom,
     CustomHash,
-    MeasureLevel,
     ReflectedPower,
     RiemannResult,
-    bernstein_integral,
     bernstein_power_product_integral,
-    bernstein_product_integral,
     closed_bracket_power,
     closed_one_minus_x_power,
     closed_reflected_power,
@@ -50,7 +47,6 @@ from .qfield import (
     invert_q,
     q_bracket,
     q_pow,
-    reflected_bracket,
     scalars_equal,
 )
 

@@ -1,9 +1,7 @@
-"""q-analogue Bernstein basis polynomials and the sampling operator.
+"""q-analogue Bernstein basis polynomials.
 
 B_{k,n}(x, q) = C(n,k) [x]_q^k (1 - [x]_q)^{n-k}; the second factor is the
-reflected bracket [1-x]_{1/q}^{n-k}.  The operator takes an explicit vector
-of n+1 sample values standing for f(k/n): the sample points k/n have no
-canonical p-adic meaning for general n, so sampling is the caller's job.
+reflected bracket [1-x]_{1/q}^{n-k}.  Their integrals live in ``integral``.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from math import comb
 from .errors import DomainError
 from .qfield import QContext, Scalar, q_bracket
 
-__all__ = ["BernsteinSpec", "bernstein_eval", "bernstein_operator"]
+__all__ = ["BernsteinSpec", "bernstein_eval"]
 
 
 @dataclass(frozen=True)
@@ -35,22 +33,3 @@ def bernstein_eval(spec: BernsteinSpec, x, ctx: QContext) -> Scalar:
     bx = q_bracket(x, ctx)
     return comb(n, k) * bx ** k * (ctx.one() - bx) ** (n - k)
 
-
-def bernstein_operator(samples, n: int, x, ctx: QContext) -> Scalar:
-    """sum_k samples[k] * B_{k,n}(x, q); samples[k] plays f(k/n)."""
-    if n < 1:
-        raise DomainError("operator order must be >= 1")
-    samples = list(samples)
-    if len(samples) != n + 1:
-        raise DomainError(f"expected {n + 1} samples for order {n}, got {len(samples)}")
-    bx = q_bracket(x, ctx)
-    rbx = ctx.one() - bx
-    bx_pows = [ctx.one()]
-    rbx_pows = [ctx.one()]
-    for _ in range(n):
-        bx_pows.append(bx_pows[-1] * bx)
-        rbx_pows.append(rbx_pows[-1] * rbx)
-    acc = ctx.zero()
-    for k, sample in enumerate(samples):
-        acc = acc + sample * comb(n, k) * bx_pows[k] * rbx_pows[n - k]
-    return acc

@@ -232,6 +232,7 @@ class CarlitzTable:
 
     # -- precision ledger (padic) ------------------------------------------
 
+    # unreached by the CLI, kept: the acceptance test checks the ledger with it
     def precision_ledger_bound(self, n: int, which: str = "beta") -> int:
         """Lower bound K - sum_k nu_p(divisor_k) on the certified precision."""
         if self.ctx.is_symbolic:

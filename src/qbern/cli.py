@@ -17,20 +17,9 @@ from math import isinf
 
 from .bernstein import BernsteinSpec, bernstein_eval
 from .carlitz import eval_at_one, table_for
-from .errors import (
-    BudgetExceeded,
-    DomainError,
-    MaxLevelExceeded,
-    PoleAtOne,
-    PrecisionExhausted,
-    QbernError,
-)
+from .errors import BudgetExceeded, DomainError, MaxLevelExceeded, QbernError
 from .identities import SuiteConfig, reports_to_jsonl, run_suite, suite_exit_status
-from .integral import (
-    bernstein_integral,
-    integrand_from_json,
-    integrate,
-)
+from .integral import bernstein_power_product_integral, integrand_from_json, integrate
 from .qfield import QContext, rational_literal
 
 EXIT_OK = 0
@@ -157,8 +146,11 @@ def _scalar_payload(value, ctx) -> dict:
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -169,10 +161,10 @@ def _render_cell(value, ctx) -> str:
     return json.dumps(value.to_json(), sort_keys=True)
 
 
-def _cmd_number(args, which: str) -> int:
+def _cmd_number(args) -> int:
     ctx = _context(args)
     tbl = table_for(ctx)
-    value = tbl.beta(args.n) if which == "beta" else tbl.xi(args.n)
+    value = tbl.beta(args.n) if args.command == "beta" else tbl.xi(args.n)
     payload = {"n": args.n, "backend": args.backend, **_scalar_payload(value, ctx)}
     _emit(args, json.dumps(payload, sort_keys=True) + "\n")
     return EXIT_OK
@@ -289,7 +281,7 @@ def _cmd_table(args) -> int:
         for n in _parse_range(args.range):
             if not 0 <= args.k <= n:
                 continue
-            value = bernstein_integral(args.k, n, ctx, "direct", tbl)
+            value = bernstein_power_product_integral([(args.k, n, 1)], ctx, "direct", tbl)
             rows.append({"n": n, "k": args.k, "route": "direct",
                          "value": _render_cell(value, ctx)})
     if args.format == "csv":
@@ -323,6 +315,18 @@ def _cmd_selftest(args) -> int:
     return suite_exit_status(reports)
 
 
+_COMMANDS = {
+    "beta": _cmd_number,
+    "xi": _cmd_number,
+    "beta-poly": _cmd_beta_poly,
+    "bernstein": _cmd_bernstein,
+    "integrate": _cmd_integrate,
+    "verify": _cmd_verify,
+    "table": _cmd_table,
+    "selftest": _cmd_selftest,
+}
+
+
 def _join_literals(argv: list) -> list:
     """``--x -1/2`` as ``--x=-1/2``: argparse reads a value that starts with
     "-" and is not a plain number as the next option."""
@@ -342,31 +346,13 @@ def main(argv=None) -> int:
         if not hasattr(args, key):
             setattr(args, key, value)
     try:
-        if args.command in ("beta", "xi"):
-            return _cmd_number(args, args.command)
-        if args.command == "beta-poly":
-            return _cmd_beta_poly(args)
-        if args.command == "bernstein":
-            return _cmd_bernstein(args)
-        if args.command == "integrate":
-            return _cmd_integrate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        parser.error(f"unknown command {args.command}")
+        return _COMMANDS[args.command](args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DomainError, PrecisionExhausted, PoleAtOne, ValueError) as exc:
+    except (QbernError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QbernError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -21,14 +21,16 @@ Identity catalog (ids are stable external labels):
   THM3          the same integral equals q^2 beta_{n,1/q} + n + 1 - q (n > 1)
   EQ9_EQ11      single Bernstein integral: direct and reflected routes
   EQ13_EQ14     two-factor product, both routes                  (n+m > 2k+1)
-  THM4_COR5     s-factor product, routes I and II
-  THM6          powered products, routes I and II (sum-index reading; the
+  THM4_COR5     s-factor product, both routes
+  THM6          powered products, both routes (sum-index reading; the
                 literal printed index is only distinguishable for s >= 3)
   EQ10_SYMMETRY B_{k,n}(x, q) = B_{n-k,n}(1-x, 1/q)
   Q_TO_1        beta_n -> ordinary Bernoulli at q = 1; xi_n has a pole there
 
 Only THM1, EQ6 (padic only) and THM3 on the padic backend compare against
-the Riemann oracle; the Bernstein identities compare two closed routes.
+the Riemann oracle; the Bernstein identities compare the two closed routes of
+``bernstein_power_product_integral``: reflected (the paper's route I, over
+beta_{.,1/q}) and direct (route II, over beta_{.,q}).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from math import comb, isinf, prod
+from math import isinf
 from typing import Callable, Optional
 
 from .bernstein import BernsteinSpec, bernstein_eval
@@ -46,12 +48,9 @@ from .errors import DomainError, MaxLevelExceeded, PoleAtOne
 from .integral import (
     BracketPower,
     ReflectedPower,
-    _power_integral_direct,
-    _power_integral_reflected,
+    _bernstein_shape,
     _reflected_sum,
-    bernstein_integral,
     bernstein_power_product_integral,
-    bernstein_product_integral,
     closed_one_minus_x_power,
     closed_reflected_power,
     integrate,
@@ -66,15 +65,6 @@ __all__ = [
     "CATALOG",
     "verify",
     "verify_theorem1",
-    "verify_prop2",
-    "verify_eq6_eq7",
-    "verify_theorem3",
-    "verify_eq9_eq11",
-    "verify_two_product",
-    "verify_theorem4",
-    "verify_theorem6",
-    "verify_symmetry_eq10",
-    "verify_q_to_1",
     "default_grid",
     "run_suite",
     "suite_exit_status",
@@ -288,40 +278,43 @@ def _theorem3(run: _Run, n: int):
     return lhs, rhs, note, False
 
 
+def _routes(run: _Run, factors, first: str, second: str):
+    """The two closed routes of one Bernstein integral, in report order."""
+    return (bernstein_power_product_integral(factors, run.ctx, first, run.tbl),
+            bernstein_power_product_integral(factors, run.ctx, second, run.tbl), "", False)
+
+
 def _eq9_eq11(run: _Run, n: int, k: int):
     if not 0 <= k <= n:
         return "need 0 <= k <= n"
     if n <= k + 1:
         return "reflected route needs n > k + 1"
-    return (bernstein_integral(k, n, run.ctx, "direct", run.tbl),
-            bernstein_integral(k, n, run.ctx, "reflected", run.tbl), "", False)
+    return _routes(run, [(k, n, 1)], "direct", "reflected")
 
 
 def _two_product(run: _Run, n: int, m: int, k: int):
     """Two equal-k factors; hypotheses m, n, k >= 0 with n + m > 2k + 1."""
     if min(n, m, k) < 0 or n + m <= 2 * k + 1:
         return "needs n + m > 2k + 1"
-    coeff = comb(n, k) * comb(m, k)
-    return (coeff * _power_integral_reflected(2 * k, n + m - 2 * k, run.tbl),
-            coeff * _power_integral_direct(2 * k, n + m - 2 * k, run.tbl), "", False)
+    return _routes(run, [(k, n, 1), (k, m, 1)], "reflected", "direct")
 
 
 def _theorem4(run: _Run, n, k: int):
-    """Route I vs route II for s equal-k factors; the equivalence domain is
-    k, n_i >= 1 with sum n_i > s*k + 1 (k = 0 or n_i = 0 are route-II-only)."""
+    """Reflected vs direct route for s equal-k factors; the equivalence
+    domain is k, n_i >= 1 with sum n_i > s*k + 1 (k = 0 or n_i = 0 are
+    direct-route-only)."""
     if not n:
         return "need at least one factor"
     if k < 1 or any(d < 1 for d in n):
         return "route I needs k >= 1 and every degree >= 1"
     if sum(n) <= len(n) * k + 1:
         return "needs sum n_i > s*k + 1"
-    factors = [(k, d) for d in n]
-    return (bernstein_product_integral(factors, run.ctx, "I", run.tbl),
-            bernstein_product_integral(factors, run.ctx, "II", run.tbl), "", False)
+    return _routes(run, [(k, d, 1) for d in n], "reflected", "direct")
 
 
 def _theorem6(run: _Run, nm, k: int, reading: str):
-    """Powered products; ``reading`` selects the route-I index convention.
+    """Powered products; ``reading`` selects the reflected-route index
+    convention.
 
     "sigma" reads the inverted-q index as sum_i n_i m_i - l (the adopted
     reading); "literal" keeps only the first and last products
@@ -332,23 +325,21 @@ def _theorem6(run: _Run, nm, k: int, reading: str):
         return "need at least one factor"
     if k < 0 or any(n < 0 or m < 0 for n, m in nm):
         return "indices must be nonnegative"
-    weight = sum(m for _, m in nm)
-    total = sum(n * m for n, m in nm)
-    if total <= k * weight + 1:
-        return "needs sum m_i n_i > k sum m_i + 1"
     factors = [(k, n, m) for n, m in nm]
-    rhs = bernstein_power_product_integral(factors, run.ctx, "II", run.tbl)
+    coeff, a, b = _bernstein_shape(factors)  # b = sum m_i n_i - k sum m_i
+    if b <= 1:
+        return "needs sum m_i n_i > k sum m_i + 1"
+    rhs = bernstein_power_product_integral(factors, run.ctx, "direct", run.tbl)
     if reading == "sigma":
-        lhs = bernstein_power_product_integral(factors, run.ctx, "I", run.tbl)
+        lhs = bernstein_power_product_integral(factors, run.ctx, "reflected", run.tbl)
         note = ("for s = 2 the literal printed index coincides with the "
                 "sum reading; s >= 3 instances separate them") if len(nm) == 2 else ""
         return lhs, rhs, note, False
     if reading == "literal":
-        # route I with the index printed as n_1 m_1 + n_s m_s - l: only the
-        # first and last factor products enter the inverted-q index
+        # the reflected route with the index printed as n_1 m_1 + n_s m_s - l:
+        # only the first and last factor products enter the inverted-q index
         top = nm[0][0] * nm[0][1] + nm[-1][0] * nm[-1][1]
-        coeff = prod(comb(n, k) ** m for n, m in nm)
-        lhs = coeff * _reflected_sum(k * weight, total, top, run.tbl)
+        lhs = coeff * _reflected_sum(a, a + b, top, run.tbl)
         return lhs, rhs, "probing the literal printed index n_1 m_1 + n_s m_s - l", True
     raise DomainError(f"unknown reading {reading!r}")
 
@@ -480,66 +471,10 @@ def verify(identity, params: dict, ctx: QContext, target: Optional[int] = None,
                           rhs=rhs, quarantined=quarantined, notes=notes)
 
 
+# the one named entry point left: the acceptance test imports it
 def verify_theorem1(n: int, x: int, ctx: QContext, target: int = ORACLE_TARGET,
                     level_cap: Optional[int] = None) -> IdentityReport:
     return verify(IdentityId.THM1, {"n": n, "x": x}, ctx, target, level_cap)
-
-
-def verify_prop2(n: int, ctx: QContext, target: Optional[int] = None,
-                 tbl: Optional[CarlitzTable] = None) -> IdentityReport:
-    return verify(IdentityId.PROP2, {"n": n}, ctx, target, tbl=tbl)
-
-
-def verify_eq6_eq7(n: int, ctx: QContext, target: Optional[int] = None,
-                   level_cap: Optional[int] = None,
-                   tbl: Optional[CarlitzTable] = None) -> list:
-    """The EQ7 report and, on the padic backend with n >= 0, the EQ6 one."""
-    ids = [IdentityId.EQ7] if ctx.is_symbolic or n < 0 else [IdentityId.EQ7, IdentityId.EQ6]
-    return [verify(i, {"n": n}, ctx, target, level_cap, tbl) for i in ids]
-
-
-def verify_theorem3(n: int, ctx: QContext, target: Optional[int] = None,
-                    level_cap: Optional[int] = None,
-                    tbl: Optional[CarlitzTable] = None) -> IdentityReport:
-    return verify(IdentityId.THM3, {"n": n}, ctx, target, level_cap, tbl)
-
-
-def verify_eq9_eq11(n: int, k: int, ctx: QContext, target: Optional[int] = None,
-                    level_cap: Optional[int] = None,
-                    tbl: Optional[CarlitzTable] = None) -> IdentityReport:
-    return verify(IdentityId.EQ9_EQ11, {"n": n, "k": k}, ctx, target, level_cap, tbl)
-
-
-def verify_two_product(n: int, m: int, k: int, ctx: QContext,
-                       target: Optional[int] = None,
-                       level_cap: Optional[int] = None,
-                       tbl: Optional[CarlitzTable] = None) -> IdentityReport:
-    params = {"n": n, "m": m, "k": k}
-    return verify(IdentityId.EQ13_EQ14, params, ctx, target, level_cap, tbl)
-
-
-def verify_theorem4(n_list, k: int, ctx: QContext, target: Optional[int] = None,
-                    level_cap: Optional[int] = None,
-                    tbl: Optional[CarlitzTable] = None) -> IdentityReport:
-    params = {"n": tuple(n_list), "k": k}
-    return verify(IdentityId.THM4_COR5, params, ctx, target, level_cap, tbl)
-
-
-def verify_theorem6(nm_list, k: int, ctx: QContext, target: Optional[int] = None,
-                    level_cap: Optional[int] = None,
-                    tbl: Optional[CarlitzTable] = None,
-                    reading: str = "sigma") -> IdentityReport:
-    params = {"nm": tuple(map(tuple, nm_list)), "k": k, "reading": reading}
-    return verify(IdentityId.THM6, params, ctx, target, level_cap, tbl)
-
-
-def verify_symmetry_eq10(k: int, n: int, x, ctx: QContext,
-                         target: Optional[int] = None) -> IdentityReport:
-    return verify(IdentityId.EQ10_SYMMETRY, {"k": k, "n": n, "x": x}, ctx, target)
-
-
-def verify_q_to_1(n: int, ctx: QContext, xi_pole_expected: bool = False) -> IdentityReport:
-    return verify(IdentityId.Q_TO_1, {"n": n, "xi": xi_pole_expected}, ctx)
 
 
 # ---------------------------------------------------------------------------

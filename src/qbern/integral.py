@@ -23,8 +23,13 @@ never carries an unproven digit.  Agreement of two consecutive sums proves
 nothing (they can agree by accident), so only ``Custom`` integrands, which
 have no degree, still stop on it, and their certificate says so.
 
-The Riemann evaluator is the ground-truth oracle here: every closed form
-below is validated against it by the identities module rather than trusted.
+The Riemann evaluator is the ground-truth oracle here: the closed forms
+below are validated against it (by the identities module for the bracket
+powers, by the tests for the Bernstein routes) rather than trusted.  Every
+Bernstein integral goes through ``bernstein_power_product_integral``: the
+integrand is c [x]_q^a (1 - [x]_q)^b, expanded over beta_{.,q} (the direct
+route) or beta_{.,1/q} (the reflected route).
+
 The closed form for the plain bracket power integral is implemented with
 the prefactor ``1/(1-q)^(m-1)``: that is the reading forced by its own
 degeneration to the q-Bernoulli values (and the one the oracle supports);
@@ -64,7 +69,6 @@ __all__ = [
     "Custom",
     "CustomHash",
     "Integrand",
-    "MeasureLevel",
     "RiemannResult",
     "default_level_cap",
     "riemann_sum",
@@ -72,26 +76,19 @@ __all__ = [
     "closed_bracket_power",
     "closed_reflected_power",
     "closed_one_minus_x_power",
-    "bernstein_integral",
-    "bernstein_product_integral",
     "bernstein_power_product_integral",
-    "integrand_to_json",
     "integrand_from_json",
     "DEFAULT_TERM_BUDGET",
 ]
 
 DEFAULT_TERM_BUDGET = 2_000_000
 
-# default level caps keep the cost p^N at desk scale (p^N <= ~17000)
-_LEVEL_CAPS = {3: 8, 5: 6, 7: 5}
-
 
 def default_level_cap(p: int) -> int:
-    cap = _LEVEL_CAPS.get(p)
-    if cap is None:
-        cap = 1
-        while p ** (cap + 1) <= 17_000:
-            cap += 1
+    """The highest level whose p^N terms stay at desk scale (p^N <= ~17000)."""
+    cap = 1
+    while p ** (cap + 1) <= 17_000:
+        cap += 1
     return cap
 
 
@@ -139,6 +136,7 @@ class BernsteinProduct:
                 raise DomainError(f"power must be nonnegative in factor {(k, n, m)}")
 
 
+# unreached by the CLI, kept: tests use it to drive the _object_sum reference path
 @dataclass(frozen=True)
 class Custom:
     """An arbitrary residue-class evaluator x -> Scalar; Riemann-only, no
@@ -158,25 +156,6 @@ class CustomHash:
 
 
 Integrand = Union[BracketPower, ReflectedPower, BernsteinProduct, Custom, CustomHash]
-
-
-@dataclass(frozen=True)
-class MeasureLevel:
-    """The level-N partition of Z_p; weight(x) = q^x / [p^N]_q."""
-
-    level: int
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise DomainError("level must be >= 1")
-
-    def weight(self, x: int, ctx: QContext) -> Scalar:
-        p = ctx.prime
-        if not 0 <= x < p ** self.level:
-            raise DomainError(f"residue {x} outside [0, p^{self.level})")
-        from .qfield import q_bracket
-
-        return q_pow(x, ctx) / q_bracket(p ** self.level, ctx)
 
 
 @dataclass(frozen=True)
@@ -204,7 +183,7 @@ class RiemannResult:
     def to_json(self) -> dict:
         sv = self.stabilization_valuation
         return {
-            "value": _scalar_json(self.value),
+            "value": self.value.to_json(),
             "level": self.level,
             "stabilization_valuation": str(sv) if isinf(sv) else int(sv),
             "certificate": self.certificate,
@@ -212,21 +191,18 @@ class RiemannResult:
         }
 
 
-def _scalar_json(value) -> dict:
-    return value.to_json()
-
-
 # ---------------------------------------------------------------------------
 # the definitional evaluator
 # ---------------------------------------------------------------------------
 
 
-def _bernstein_shape(f: BernsteinProduct):
-    """(c, a, b) with f(x) = c [x]_q^a (1 - [x]_q)^b."""
+def _bernstein_shape(factors):
+    """(c, a, b) with prod_i B_{k_i,n_i}(x, q)^{m_i} = c [x]_q^a (1 - [x]_q)^b
+    for (k, n, m) factors; c = 0 when some k_i > n_i has m_i > 0."""
     coeff = 1
     a = 0
     b = 0
-    for k, n, m in f.factors:
+    for k, n, m in factors:
         coeff *= comb(n, k) ** m
         a += k * m
         b += (n - k) * m
@@ -255,7 +231,7 @@ def _term_evaluator(f: Integrand, ctx: QContext):
         return lambda x, qx: ((one - qmc * qx) * inv) ** n
 
     if isinstance(f, BernsteinProduct):
-        coeff, a, b = _bernstein_shape(f)
+        coeff, a, b = _bernstein_shape(f.factors)
         const = ctx.embed(coeff)
         inv = one / (one - q)
         return lambda x, qx: const * ((one - qx) * inv) ** a * (one - (one - qx) * inv) ** b
@@ -270,12 +246,7 @@ def _term_evaluator(f: Integrand, ctx: QContext):
     raise DomainError(f"unknown integrand {f!r}")
 
 
-def riemann_sum(
-    f: Integrand,
-    ctx: QContext,
-    level: int,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-) -> Scalar:
+def riemann_sum(f: Integrand, ctx: QContext, level: int) -> Scalar:
     """The level-N q-Riemann sum (1/[p^N]_q) sum_{x<p^N} q^x f(x).
 
     ``BracketPower``, ``ReflectedPower`` and ``BernsteinProduct`` are summed
@@ -290,9 +261,9 @@ def riemann_sum(
         raise DomainError("level must be >= 1")
     p = ctx.prime
     total = p ** level
-    if total > term_budget:
+    if total > DEFAULT_TERM_BUDGET:
         raise BudgetExceeded(
-            f"level {level} needs {total} terms, over the budget of {term_budget}"
+            f"level {level} needs {total} terms, over the budget of {DEFAULT_TERM_BUDGET}"
         )
     # hoists the x-independent constants, which raise on too few digits
     term = _term_evaluator(f, ctx)
@@ -301,6 +272,7 @@ def riemann_sum(
     return _object_sum(term, ctx, total)
 
 
+# kept as the reference path: tests require the kernel to match it bit for bit
 def _object_sum(term, ctx: QContext, total: int) -> Scalar:
     """sum_{x<total} q^x term(x, q^x) / sum_{x<total} q^x in PadicNumbers."""
     q = ctx.q
@@ -335,7 +307,7 @@ def _kernel_sum(f: Integrand, ctx: QContext, total: int) -> Scalar:
     pctx = ctx.pctx
     p, digits = pctx.prime, pctx.precision
     if isinstance(f, BernsteinProduct):
-        (scale, a, b), offset = _bernstein_shape(f), 0
+        (scale, a, b), offset = _bernstein_shape(f.factors), 0
     else:
         scale, a, b, offset = 1, f.power, 0, f.offset
     shift = int_valuation(scale, p)
@@ -370,7 +342,6 @@ def integrate(
     ctx: QContext,
     target: int,
     level_cap: Optional[int] = None,
-    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> RiemannResult:
     """Sum levels 1, 2, ... and return at the first level whose certificate
     reaches the target valuation.
@@ -398,7 +369,7 @@ def integrate(
     stop = f"within level cap {cap}"
     for level in range(1, cap + 1):
         try:
-            sums.append(riemann_sum(f, ctx, level, term_budget))
+            sums.append(riemann_sum(f, ctx, level))
         except (DivisionByZero, PrecisionExhausted) as exc:
             if level == 1:
                 raise
@@ -451,7 +422,7 @@ def _u_coefficient_valuations(f: Integrand, ctx: QContext) -> Optional[list]:
         shift = -e * f.power
     elif isinstance(f, BernsteinProduct):
         # [x]_q = (1 - u)/(1 - q) and 1 - [x]_q = (u - q)/(1 - q)
-        coeff, a, b = _bernstein_shape(f)
+        coeff, a, b = _bernstein_shape(f.factors)
         factors = [((one, -one), a), ((-q, one), b)]
         shift = int_valuation(coeff, ctx.prime) - e * (a + b)
     else:
@@ -496,6 +467,8 @@ def _extrapolate(valuations: list, sums: list, ctx: QContext):
 # ---------------------------------------------------------------------------
 
 
+# unreached by the CLI, kept: it is the printed formula whose 1/(1-q)^(m-1)
+# prefactor the README adjudicates, checked against beta_poly by the tests
 def closed_bracket_power(m: int, x, ctx: QContext, tbl: Optional[CarlitzTable] = None) -> Scalar:
     """Closed form of the integral of [x + y]_q^m over y.
 
@@ -566,6 +539,7 @@ def _route_cache(tbl: CarlitzTable) -> dict:
     return cache
 
 
+# kept as named entry points: the acceptance test imports both route sums
 def _power_integral_direct(a: int, b: int, tbl: CarlitzTable) -> Scalar:
     cache = _route_cache(tbl)
     key = ("direct", a, b)
@@ -592,7 +566,7 @@ def _reflected_sum(a: int, total: int, top: int, tbl: CarlitzTable) -> Scalar:
     """sum_l (-1)^(a+l) C(a,l) (total - l + 1 - q + q^2 beta_{top-l,1/q}).
 
     With top = total this is the reflected expansion; the index of the
-    inverted-q values is the only place the route-I readings differ.
+    inverted-q values is the only place the reflected-route readings differ.
     """
     ctx = tbl.ctx
     q2 = ctx.q ** 2
@@ -604,114 +578,29 @@ def _reflected_sum(a: int, total: int, top: int, tbl: CarlitzTable) -> Scalar:
     return acc
 
 
-def bernstein_integral(k: int, n: int, ctx: QContext, route: str = "direct",
-                       tbl: Optional[CarlitzTable] = None) -> Scalar:
-    """Integral of B_{k,n}(x, q) dmu_q.
+def bernstein_power_product_integral(factors, ctx: QContext, route: str = "direct",
+                                     tbl: Optional[CarlitzTable] = None) -> Scalar:
+    """Integral of prod_i B_{k_i,n_i}(x, q)^{m_i} dmu_q for (k, n, m) factors.
 
-    route="direct" sums (-1)^l C(n-k,l) beta_{k+l,q}; route="reflected"
-    (valid for n > k + 1) goes through the reflected expansion and
-    beta_{n-l,1/q}.
+    The integrand is c [x]_q^a (1 - [x]_q)^b (``_bernstein_shape``).
+    route="direct" expands it over beta_{.,q}; route="reflected" over
+    beta_{.,1/q}, reading the inverted-q index as a + b - l, and needs b > 1.
+    The identities' own hypotheses are checked by their side functions.
     """
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+    coeff, a, b = _bernstein_shape(factors)
+    if coeff == 0:
+        return ctx.zero()
     tbl = tbl or table_for(ctx)
     if route == "direct":
-        return comb(n, k) * _power_integral_direct(k, n - k, tbl)
+        return coeff * _power_integral_direct(a, b, tbl)
     if route == "reflected":
-        if n <= k + 1:
-            raise DomainError("the reflected route requires n > k + 1")
-        return comb(n, k) * _power_integral_reflected(k, n - k, tbl)
-    raise DomainError(f"unknown route {route!r}")
-
-
-def _common_k(factors) -> int:
-    ks = {f[0] for f in factors}
-    if len(ks) != 1:
-        raise DomainError(f"factors must share a common lower index, got {sorted(ks)}")
-    return ks.pop()
-
-
-def bernstein_product_integral(factors, ctx: QContext, route: str = "II",
-                               tbl: Optional[CarlitzTable] = None) -> Scalar:
-    """Integral of prod_i B_{k,n_i}(x, q) dmu_q for (k, n_i) factors with a
-    common k.
-
-    Route I (requires k, n_i >= 1 and sum n_i > s*k + 1) expands through
-    beta_{.,1/q}; route II (any k, n_i >= 0) expands through beta_{.,q}.
-    """
-    factors = [tuple(f) for f in factors]
-    if not factors:
-        raise DomainError("need at least one factor")
-    k = _common_k(factors)
-    degrees = [f[1] for f in factors]
-    s = len(factors)
-    if k < 0 or any(n < 0 for n in degrees):
-        raise DomainError("indices must be nonnegative")
-    tbl = tbl or table_for(ctx)
-    coeff = 1
-    for n in degrees:
-        coeff *= comb(n, k)
-    if coeff == 0:
-        return ctx.zero()
-    total = sum(degrees)
-    if route == "II":
-        return coeff * _power_integral_direct(s * k, total - s * k, tbl)
-    if route == "I":
-        if k < 1 or any(n < 1 for n in degrees):
-            raise DomainError("route I requires k >= 1 and every degree >= 1")
-        if total <= s * k + 1:
-            raise DomainError("route I requires sum of degrees > s*k + 1")
-        return coeff * _power_integral_reflected(s * k, total - s * k, tbl)
-    raise DomainError(f"unknown route {route!r}")
-
-
-def bernstein_power_product_integral(factors, ctx: QContext, route: str = "II",
-                                     tbl: Optional[CarlitzTable] = None) -> Scalar:
-    """Integral of prod_i B_{k,n_i}(x, q)^{m_i} dmu_q for (k, n_i, m_i)
-    factors with a common k.
-
-    Route I requires sum m_i n_i > k * sum m_i + 1; the index of the
-    inverted-q values is read as sum_i n_i m_i - l.  Route II holds for any
-    nonnegative indices.
-    """
-    factors = [tuple(f) for f in factors]
-    if not factors:
-        raise DomainError("need at least one factor")
-    k = _common_k(factors)
-    if k < 0 or any(n < 0 or m < 0 for _, n, m in factors):
-        raise DomainError("indices must be nonnegative")
-    tbl = tbl or table_for(ctx)
-    coeff = 1
-    for _, n, m in factors:
-        coeff *= comb(n, k) ** m
-    if coeff == 0:
-        return ctx.zero()
-    weight = sum(m for _, _, m in factors)
-    total = sum(n * m for _, n, m in factors)
-    if route == "II":
-        return coeff * _power_integral_direct(k * weight, total - k * weight, tbl)
-    if route == "I":
-        if total <= k * weight + 1:
-            raise DomainError("route I requires sum m_i n_i > k * sum m_i + 1")
-        return coeff * _power_integral_reflected(k * weight, total - k * weight, tbl)
+        return coeff * _power_integral_reflected(a, b, tbl)
     raise DomainError(f"unknown route {route!r}")
 
 
 # ---------------------------------------------------------------------------
 # integrand serialization
 # ---------------------------------------------------------------------------
-
-
-def integrand_to_json(f: Integrand) -> dict:
-    if isinstance(f, BracketPower):
-        return {"type": "bracket_power", "offset": f.offset, "power": f.power}
-    if isinstance(f, ReflectedPower):
-        return {"type": "reflected_power", "offset": f.offset, "power": f.power}
-    if isinstance(f, BernsteinProduct):
-        return {"type": "bernstein_product", "factors": [list(t) for t in f.factors]}
-    if isinstance(f, CustomHash):
-        return {"type": "custom_hash", "seed": f.seed}
-    raise DomainError(f"integrand {f!r} has no JSON form")
 
 
 def integrand_from_json(data) -> Integrand:

@@ -51,7 +51,6 @@ __all__ = [
     "Scalar",
     "q_pow",
     "q_bracket",
-    "reflected_bracket",
     "invert_q",
     "scalars_equal",
     "rational_literal",
@@ -221,6 +220,7 @@ def _heugcd(x, y):
     return None
 
 
+# the fallback when GCDHEU finds no certified gcd; _zexquo gives its cofactors
 def _prs_gcd(x, y):
     # gcd of primitive x, y in Z[q] by a primitive pseudo-remainder sequence
     if len(x) < len(y):
@@ -352,14 +352,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return not self._n
-
-    def is_polynomial(self) -> bool:
-        return self._d == (1,)
-
-    def as_fraction(self) -> Fraction:
-        if self._d != (1,) or len(self._n) > 1:
-            raise DomainError("value is not a rational constant")
-        return self._c
 
     # -- arithmetic -------------------------------------------------------
 
@@ -502,12 +494,6 @@ class RationalFunction:
             "den": _fmt_scaled(self._d, 1, lc),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalFunction":
-        num = tuple(Fraction(c) for c in data["num"])
-        den = tuple(Fraction(c) for c in data["den"])
-        return cls(num, den)
-
     def render(self) -> str:
         """Single-line canonical rendering "(num)/(den)", ascending terms."""
         data = self.to_json()
@@ -626,6 +612,7 @@ class QContext:
 # ---------------------------------------------------------------------------
 
 
+# reached by rational x on the padic backend, e.g. `qbern bernstein --x -1/2`
 def _binomial_series_q_pow(x: PadicNumber, ctx: QContext) -> PadicNumber:
     # q^x = sum_k C(x, k) (q-1)^k; term k has valuation >= k*nu(q-1), so the
     # series is truncated at the first k with k*nu(q-1) >= K.
@@ -674,14 +661,6 @@ def q_bracket(x, ctx: QContext) -> Scalar:
     return (ctx.one() - qx) / (ctx.one() - ctx.q)
 
 
-def reflected_bracket(x, n: int, ctx: QContext) -> Scalar:
-    """[1-x]_{1/q}^n = (1 - [x]_q)^n."""
-    if n < 0:
-        raise DomainError("power must be nonnegative")
-    base = ctx.one() - q_bracket(x, ctx)
-    return base ** n
-
-
 def invert_q(ctx: QContext) -> QContext:
     """The context with q replaced by 1/q (same backend)."""
     if ctx.is_symbolic:
@@ -689,6 +668,7 @@ def invert_q(ctx: QContext) -> QContext:
     return QContext("padic", ctx.one() / ctx.q, ctx.pctx)
 
 
+# unreached by the CLI, kept: the acceptance test imports it
 def scalars_equal(a: Scalar, b: Scalar, ctx: QContext, valuation=None) -> bool:
     """Exact equality (symbolic) or agreement to a valuation (padic).
 

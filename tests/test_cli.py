@@ -369,6 +369,21 @@ def test_out_file(capsys, tmp_path):
     assert json.loads(target.read_text())["rendered"] == "(-1)/(1 + q)"
 
 
+@pytest.mark.parametrize("argv", [
+    ["beta", "--n", "2"],
+    ["table", "--kind", "beta", "--range", "0:2"],
+    ["verify", "--backend", "padic", "--p", "3"],
+], ids=["beta", "table", "verify"])
+def test_out_unwritable_exits_2(capsys, tmp_path, argv):
+    # the parent directory does not exist: a usage error, not a traceback
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output file") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_symbolic_rejects_q_literal(capsys):
     code, _, err = run(capsys, "beta", "--n", "1", "--q", "3/2")
     assert code == 2

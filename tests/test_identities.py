@@ -13,16 +13,8 @@ from qbern.identities import (
     run_suite,
     suite_exit_status,
     summarize,
-    verify_eq6_eq7,
-    verify_eq9_eq11,
-    verify_prop2,
-    verify_q_to_1,
-    verify_symmetry_eq10,
+    verify,
     verify_theorem1,
-    verify_theorem3,
-    verify_theorem4,
-    verify_theorem6,
-    verify_two_product,
     _compare,
 )
 from qbern.errors import DomainError
@@ -57,72 +49,72 @@ def test_theorem1_symbolic_skips():
 
 def test_prop2_exact():
     for n in range(2, 9):
-        assert verify_prop2(n, SYM).verdict.kind == "exact"
+        assert verify("PROP2", {"n": n}, SYM).verdict.kind == "exact"
 
 
 def test_prop2_out_of_domain():
-    report = verify_prop2(1, SYM)
+    report = verify("PROP2", {"n": 1}, SYM)
     assert not report.domain_ok
     assert report.verdict is None
 
 
 def test_eq6_eq7_symbolic():
-    reports = verify_eq6_eq7(3, SYM)
-    assert [r.identity for r in reports] == [IdentityId.EQ7]
-    assert reports[0].verdict.kind == "exact"
+    assert verify("EQ7", {"n": 3}, SYM).verdict.kind == "exact"
+    assert not verify("EQ6", {"n": 3}, SYM).domain_ok  # the oracle side is padic only
 
 
 def test_eq6_eq7_padic(padic_ctx3):
-    reports = verify_eq6_eq7(2, padic_ctx3, target=8)
-    ids = {r.identity for r in reports}
-    assert ids == {IdentityId.EQ7, IdentityId.EQ6}
+    reports = [verify(i, {"n": 2}, padic_ctx3, target=8) for i in ("EQ7", "EQ6")]
+    assert [r.identity for r in reports] == [IdentityId.EQ7, IdentityId.EQ6]
     assert all(r.verdict.ok for r in reports)
 
 
 def test_theorem3(padic_ctx3):
-    assert verify_theorem3(4, SYM).verdict.kind == "exact"
-    assert not verify_theorem3(1, SYM).domain_ok
-    report = verify_theorem3(2, padic_ctx3, target=8)
+    assert verify("THM3", {"n": 4}, SYM).verdict.kind == "exact"
+    assert not verify("THM3", {"n": 1}, SYM).domain_ok
+    report = verify("THM3", {"n": 2}, padic_ctx3, target=8)
     assert report.verdict.ok
 
 
 def test_eq9_eq11():
-    assert verify_eq9_eq11(3, 1, SYM).verdict.kind == "exact"
-    assert not verify_eq9_eq11(3, 2, SYM).domain_ok
-    assert not verify_eq9_eq11(2, 3, SYM).domain_ok
+    assert verify("EQ9_EQ11", {"n": 3, "k": 1}, SYM).verdict.kind == "exact"
+    assert not verify("EQ9_EQ11", {"n": 3, "k": 2}, SYM).domain_ok
+    assert not verify("EQ9_EQ11", {"n": 2, "k": 3}, SYM).domain_ok
 
 
 def test_two_product():
-    assert verify_two_product(2, 2, 1, SYM).verdict.kind == "exact"
-    assert verify_two_product(3, 2, 0, SYM).verdict.kind == "exact"  # k = 0 allowed here
-    assert not verify_two_product(1, 1, 1, SYM).domain_ok
+    assert verify("EQ13_EQ14", {"n": 2, "m": 2, "k": 1}, SYM).verdict.kind == "exact"
+    # k = 0 allowed here
+    assert verify("EQ13_EQ14", {"n": 3, "m": 2, "k": 0}, SYM).verdict.kind == "exact"
+    assert not verify("EQ13_EQ14", {"n": 1, "m": 1, "k": 1}, SYM).domain_ok
 
 
 def test_theorem4():
-    assert verify_theorem4((2, 3), 1, SYM).verdict.kind == "exact"
-    assert not verify_theorem4((2, 3), 0, SYM).domain_ok   # k = 0 is route-II-only
-    assert not verify_theorem4((1, 1), 1, SYM).domain_ok
+    assert verify("THM4_COR5", {"n": (2, 3), "k": 1}, SYM).verdict.kind == "exact"
+    # k = 0 is direct-route-only
+    assert not verify("THM4_COR5", {"n": (2, 3), "k": 0}, SYM).domain_ok
+    assert not verify("THM4_COR5", {"n": (1, 1), "k": 1}, SYM).domain_ok
 
 
 def test_theorem4_reduces_to_eq9_eq11():
-    a = verify_theorem4((4,), 1, SYM)
-    b = verify_eq9_eq11(4, 1, SYM)
-    assert a.lhs == b.rhs  # route I == reflected
-    assert a.rhs == b.lhs  # route II == direct
+    a = verify("THM4_COR5", {"n": (4,), "k": 1}, SYM)
+    b = verify("EQ9_EQ11", {"n": 4, "k": 1}, SYM)
+    assert a.lhs == b.rhs  # both reflected
+    assert a.rhs == b.lhs  # both direct
 
 
 def test_theorem6_readings():
     nm = ((2, 2), (2, 1))
-    sigma = verify_theorem6(nm, 1, SYM, reading="sigma")
+    sigma = verify("THM6", {"nm": nm, "k": 1, "reading": "sigma"}, SYM)
     assert sigma.verdict.kind == "exact"
-    literal = verify_theorem6(nm, 1, SYM, reading="literal")
+    literal = verify("THM6", {"nm": nm, "k": 1, "reading": "literal"}, SYM)
     # s = 2: the printed index coincides with the sum reading
     assert literal.quarantined
     assert literal.verdict.kind == "exact"
     # s = 3 separates the readings
     nm3 = ((2, 1), (1, 1), (2, 1))
-    assert verify_theorem6(nm3, 1, SYM, reading="sigma").verdict.kind == "exact"
-    probe = verify_theorem6(nm3, 1, SYM, reading="literal")
+    assert verify("THM6", {"nm": nm3, "k": 1, "reading": "sigma"}, SYM).verdict.kind == "exact"
+    probe = verify("THM6", {"nm": nm3, "k": 1, "reading": "literal"}, SYM)
     assert probe.quarantined
     assert not probe.verdict.ok
     assert probe.passed  # quarantined failures do not fail a suite
@@ -130,20 +122,20 @@ def test_theorem6_readings():
 
 def test_theorem6_bad_reading():
     with pytest.raises(DomainError):
-        verify_theorem6(((2, 1), (2, 1)), 1, SYM, reading="mystery")
+        verify("THM6", {"nm": ((2, 1), (2, 1)), "k": 1, "reading": "mystery"}, SYM)
 
 
 def test_symmetry(padic_ctx3):
-    assert verify_symmetry_eq10(1, 3, 2, SYM).verdict.kind == "exact"
+    assert verify("EQ10_SYMMETRY", {"k": 1, "n": 3, "x": 2}, SYM).verdict.kind == "exact"
     from fractions import Fraction
 
-    report = verify_symmetry_eq10(2, 4, Fraction(5, 7), padic_ctx3)
+    report = verify("EQ10_SYMMETRY", {"k": 2, "n": 4, "x": Fraction(5, 7)}, padic_ctx3)
     assert report.verdict.ok
 
 
 def test_q_to_1():
-    assert verify_q_to_1(6, SYM).verdict.kind == "exact"
-    assert verify_q_to_1(3, SYM, xi_pole_expected=True).verdict.kind == "exact"
+    assert verify("Q_TO_1", {"n": 6}, SYM).verdict.kind == "exact"
+    assert verify("Q_TO_1", {"n": 3, "xi": True}, SYM).verdict.kind == "exact"
 
 
 # -- the suite -------------------------------------------------------------------

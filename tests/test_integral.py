@@ -18,22 +18,18 @@ from qbern.integral import (
     BracketPower,
     Custom,
     CustomHash,
-    MeasureLevel,
     ReflectedPower,
-    bernstein_integral,
     bernstein_power_product_integral,
-    bernstein_product_integral,
     closed_bracket_power,
     closed_one_minus_x_power,
     closed_reflected_power,
     default_level_cap,
     integrand_from_json,
-    integrand_to_json,
     integrate,
     riemann_sum,
 )
 from qbern.padic import PadicNumber, int_valuation
-from qbern.qfield import QContext, RationalFunction, invert_q, q_pow, scalars_equal
+from qbern.qfield import QContext, RationalFunction, invert_q, q_bracket, q_pow, scalars_equal
 
 SYM = QContext.symbolic()
 
@@ -53,11 +49,11 @@ def agreement(a, b):
 
 
 def test_weights_sum_to_one(padic_ctx3):
+    # the residue class x + p^N Z_p has measure q^x / [p^N]_q
     for N in (1, 2, 3):
-        level = MeasureLevel(N)
         total = padic_ctx3.zero()
         for x in range(3**N):
-            total = total + level.weight(x, padic_ctx3)
+            total = total + q_pow(x, padic_ctx3) / q_bracket(3**N, padic_ctx3)
         assert scalars_equal(total, padic_ctx3.one(), padic_ctx3)
 
 
@@ -73,9 +69,10 @@ def test_riemann_requires_padic():
 
 
 def test_riemann_budget():
+    # 3^14 terms are over DEFAULT_TERM_BUDGET, so none is summed
     ctx = QContext.padic(3, 8)
     with pytest.raises(BudgetExceeded):
-        riemann_sum(BracketPower(0, 1), ctx, 5, term_budget=100)
+        riemann_sum(BracketPower(0, 1), ctx, 14)
 
 
 def test_block_reduction_order_free(padic_ctx3):
@@ -580,61 +577,61 @@ def test_closed_one_minus_x_against_oracle(padic_ctx3):
 # -- Bernstein integral routes ------------------------------------------------------
 
 
+def bpi(factors, ctx=SYM, route="direct"):
+    return bernstein_power_product_integral(factors, ctx, route)
+
+
 def test_bernstein_integral_top_index(sym_table):
     for n in range(0, 7):
-        assert bernstein_integral(n, n, SYM) == sym_table.beta(n)
+        assert bpi([(n, n, 1)]) == sym_table.beta(n)
 
 
 @pytest.mark.parametrize("n,k", [(2, 0), (3, 0), (3, 1), (5, 2), (8, 5)])
 def test_bernstein_integral_routes_agree(n, k):
-    direct = bernstein_integral(k, n, SYM, "direct")
-    reflected = bernstein_integral(k, n, SYM, "reflected")
+    direct = bpi([(k, n, 1)], route="direct")
+    reflected = bpi([(k, n, 1)], route="reflected")
     assert direct == reflected
 
 
 def test_bernstein_integral_route_domain():
     with pytest.raises(DomainError):
-        bernstein_integral(2, 3, SYM, "reflected")  # needs n > k + 1
+        bpi([(2, 3, 1)], route="reflected")  # needs n > k + 1
+    # k > n makes B_{k,n} the zero polynomial; EQ9_EQ11 skips it as out of domain
+    assert bpi([(4, 3, 1)]).is_zero()
     with pytest.raises(DomainError):
-        bernstein_integral(4, 3, SYM)
-    with pytest.raises(DomainError):
-        bernstein_integral(1, 3, SYM, "sideways")
+        bpi([(1, 3, 1)], route="sideways")
 
 
 def test_bernstein_integral_expansion_value(sym_table):
     # k=0, n=2: direct = sum_l C(2,l)(-1)^l beta_l
     expect = sym_table.beta(0) - 2 * sym_table.beta(1) + sym_table.beta(2)
-    assert bernstein_integral(0, 2, SYM, "direct") == expect
+    assert bpi([(0, 2, 1)], route="direct") == expect
 
 
 def test_product_single_factor_reduces(sym_table):
-    assert bernstein_product_integral([(1, 3)], SYM, "II") == bernstein_integral(1, 3, SYM)
-    assert bernstein_product_integral([(1, 3)], SYM, "I") == bernstein_integral(
-        1, 3, SYM, "reflected"
-    )
+    # B_{0,0} = 1, so a factor (0, 0, m) leaves the integral unchanged
+    for route in ("direct", "reflected"):
+        assert bpi([(1, 3, 1), (0, 0, 2)], route=route) == bpi([(1, 3, 1)], route=route)
 
 
 @pytest.mark.parametrize("degrees,k", [((2, 3), 1), ((2, 2), 1), ((3, 4), 2), ((2, 2, 2), 1)])
 def test_product_routes_agree(degrees, k):
-    factors = [(k, n) for n in degrees]
-    assert bernstein_product_integral(factors, SYM, "I") == bernstein_product_integral(
-        factors, SYM, "II"
-    )
+    factors = [(k, n, 1) for n in degrees]
+    assert bpi(factors, route="reflected") == bpi(factors, route="direct")
 
 
 def test_product_domain_checks():
+    # the integrand is c [x]_q^a (1 - [x]_q)^b whatever the lower indices
+    mixed = [(1, 2, 1), (2, 3, 1)]
+    assert bpi(mixed, route="reflected") == bpi(mixed, route="direct")
     with pytest.raises(DomainError):
-        bernstein_product_integral([(1, 2), (2, 3)], SYM)  # mixed k
-    with pytest.raises(DomainError):
-        bernstein_product_integral([(0, 2), (0, 3)], SYM, "I")  # k = 0 route I
-    with pytest.raises(DomainError):
-        bernstein_product_integral([(1, 1), (1, 1)], SYM, "I")  # sum not > sk+1
-    assert bernstein_product_integral([(2, 1), (2, 5)], SYM, "II").is_zero()
+        bpi([(1, 1, 1), (1, 1, 1)], route="reflected")  # b = 0, not > 1
+    assert bpi([(2, 1, 1), (2, 5, 1)], route="direct").is_zero()
 
 
 def test_power_product_reduces_to_product(sym_table):
-    plain = bernstein_product_integral([(1, 2), (1, 3)], SYM, "II")
-    powered = bernstein_power_product_integral([(1, 2, 1), (1, 3, 1)], SYM, "II")
+    plain = bpi([(1, 2, 1), (1, 2, 1), (1, 3, 1)])
+    powered = bpi([(1, 2, 2), (1, 3, 1)])
     assert plain == powered
 
 
@@ -647,28 +644,28 @@ def test_power_product_reduces_to_product(sym_table):
     ],
 )
 def test_power_product_routes_agree(factors):
-    lhs = bernstein_power_product_integral(factors, SYM, "I")
-    rhs = bernstein_power_product_integral(factors, SYM, "II")
+    lhs = bpi(factors, route="reflected")
+    rhs = bpi(factors, route="direct")
     assert lhs == rhs
 
 
 def test_power_product_domain():
     with pytest.raises(DomainError):
-        bernstein_power_product_integral([(1, 1, 1), (1, 1, 1)], SYM, "I")
+        bpi([(1, 1, 1), (1, 1, 1)], route="reflected")
 
 
 def test_product_oracle_padic(padic_ctx3):
     # two equal factors at p = 3 against the definitional evaluator
     factors = ((1, 2, 1), (1, 2, 1))
-    closed = bernstein_power_product_integral(factors, padic_ctx3, "II")
+    closed = bpi(factors, padic_ctx3, "direct")
     s = riemann_sum(BernsteinProduct(factors), padic_ctx3, 8)
     assert agreement(s, closed) >= 8
 
 
 def test_powered_product_oracle_padic(padic_ctx3):
     factors = ((1, 2, 2), (1, 2, 1))
-    for route in ("I", "II"):
-        closed = bernstein_power_product_integral(factors, padic_ctx3, route)
+    for route in ("reflected", "direct"):
+        closed = bpi(factors, padic_ctx3, route)
         s = riemann_sum(BernsteinProduct(factors), padic_ctx3, 8)
         assert agreement(s, closed) >= 8
 
@@ -677,13 +674,14 @@ def test_powered_product_oracle_padic(padic_ctx3):
 
 
 def test_integrand_json_roundtrip():
-    for f in (
-        BracketPower(2, 3),
-        ReflectedPower(1, 5),
-        BernsteinProduct(((1, 2, 1), (1, 3, 2))),
-        CustomHash(9),
+    for data, f in (
+        ({"type": "bracket_power", "offset": 2, "power": 3}, BracketPower(2, 3)),
+        ({"type": "reflected_power", "offset": 1, "power": 5}, ReflectedPower(1, 5)),
+        ({"type": "bernstein_product", "factors": [[1, 2, 1], [1, 3, 2]]},
+         BernsteinProduct(((1, 2, 1), (1, 3, 2)))),
+        ({"type": "custom_hash", "seed": 9}, CustomHash(9)),
     ):
-        assert integrand_from_json(integrand_to_json(f)) == f
+        assert integrand_from_json(data) == f
     with pytest.raises(DomainError):
         integrand_from_json({"type": "nope"})
 

@@ -16,14 +16,6 @@ def load(name):
     return module
 
 
-def test_run_verification(capsys):
-    assert load("run_verification").main(["--primes", "7"]) == 0
-    out = capsys.readouterr().out
-    assert "symbolic        {'total': 478, 'passed': 478, 'failed': 0" in out
-    assert "padic p=7       {'total': 40, 'passed': 40, 'failed': 0" in out
-    assert "total wall time" in out
-
-
 def test_calibrate_convergence(capsys):
     assert load("calibrate_convergence").main(["--primes", "7"]) == 0
     out = capsys.readouterr().out
