@@ -28,6 +28,10 @@ CASES = {
     "table_beta_at_one": ["table", "--kind", "beta", "--range", "0:20", "--at-one",
                           "--format", "csv"],
     "table_integral_k1": ["table", "--kind", "integral", "--range", "0:8", "--k", "1"],
+    "integrate_bernstein_p3": [
+        "integrate", "--backend", "padic", "--p", "3", "--integrand",
+        '{"type":"bernstein_product","factors":[[1,3,1],[1,2,2]]}',
+    ],
 }
 
 
