@@ -48,11 +48,6 @@ def closed_value(tag, ctx, tbl):
     return closed_one_minus_x_power(a, ctx, tbl)
 
 
-def valuation_of_diff(a, b):
-    d = a - b
-    return d.prec if d.is_zero() else d.valuation
-
-
 def certified(f, ctx, level):
     """The best result ``integrate`` holds after summing levels 1..level."""
     try:
@@ -79,14 +74,14 @@ def main(argv=None):
         for f, tag in grid():
             closed = closed_value(tag, ctx, tbl)
             sums = [riemann_sum(f, ctx, n) for n in range(1, cap + 1)]
-            agree = [valuation_of_diff(s, closed) for s in sums]
-            steps = [valuation_of_diff(b, a) for a, b in zip(sums, sums[1:])]
+            agree = [(s - closed)._effective_valuation() for s in sums]
+            steps = [(b - a)._effective_valuation() for a, b in zip(sums, sums[1:])]
             slack = agree[-1] - cap
             worst_slack = slack if worst_slack is None else min(worst_slack, slack)
             monotone = all(x <= y for x, y in zip(steps, steps[1:]))
             results = [certified(f, ctx, n) for n in range(1, cap + 1)]
             bounds = [r.stabilization_valuation for r in results]
-            true = [valuation_of_diff(r.value, closed) for r in results]
+            true = [(r.value - closed)._effective_valuation() for r in results]
             overclaims += sum(b > t for b, t in zip(bounds, true))
             print(
                 f"  {f!r:38s} agree@cap={agree[-1]:>3} slack={slack:+d} "

@@ -116,20 +116,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _context(args) -> QContext:
-    if args.backend == "symbolic":
-        if args.q != "1+p":
-            raise DomainError("a q literal only applies to the padic backend")
-        return QContext.symbolic()
-    return QContext.padic(args.p, args.precision, args.q)
+def _config(args) -> SuiteConfig:
+    """The global flags as a suite configuration; its ``context()`` is the
+    working context of every command."""
+    return SuiteConfig(backend=args.backend, prime=args.p, precision=args.precision,
+                       q=args.q, target_valuation=args.target_valuation,
+                       level_cap=args.level_cap)
 
 
-def _parse_x(text: str):
-    text = text.strip()
+def _parse_x(text: str, ctx: QContext):
+    """An integer x, or on the padic backend a rational one."""
     try:
-        return int(text)
+        x = int(text)
     except ValueError:
-        return rational_literal(text)
+        x = rational_literal(text.strip())
+    if ctx.is_symbolic and not isinstance(x, int):
+        raise DomainError("symbolic backend takes integer x only")
+    return x
 
 
 def _scalar_payload(value, ctx) -> dict:
@@ -162,7 +165,7 @@ def _render_cell(value, ctx) -> str:
 
 
 def _cmd_number(args) -> int:
-    ctx = _context(args)
+    ctx = _config(args).context()
     tbl = table_for(ctx)
     value = tbl.beta(args.n) if args.command == "beta" else tbl.xi(args.n)
     payload = {"n": args.n, "backend": args.backend, **_scalar_payload(value, ctx)}
@@ -171,10 +174,8 @@ def _cmd_number(args) -> int:
 
 
 def _cmd_beta_poly(args) -> int:
-    ctx = _context(args)
-    x = _parse_x(args.x)
-    if ctx.is_symbolic and not isinstance(x, int):
-        raise DomainError("symbolic backend takes integer x only")
+    ctx = _config(args).context()
+    x = _parse_x(args.x, ctx)
     value = table_for(ctx).beta_poly(args.n, x)
     payload = {"n": args.n, "x": str(x), "backend": args.backend,
                **_scalar_payload(value, ctx)}
@@ -183,10 +184,8 @@ def _cmd_beta_poly(args) -> int:
 
 
 def _cmd_bernstein(args) -> int:
-    ctx = _context(args)
-    x = _parse_x(args.x)
-    if ctx.is_symbolic and not isinstance(x, int):
-        raise DomainError("symbolic backend takes integer x only")
+    ctx = _config(args).context()
+    x = _parse_x(args.x, ctx)
     value = bernstein_eval(BernsteinSpec(args.k, args.n), x, ctx)
     payload = {"k": args.k, "n": args.n, "x": str(x), "backend": args.backend,
                **_scalar_payload(value, ctx)}
@@ -197,7 +196,7 @@ def _cmd_bernstein(args) -> int:
 def _cmd_integrate(args) -> int:
     if args.backend != "padic":
         raise DomainError("integrate requires --backend padic")
-    ctx = _context(args)
+    ctx = _config(args).context()
     spec = args.integrand
     if spec.startswith("@"):
         try:
@@ -228,14 +227,7 @@ def _cmd_verify(args) -> int:
             raise DomainError(f"cannot read grid file: {exc}") from exc
         config = SuiteConfig.from_json(data)
     else:
-        config = SuiteConfig(
-            backend=args.backend,
-            prime=args.p,
-            precision=args.precision,
-            q=args.q,
-            target_valuation=args.target_valuation,
-            level_cap=args.level_cap,
-        )
+        config = _config(args)
     reports = run_suite(config)
     _emit(args, reports_to_jsonl(reports))
     return suite_exit_status(reports)
@@ -251,7 +243,7 @@ def _parse_range(text: str):
 
 
 def _cmd_table(args) -> int:
-    ctx = _context(args)
+    ctx = _config(args).context()
     tbl = table_for(ctx)
     rows = []
     if args.kind == "beta":
@@ -267,9 +259,7 @@ def _cmd_table(args) -> int:
                 row["value_at_q1"] = str(eval_at_one(tbl.beta(n)))
             rows.append(row)
     elif args.kind == "bernstein":
-        x = _parse_x(args.x)
-        if ctx.is_symbolic and not isinstance(x, int):
-            raise DomainError("symbolic backend takes integer x only")
+        x = _parse_x(args.x, ctx)
         header = ["n", "k", "x", "value"]
         for n in _parse_range(args.range):
             for k in range(n + 1):

@@ -49,6 +49,7 @@ from .integral import (
     BracketPower,
     ReflectedPower,
     _bernstein_shape,
+    _is_json_int,
     _reflected_sum,
     bernstein_power_product_integral,
     closed_one_minus_x_power,
@@ -155,11 +156,6 @@ class IdentityReport:
         }
 
 
-def _agreement(diff: Scalar):
-    """The valuation to which a p-adic difference vanishes."""
-    return diff.prec if diff.is_zero() else diff.valuation
-
-
 def _compare(lhs: Scalar, rhs: Scalar, ctx: QContext, target: Optional[int]) -> Verdict:
     """Exact comparison in symbolic mode; valuation comparison in padic mode.
 
@@ -173,7 +169,7 @@ def _compare(lhs: Scalar, rhs: Scalar, ctx: QContext, target: Optional[int]) -> 
     certified = min(lhs.prec, rhs.prec)
     t = certified if target is None else target
     diff = lhs - rhs
-    achieved = _agreement(diff)
+    achieved = diff._effective_valuation()
     if t > certified:
         # cannot certify the requested agreement; report what is achieved
         return Verdict.fail(diff, achieved=achieved)
@@ -229,7 +225,8 @@ def _theorem1(run: _Run, n: int, x: int):
         closed = closed_reflected_power(n, x, ctx)
         ruling = (
             "oracle supports the reflected closed form as printed "
-            f"(agreement {_agreement(lhs - closed)} vs {_agreement(lhs + closed)} "
+            f"(agreement {(lhs - closed)._effective_valuation()} vs "
+            f"{(lhs + closed)._effective_valuation()} "
             "for the sign-flipped reading); "
             "for even n the plain bracket-power closed form therefore needs the "
             "1/(1-q)^(n-1) prefactor, not 1/(q-1)^(n-1)"
@@ -379,19 +376,15 @@ def _q_to_1(run: _Run, n: int, xi: bool):
 # ---------------------------------------------------------------------------
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_seq(v) -> bool:
     return isinstance(v, (list, tuple))
 
 
 # parameter types: (what an error message calls it, predicate)
-_INT = ("an integer", _is_int)
-_INTS = ("a list of integers", lambda v: _is_seq(v) and all(map(_is_int, v)))
+_INT = ("an integer", _is_json_int)
+_INTS = ("a list of integers", lambda v: _is_seq(v) and all(map(_is_json_int, v)))
 _PAIRS = ("a list of [n, m] integer pairs",
-          lambda v: _is_seq(v) and all(_is_seq(t) and len(t) == 2 and all(map(_is_int, t))
+          lambda v: _is_seq(v) and all(_is_seq(t) and len(t) == 2 and all(map(_is_json_int, t))
                                        for t in v))
 _BOOL = ("true or false", lambda v: isinstance(v, bool))
 _READING = ('"sigma" or "literal"', lambda v: v in ("sigma", "literal"))
@@ -497,6 +490,8 @@ class SuiteConfig:
 
     def context(self) -> QContext:
         if self.backend == "symbolic":
+            if self.q != "1+p":
+                raise DomainError("a q literal only applies to the padic backend")
             return QContext.symbolic()
         return QContext.padic(self.prime, self.precision, self.q)
 
@@ -517,8 +512,10 @@ class SuiteConfig:
             raise DomainError(f"unknown backend {cfg.backend!r}")
         for key in ("prime", "precision", "target_valuation", "level_cap"):
             value = getattr(cfg, key)
-            if not (_is_int(value) or key == "level_cap" and value is None):
+            if not (_is_json_int(value) or key == "level_cap" and value is None):
                 raise DomainError(f"{key} must be an integer")
+        if not isinstance(cfg.corrupt, bool):
+            raise DomainError("corrupt must be true or false")
         if cfg.identities is not None:
             if not isinstance(cfg.identities, list):
                 raise DomainError("identities must be a list")

@@ -34,22 +34,27 @@ The closed form for the plain bracket power integral is implemented with
 the prefactor ``1/(1-q)^(m-1)``: that is the reading forced by its own
 degeneration to the q-Bernoulli values (and the one the oracle supports);
 the variant with ``1/(q-1)^(m-1)`` fails for even m by the sign (-1)^(m-1).
+The printed reflected closed form is this form at 1/q (THM1's reflection
+duality), so the oracle's ruling on it rules on this prefactor.
 
-The structured integrands (bracket power, reflected power, Bernstein
-product) are summed by an integer kernel: q^x and the bracket are plain
-ints modulo p^(K + nu_p(scale)), the bracket stepping by
-``[y+1]_q = 1 + q[y]_q`` (or ``[y-1]_{1/q} = q([y]_{1/q} - 1)``) with no
-division.  Its contract is bit-identity with the ``PadicNumber`` loop that
-``Custom`` integrands still take: the same (valuation, unit, precision),
-or the same exception, for every sum.
+Each structured integrand has one shape (``_shape``): ``scale * y^a
+(1 - y)^b`` for y = [x + c]_q or [c - x]_{1/q}, which ``_bracket_form``
+writes as (1 - r q^x)/(1 - s).  The term evaluator, the integer kernel and
+the coefficient valuations all read it, and a constant (a + b = 0) forms no
+1/(1 - s).  The kernel sums in plain ints modulo p^(K + nu_p(scale)), the
+bracket stepping by ``[y+1]_q = 1 + q[y]_q`` (or
+``[y-1]_{1/q} = q([y]_{1/q} - 1)``) with no division.  Its contract is
+bit-identity with the ``PadicNumber`` loop that ``Custom`` integrands still
+take: the same (valuation, unit, precision), or the same exception, for
+every sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from math import comb, inf, isinf
 from typing import Callable, Optional, Union
-from weakref import WeakKeyDictionary
 
 from .carlitz import CarlitzTable, table_for
 from .errors import (
@@ -60,7 +65,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .padic import PadicNumber, int_valuation
-from .qfield import QContext, Scalar, q_pow
+from .qfield import QContext, Scalar, invert_q, q_pow
 
 __all__ = [
     "BracketPower",
@@ -209,32 +214,44 @@ def _bernstein_shape(factors):
     return coeff, a, b
 
 
+def _shape(f: Integrand):
+    """(scale, a, b, c, reflected) with f = scale * y^a (1 - y)^b for the
+    bracket y = [x + c]_q, or y = [c - x]_{1/q} when ``reflected``; None for
+    an integrand without that shape."""
+    if isinstance(f, BracketPower):
+        return 1, f.power, 0, f.offset, False
+    if isinstance(f, ReflectedPower):
+        return 1, f.power, 0, f.offset, True
+    if isinstance(f, BernsteinProduct):
+        return (*_bernstein_shape(f.factors), 0, False)
+    return None
+
+
+def _bracket_form(c: int, reflected: bool, ctx: QContext):
+    """(r, s) with y = (1 - r q^x)/(1 - s) and 1 - y = (r q^x - s)/(1 - s):
+    (q^c, q) for [x + c]_q, (q^-c, 1/q) for [c - x]_{1/q}."""
+    if reflected:
+        return q_pow(-c, ctx), ctx.one() / ctx.q
+    return q_pow(c, ctx), ctx.q
+
+
 def _term_evaluator(f: Integrand, ctx: QContext):
     """Build term(x, q^x) -> Scalar with everything x-independent hoisted."""
-    one = ctx.one()
-    q = ctx.q
-    if isinstance(f, BracketPower):
-        if f.power == 0:
-            return lambda x, qx: one
-        qc = q_pow(f.offset, ctx)
-        inv = one / (one - q)
-        m = f.power
-        return lambda x, qx: ((one - qc * qx) * inv) ** m
+    shape = _shape(f)
+    if shape is not None:
+        scale, a, b, c, reflected = shape
+        const = ctx.embed(scale)
+        if a + b == 0:  # a constant needs no 1/(1 - s)
+            return lambda x, qx: const
+        one = ctx.one()
+        r, s = _bracket_form(c, reflected, ctx)
+        inv = one / (one - s)
 
-    if isinstance(f, ReflectedPower):
-        # [c - x]_{1/q} = (1 - q^{x-c}) / (1 - 1/q)
-        if f.power == 0:
-            return lambda x, qx: one
-        qmc = q_pow(-f.offset, ctx)
-        inv = one / (one - one / q)
-        n = f.power
-        return lambda x, qx: ((one - qmc * qx) * inv) ** n
+        def term(x, qx):
+            y = (one - r * qx) * inv
+            return const * y ** a * (one - y) ** b
 
-    if isinstance(f, BernsteinProduct):
-        coeff, a, b = _bernstein_shape(f.factors)
-        const = ctx.embed(coeff)
-        inv = one / (one - q)
-        return lambda x, qx: const * ((one - qx) * inv) ** a * (one - (one - qx) * inv) ** b
+        return term
 
     if isinstance(f, Custom):
         ev = f.evaluator
@@ -249,11 +266,10 @@ def _term_evaluator(f: Integrand, ctx: QContext):
 def riemann_sum(f: Integrand, ctx: QContext, level: int) -> Scalar:
     """The level-N q-Riemann sum (1/[p^N]_q) sum_{x<p^N} q^x f(x).
 
-    ``BracketPower``, ``ReflectedPower`` and ``BernsteinProduct`` are summed
-    by the integer kernel ``_kernel_sum``; ``Custom`` and ``CustomHash``
-    (and any q not carried to exactly K digits) go through the
-    ``PadicNumber`` loop ``_object_sum``, the reference the kernel matches
-    bit for bit.
+    Integrands with a ``_shape`` are summed by the integer kernel
+    ``_kernel_sum``; ``Custom`` and ``CustomHash`` (and any q not carried
+    to exactly K digits) go through the ``PadicNumber`` loop
+    ``_object_sum``, the reference the kernel matches bit for bit.
     """
     if ctx.is_symbolic:
         raise DomainError("the Riemann evaluator requires the padic backend")
@@ -267,7 +283,7 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int) -> Scalar:
         )
     # hoists the x-independent constants, which raise on too few digits
     term = _term_evaluator(f, ctx)
-    if isinstance(f, _KERNEL_INTEGRANDS) and ctx.q.prec == ctx.pctx.precision:
+    if _shape(f) is not None and ctx.q.prec == ctx.pctx.precision:
         return _kernel_sum(f, ctx, total)
     return _object_sum(term, ctx, total)
 
@@ -286,37 +302,31 @@ def _object_sum(term, ctx: QContext, total: int) -> Scalar:
     return weighted / weights
 
 
-_KERNEL_INTEGRANDS = (BracketPower, ReflectedPower, BernsteinProduct)
-
-
 def _kernel_sum(f: Integrand, ctx: QContext, total: int) -> Scalar:
-    """``_object_sum`` for a structured integrand, summed in plain ints.
+    """``_object_sum`` for an integrand with a ``_shape``, summed in plain ints.
 
-    Every such integrand is ``scale * y^a (1 - y)^b`` for a bracket y that
-    steps affinely with x: ``[x+c+1]_q = 1 + q[x+c]_q``,
-    ``[c-x-1]_{1/q} = q([c-x]_{1/q} - 1)`` and ``[x+1]_q = 1 + q[x]_q``.
-    With q = ctx.q.unit (q carried to exactly K digits) the terms are
-    p-adic integers and are summed modulo p^(K + nu_p(scale)).  The object
-    loop certifies its weight sum to K and its weighted sum to exactly
-    ``nu_p(scale) + K - nu(q-1)`` (``nu_p(scale) + K`` at degree 0): every
-    bracket term has valuation >= 0 and precision K - nu(q-1), and some
-    residue x makes a term a unit.  Rebuilt with those precisions and
-    divided by ``PadicNumber.__truediv__``, the two sums give the object
-    loop's (v, unit, prec) and its exceptions.
+    Its bracket y starts at [c]_s (s = q, or 1/q when reflected) and steps
+    affinely with x: ``[x+c+1]_q = 1 + q[x+c]_q`` or
+    ``[c-x-1]_{1/q} = q([c-x]_{1/q} - 1)``.  With q = ctx.q.unit (q carried
+    to exactly K digits) the terms are p-adic integers and are summed modulo
+    p^(K + nu_p(scale)).  The object loop certifies its weight sum to K and
+    its weighted sum to exactly ``nu_p(scale) + K - nu(q-1)``: every bracket
+    term has valuation >= 0 and precision K - nu(1-s) = K - nu(q-1), and
+    some residue x makes a term a unit.  A constant (a + b = 0) forms no
+    1/(1-s), and there it is ``nu_p(scale) + K``.  Rebuilt with those
+    precisions and divided by ``PadicNumber.__truediv__``, the two sums give
+    the object loop's (v, unit, prec) and its exceptions.
     """
     pctx = ctx.pctx
     p, digits = pctx.prime, pctx.precision
-    if isinstance(f, BernsteinProduct):
-        (scale, a, b), offset = _bernstein_shape(f.factors), 0
-    else:
-        scale, a, b, offset = 1, f.power, 0, f.offset
+    scale, a, b, c, reflected = _shape(f)
     shift = int_valuation(scale, p)
     mod = p ** (digits + shift)
     u = ctx.q.unit
-    if isinstance(f, ReflectedPower):  # y = [c - x]_{1/q}
-        y, step = _int_bracket(offset, pow(u, -1, mod), mod), -u
-    else:  # y = [x + c]_q
-        y, step = _int_bracket(offset, u, mod), 1
+    if reflected:
+        y, step = _int_bracket(c, pow(u, -1, mod), mod), -u
+    else:
+        y, step = _int_bracket(c, u, mod), 1
     weighted = weights = 0
     qx = 1
     for _ in range(total):
@@ -377,7 +387,7 @@ def integrate(
             break
         if level > 1:
             diff = sums[-1] - sums[-2]
-            history.append(diff.prec if diff.is_zero() else diff.valuation)
+            history.append(diff._effective_valuation())
         value, bound, kind = sums[-1], 0, "none"
         if valuations is None:
             if history:
@@ -404,35 +414,26 @@ def integrate(
 
 def _u_coefficient_valuations(f: Integrand, ctx: QContext) -> Optional[list]:
     """Lower bounds on nu(g_0), ..., nu(g_d) for f = sum_j g_j u^j in
-    u = q^x, or None for integrands without that structure.
+    u = q^x, or None for integrands without a ``_shape``.
 
-    f is ``scale * prod (c0 + c1 u)^power`` with unit or +-1 factors c0, c1,
-    so nu(g_j) = nu(scale) + nu(coefficient j of the product).
+    With y = (1 - r u)/(1 - s) and 1 - y = (r u - s)/(1 - s) from
+    ``_bracket_form``, f is ``scale (1-s)^-(a+b) (1 - r u)^a (r u - s)^b``
+    with units r, s and nu(1 - s) = nu(q - 1), so nu(g_j) is
+    nu(scale) - (a + b) nu(q - 1) plus that of coefficient j of the product.
     """
-    one = ctx.one()
-    q = ctx.q
-    e = ctx.q_minus_one_valuation
-    if isinstance(f, BracketPower):
-        # [x + c]_q = (1 - q^c u) / (1 - q)
-        factors = [((one, -q_pow(f.offset, ctx)), f.power)]
-        shift = -e * f.power
-    elif isinstance(f, ReflectedPower):
-        # [c - x]_{1/q} = (1 - q^{-c} u) / (1 - 1/q)
-        factors = [((one, -q_pow(-f.offset, ctx)), f.power)]
-        shift = -e * f.power
-    elif isinstance(f, BernsteinProduct):
-        # [x]_q = (1 - u)/(1 - q) and 1 - [x]_q = (u - q)/(1 - q)
-        coeff, a, b = _bernstein_shape(f.factors)
-        factors = [((one, -one), a), ((-q, one), b)]
-        shift = int_valuation(coeff, ctx.prime) - e * (a + b)
-    else:
+    shape = _shape(f)
+    if shape is None:
         return None
+    scale, a, b, c, reflected = shape
+    one = ctx.one()
+    r, s = _bracket_form(c, reflected, ctx)
     poly = [one]
-    for (c0, c1), power in factors:
+    for (c0, c1), power in (((one, -r), a), ((-s, r), b)):
         for _ in range(power):
             poly = [c0 * poly[0]] + [
                 c0 * hi + c1 * lo for lo, hi in zip(poly, poly[1:])
             ] + [c1 * poly[-1]]
+    shift = int_valuation(scale, ctx.prime) - ctx.q_minus_one_valuation * (a + b)
     return [shift + g._effective_valuation() for g in poly]
 
 
@@ -467,9 +468,7 @@ def _extrapolate(valuations: list, sums: list, ctx: QContext):
 # ---------------------------------------------------------------------------
 
 
-# unreached by the CLI, kept: it is the printed formula whose 1/(1-q)^(m-1)
-# prefactor the README adjudicates, checked against beta_poly by the tests
-def closed_bracket_power(m: int, x, ctx: QContext, tbl: Optional[CarlitzTable] = None) -> Scalar:
+def closed_bracket_power(m: int, x, ctx: QContext) -> Scalar:
     """Closed form of the integral of [x + y]_q^m over y.
 
     Equals beta_poly(m, x); exponent 0 returns the exact total measure 1
@@ -492,24 +491,14 @@ def closed_bracket_power(m: int, x, ctx: QContext, tbl: Optional[CarlitzTable] =
     return acc / (one - ctx.q) ** (m - 1)
 
 
-def closed_reflected_power(n: int, x, ctx: QContext, tbl: Optional[CarlitzTable] = None) -> Scalar:
+def closed_reflected_power(n: int, x, ctx: QContext) -> Scalar:
     """Closed form of the integral of [1 - x + y]_{1/q}^n over y under the
-    inverted measure: (q^n/(q-1)^(n-1)) sum_l C(n,l)(-1)^l q^{lx} (l+1)/(q^{l+1}-1)."""
-    if n < 0:
-        raise DomainError("exponent must be nonnegative")
-    if n == 0:
-        return ctx.one()
-    one = ctx.one()
-    qx = q_pow(x, ctx)
-    acc = ctx.zero()
-    ql = one
-    qp = ctx.q
-    for l in range(n + 1):
-        term = comb(n, l) * (l + 1) * ql / (qp - one)
-        acc = acc + (term if l % 2 == 0 else -term)
-        ql = ql * qx
-        qp = qp * ctx.q
-    return acc * q_pow(n, ctx) / (ctx.q - one) ** (n - 1)
+    inverted measure: (q^n/(q-1)^(n-1)) sum_l C(n,l)(-1)^l q^{lx} (l+1)/(q^{l+1}-1).
+
+    That is the bracket-power form at 1/q and 1 - x, so THM1's sign ruling
+    on this printed form rules on the bracket-power prefactor.
+    """
+    return closed_bracket_power(n, 1 - x, invert_q(ctx))
 
 
 def closed_one_minus_x_power(n: int, ctx: QContext, tbl: Optional[CarlitzTable] = None) -> Scalar:
@@ -528,38 +517,21 @@ def closed_one_minus_x_power(n: int, ctx: QContext, tbl: Optional[CarlitzTable] 
 #   reflected expands [x]_q^a = (1 - [1-x]_{1/q})^a and applies the
 #             one-minus-x closed form (needs b > 1 so each exponent is > 1).
 
-_ROUTE_CACHE: "WeakKeyDictionary[CarlitzTable, dict]" = WeakKeyDictionary()
-
-
-def _route_cache(tbl: CarlitzTable) -> dict:
-    cache = _ROUTE_CACHE.get(tbl)
-    if cache is None:
-        cache = {}
-        _ROUTE_CACHE[tbl] = cache
-    return cache
-
-
 # kept as named entry points: the acceptance test imports both route sums
+@cache
 def _power_integral_direct(a: int, b: int, tbl: CarlitzTable) -> Scalar:
-    cache = _route_cache(tbl)
-    key = ("direct", a, b)
-    if key not in cache:
-        acc = tbl.ctx.zero()
-        for l in range(b + 1):
-            term = comb(b, l) * tbl.beta(a + l)
-            acc = acc + (term if l % 2 == 0 else -term)
-        cache[key] = acc
-    return cache[key]
+    acc = tbl.ctx.zero()
+    for l in range(b + 1):
+        term = comb(b, l) * tbl.beta(a + l)
+        acc = acc + (term if l % 2 == 0 else -term)
+    return acc
 
 
+@cache
 def _power_integral_reflected(a: int, b: int, tbl: CarlitzTable) -> Scalar:
     if b <= 1:
         raise DomainError("the reflected route requires the [1-x] exponent > 1")
-    cache = _route_cache(tbl)
-    key = ("reflected", a, b)
-    if key not in cache:
-        cache[key] = _reflected_sum(a, a + b, a + b, tbl)
-    return cache[key]
+    return _reflected_sum(a, a + b, a + b, tbl)
 
 
 def _reflected_sum(a: int, total: int, top: int, tbl: CarlitzTable) -> Scalar:

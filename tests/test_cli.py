@@ -70,6 +70,19 @@ def test_integrate_constant(capsys):
     assert payload["value"]["digits"][0] == 1
 
 
+def test_integrate_constant_bernstein_product_low_precision(capsys):
+    # [x]_q^0 (1 - [x]_q)^0 is the constant 1: at K = 2 it integrates like
+    # [x]_q^0, with no 1/(1 - q) formed
+    args = ("integrate", "--backend", "padic", "--p", "3", "--precision", "2",
+            "--integrand")
+    want = run(capsys, *args, '{"type":"bracket_power","offset":0,"power":0}')
+    got = run(capsys, *args, '{"type":"bernstein_product","factors":[[0,0,1]]}')
+    assert got == want
+    code, out, _ = got
+    assert code == 3
+    assert json.loads(out)["stabilization_valuation"] == 1
+
+
 def test_integrate_bracket_power(capsys):
     code, out, _ = run(capsys, "integrate", "--backend", "padic", "--p", "3",
                        "--target-valuation", "6",
@@ -251,6 +264,8 @@ MALFORMED_GRIDS = {
                                          "reading": "mystery"})),
     "reading-out-of-domain": _grid(("THM6", {"nm": [[1, 1]], "k": 1,
                                              "reading": "mystery"})),
+    "symbolic-q-literal": _grid(("PROP2", {"n": 2}), backend="symbolic", q="5"),
+    "corrupt-not-bool": _grid(("PROP2", {"n": 2}), corrupt="no"),
 }
 
 
@@ -387,3 +402,9 @@ def test_out_unwritable_exits_2(capsys, tmp_path, argv):
 def test_symbolic_rejects_q_literal(capsys):
     code, _, err = run(capsys, "beta", "--n", "1", "--q", "3/2")
     assert code == 2
+
+
+def test_symbolic_verify_rejects_q_literal(capsys):
+    code, out, err = run(capsys, "verify", "--q", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: a q literal only applies to the padic backend\n"
