@@ -32,6 +32,10 @@ CASES = {
         "integrate", "--backend", "padic", "--p", "3", "--integrand",
         '{"type":"bernstein_product","factors":[[1,3,1],[1,2,2]]}',
     ],
+    "integrate_none_p3": [
+        "integrate", "--backend", "padic", "--p", "3", "--level-cap", "1",
+        "--integrand", '{"type":"bracket_power","offset":0,"power":6}',
+    ],
 }
 
 
