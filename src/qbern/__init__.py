@@ -27,8 +27,6 @@ from .identities import (
 from .integral import (
     BernsteinProduct,
     BracketPower,
-    Custom,
-    CustomHash,
     ReflectedPower,
     RiemannResult,
     bernstein_power_product_integral,

@@ -267,6 +267,8 @@ def _cmd_table(args) -> int:
                 rows.append({"n": n, "k": k, "x": str(x),
                              "value": _render_cell(value, ctx)})
     else:
+        if args.k < 0:
+            raise DomainError("need k >= 0")
         header = ["n", "k", "route", "value"]
         for n in _parse_range(args.range):
             if not 0 <= args.k <= n:

@@ -6,9 +6,9 @@ to 1 exactly because ``sum_{x<p^N} q^x = [p^N]_q`` (the evaluator divides
 by the accumulated weight sum, so this holds on the nose).
 
 The adaptive controller raises the level until a proven certificate reaches
-the target valuation.  Each structured integrand is a polynomial
-``sum_j g_j u^j`` of degree d in u = q^x, so the level-N sum is exactly
-``P(t_N)`` with ``t_N = q^(p^N)`` and
+the target valuation.  Each integrand is a polynomial ``sum_j g_j u^j`` of
+degree d in u = q^x, so the level-N sum is exactly ``P(t_N)`` with
+``t_N = q^(p^N)`` and
 
     P(t) = sum_j g_j (1-q)/(1-q^(j+1)) (1 + t + ... + t^j),
 
@@ -20,8 +20,7 @@ difference of P, whose valuation is at least the least coefficient
 valuation of P.  Either way the certificate is a proven bound and no
 closed form is consulted, and the value is truncated to the bound, so it
 never carries an unproven digit.  Agreement of two consecutive sums proves
-nothing (they can agree by accident), so only ``Custom`` integrands, which
-have no degree, still stop on it, and their certificate says so.
+nothing (they can agree by accident), so no stop rule reads it.
 
 The Riemann evaluator is the ground-truth oracle here: the closed forms
 below are validated against it (by the identities module for the bracket
@@ -37,16 +36,16 @@ the variant with ``1/(q-1)^(m-1)`` fails for even m by the sign (-1)^(m-1).
 The printed reflected closed form is this form at 1/q (THM1's reflection
 duality), so the oracle's ruling on it rules on this prefactor.
 
-Each structured integrand has one shape (``_shape``): ``scale * y^a
-(1 - y)^b`` for y = [x + c]_q or [c - x]_{1/q}, which ``_bracket_form``
-writes as (1 - r q^x)/(1 - s).  The term evaluator, the integer kernel and
-the coefficient valuations all read it, and a constant (a + b = 0) forms no
-1/(1 - s).  The kernel sums in plain ints modulo p^(K + nu_p(scale)), the
-bracket stepping by ``[y+1]_q = 1 + q[y]_q`` (or
+Each integrand has one shape (``_shape``): ``scale * y^a (1 - y)^b`` for
+y = [x + c]_q or [c - x]_{1/q}, which ``_bracket_form`` writes as
+(1 - r q^x)/(1 - s); no other integrand exists.  The term evaluator, the
+integer kernel and the coefficient valuations all read it, and a constant
+(a + b = 0) forms no 1/(1 - s).  The kernel sums in plain ints modulo
+p^(K + nu_p(scale)), the bracket stepping by ``[y+1]_q = 1 + q[y]_q`` (or
 ``[y-1]_{1/q} = q([y]_{1/q} - 1)``) with no division.  Its contract is
-bit-identity with the ``PadicNumber`` loop that ``Custom`` integrands still
-take: the same (valuation, unit, precision), or the same exception, for
-every sum.
+bit-identity with the ``PadicNumber`` loop ``_object_sum``, which a q not
+carried to exactly K digits still takes: the same (valuation, unit,
+precision), or the same exception, for every sum.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache
 from math import comb, inf, isinf
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .carlitz import CarlitzTable, table_for
 from .errors import (
@@ -71,8 +70,6 @@ __all__ = [
     "BracketPower",
     "ReflectedPower",
     "BernsteinProduct",
-    "Custom",
-    "CustomHash",
     "Integrand",
     "RiemannResult",
     "default_level_cap",
@@ -141,26 +138,7 @@ class BernsteinProduct:
                 raise DomainError(f"power must be nonnegative in factor {(k, n, m)}")
 
 
-# unreached by the CLI, kept: tests use it to drive the _object_sum reference path
-@dataclass(frozen=True)
-class Custom:
-    """An arbitrary residue-class evaluator x -> Scalar; Riemann-only, no
-    convergence guarantee."""
-
-    evaluator: Callable[[int, QContext], Scalar]
-
-
-@dataclass(frozen=True)
-class CustomHash:
-    """Deterministic pseudo-random integrand (for exercising failure paths)."""
-
-    seed: int = 1
-
-    def value(self, x: int) -> int:
-        return ((x + self.seed) * 2654435761 + 12345) % 2**31
-
-
-Integrand = Union[BracketPower, ReflectedPower, BernsteinProduct, Custom, CustomHash]
+Integrand = Union[BracketPower, ReflectedPower, BernsteinProduct]
 
 
 @dataclass(frozen=True)
@@ -171,9 +149,8 @@ class RiemannResult:
     ``exact-degree``: at least d + 1 levels went into the extrapolated
     value, so the certificate is its tracked precision.  ``a-priori-bound``:
     fewer levels, so it is the interpolation error bound.  Both are proven
-    lower bounds on the valuation of the error.  ``heuristic``: the
-    valuation of the difference of the last two sums, which is no proof.
-    ``none``: no digit is certified, and the certificate is -inf.  The
+    lower bounds on the valuation of the error.  ``none``: no digit is
+    certified, and the certificate is -inf.  No other kind exists.  The
     value's precision never exceeds the certificate (nor 0 under ``none``).
     ``history[i]`` is the raw difference valuation between the sums at
     levels i+1 and i+2, for every level summed: on a cap miss it runs past
@@ -216,15 +193,14 @@ def _bernstein_shape(factors):
 
 def _shape(f: Integrand):
     """(scale, a, b, c, reflected) with f = scale * y^a (1 - y)^b for the
-    bracket y = [x + c]_q, or y = [c - x]_{1/q} when ``reflected``; None for
-    an integrand without that shape."""
+    bracket y = [x + c]_q, or y = [c - x]_{1/q} when ``reflected``."""
     if isinstance(f, BracketPower):
         return 1, f.power, 0, f.offset, False
     if isinstance(f, ReflectedPower):
         return 1, f.power, 0, f.offset, True
     if isinstance(f, BernsteinProduct):
         return (*_bernstein_shape(f.factors), 0, False)
-    return None
+    raise DomainError(f"unknown integrand {f!r}")
 
 
 def _bracket_form(c: int, reflected: bool, ctx: QContext):
@@ -237,39 +213,27 @@ def _bracket_form(c: int, reflected: bool, ctx: QContext):
 
 def _term_evaluator(f: Integrand, ctx: QContext):
     """Build term(x, q^x) -> Scalar with everything x-independent hoisted."""
-    shape = _shape(f)
-    if shape is not None:
-        scale, a, b, c, reflected = shape
-        const = ctx.embed(scale)
-        if a + b == 0:  # a constant needs no 1/(1 - s)
-            return lambda x, qx: const
-        one = ctx.one()
-        r, s = _bracket_form(c, reflected, ctx)
-        inv = one / (one - s)
+    scale, a, b, c, reflected = _shape(f)
+    const = ctx.embed(scale)
+    if a + b == 0:  # a constant needs no 1/(1 - s)
+        return lambda x, qx: const
+    one = ctx.one()
+    r, s = _bracket_form(c, reflected, ctx)
+    inv = one / (one - s)
 
-        def term(x, qx):
-            y = (one - r * qx) * inv
-            return const * y ** a * (one - y) ** b
+    def term(x, qx):
+        y = (one - r * qx) * inv
+        return const * y ** a * (one - y) ** b
 
-        return term
-
-    if isinstance(f, Custom):
-        ev = f.evaluator
-        return lambda x, qx: ev(x, ctx)
-
-    if isinstance(f, CustomHash):
-        return lambda x, qx: ctx.embed(f.value(x))
-
-    raise DomainError(f"unknown integrand {f!r}")
+    return term
 
 
 def riemann_sum(f: Integrand, ctx: QContext, level: int) -> Scalar:
     """The level-N q-Riemann sum (1/[p^N]_q) sum_{x<p^N} q^x f(x).
 
-    Integrands with a ``_shape`` are summed by the integer kernel
-    ``_kernel_sum``; ``Custom`` and ``CustomHash`` (and any q not carried
-    to exactly K digits) go through the ``PadicNumber`` loop
-    ``_object_sum``, the reference the kernel matches bit for bit.
+    The integer kernel ``_kernel_sum`` sums it; a q not carried to exactly
+    K digits goes through the ``PadicNumber`` loop ``_object_sum``, the
+    reference the kernel matches bit for bit.
     """
     if ctx.is_symbolic:
         raise DomainError("the Riemann evaluator requires the padic backend")
@@ -283,7 +247,7 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int) -> Scalar:
         )
     # hoists the x-independent constants, which raise on too few digits
     term = _term_evaluator(f, ctx)
-    if _shape(f) is not None and ctx.q.prec == ctx.pctx.precision:
+    if ctx.q.prec == ctx.pctx.precision:
         return _kernel_sum(f, ctx, total)
     return _object_sum(term, ctx, total)
 
@@ -303,7 +267,7 @@ def _object_sum(term, ctx: QContext, total: int) -> Scalar:
 
 
 def _kernel_sum(f: Integrand, ctx: QContext, total: int) -> Scalar:
-    """``_object_sum`` for an integrand with a ``_shape``, summed in plain ints.
+    """``_object_sum`` summed in plain ints.
 
     Its bracket y starts at [c]_s (s = q, or 1/q when reflected) and steps
     affinely with x: ``[x+c+1]_q = 1 + q[x+c]_q`` or
@@ -324,9 +288,9 @@ def _kernel_sum(f: Integrand, ctx: QContext, total: int) -> Scalar:
     mod = p ** (digits + shift)
     u = ctx.q.unit
     if reflected:
-        y, step = _int_bracket(c, pow(u, -1, mod), mod), -u
+        y, step = _int_bracket(c, pow(u, -1, mod), p, mod), -u
     else:
-        y, step = _int_bracket(c, u, mod), 1
+        y, step = _int_bracket(c, u, p, mod), 1
     weighted = weights = 0
     qx = 1
     for _ in range(total):
@@ -339,12 +303,16 @@ def _kernel_sum(f: Integrand, ctx: QContext, total: int) -> Scalar:
             / PadicNumber(pctx, 0, weights, digits))
 
 
-def _int_bracket(c: int, r: int, mod: int) -> int:
-    """[c]_r modulo ``mod`` for a unit r, with [-n]_r = -r^(-n) [n]_r."""
-    acc = 0
-    for _ in range(abs(c)):
-        acc = (1 + r * acc) % mod
-    return acc if c >= 0 else -pow(r, c, mod) * acc % mod
+def _int_bracket(c: int, r: int, p: int, mod: int) -> int:
+    """[c]_r = (1 - r^c)/(1 - r) modulo ``mod``, a power of p, for a unit r
+    with r != 1 mod ``mod`` (``QContext`` rejects q = 1 to K digits).
+
+    1 - r = p^e w for a unit w and e below the digits of ``mod``, so the
+    numerator taken modulo ``mod * p^e`` divides exactly by p^e.
+    """
+    pe = p ** int_valuation(1 - r, p)
+    num = (1 - pow(r, c, mod * pe)) % (mod * pe)
+    return num // pe * pow((1 - r) // pe, -1, mod) % mod
 
 
 def integrate(
@@ -356,12 +324,10 @@ def integrate(
     """Sum levels 1, 2, ... and return at the first level whose certificate
     reaches the target valuation.
 
-    For a structured integrand the value after level N is the extrapolation
-    to t = 1 over levels 1..N and the certificate its proven bound
-    (``exact-degree`` or ``a-priori-bound``).  ``Custom``/``CustomHash``
-    return the level-N sum, certified by its agreement with level N-1
-    (``heuristic``).  The value is truncated to its certificate, so it never
-    carries a digit the certificate does not cover.  A certificate of no
+    The value after level N is the extrapolation to t = 1 over levels 1..N
+    and the certificate its proven bound (``exact-degree`` or
+    ``a-priori-bound``).  The value is truncated to its certificate, so it
+    never carries a digit the certificate does not cover.  A certificate of no
     digit (<= 0) is recorded as -inf with kind ``none``.  At the cap,
     MaxLevelExceeded carries the best result, the latest level whose
     certificate is the highest, with the history of every level summed.  A
@@ -389,16 +355,12 @@ def integrate(
             diff = sums[-1] - sums[-2]
             history.append(diff._effective_valuation())
         value, bound, kind = sums[-1], 0, "none"
-        if valuations is None:
-            if history:
-                bound, kind = history[-1], "heuristic"
+        try:
+            value, bound = _extrapolate(valuations, sums, ctx)
+        except (DivisionByZero, PrecisionExhausted):
+            pass  # 1 - t_N vanishes to the working precision
         else:
-            try:
-                value, bound = _extrapolate(valuations, sums, ctx)
-            except (DivisionByZero, PrecisionExhausted):
-                pass  # 1 - t_N vanishes to the working precision
-            else:
-                kind = "exact-degree" if level >= len(valuations) else "a-priori-bound"
+            kind = "exact-degree" if level >= len(valuations) else "a-priori-bound"
         res = RiemannResult(value.truncated(bound), level, bound if bound > 0 else -inf,
                             kind if bound > 0 else "none", tuple(history))
         if level == 1 or res.stabilization_valuation >= best.stabilization_valuation:
@@ -412,19 +374,15 @@ def integrate(
     )
 
 
-def _u_coefficient_valuations(f: Integrand, ctx: QContext) -> Optional[list]:
-    """Lower bounds on nu(g_0), ..., nu(g_d) for f = sum_j g_j u^j in
-    u = q^x, or None for integrands without a ``_shape``.
+def _u_coefficient_valuations(f: Integrand, ctx: QContext) -> list:
+    """Lower bounds on nu(g_0), ..., nu(g_d) for f = sum_j g_j u^j in u = q^x.
 
     With y = (1 - r u)/(1 - s) and 1 - y = (r u - s)/(1 - s) from
     ``_bracket_form``, f is ``scale (1-s)^-(a+b) (1 - r u)^a (r u - s)^b``
     with units r, s and nu(1 - s) = nu(q - 1), so nu(g_j) is
     nu(scale) - (a + b) nu(q - 1) plus that of coefficient j of the product.
     """
-    shape = _shape(f)
-    if shape is None:
-        return None
-    scale, a, b, c, reflected = shape
+    scale, a, b, c, reflected = _shape(f)
     one = ctx.one()
     r, s = _bracket_form(c, reflected, ctx)
     poly = [one]
@@ -595,8 +553,6 @@ def integrand_from_json(data) -> Integrand:
                 f"triples, got {factors!r}"
             )
         return BernsteinProduct(tuple(tuple(t) for t in factors))
-    if kind == "custom_hash":
-        return CustomHash(_json_int(data, "seed") if "seed" in data else 1)
     raise DomainError(f"unknown integrand type {kind!r}")
 
 

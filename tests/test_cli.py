@@ -93,8 +93,8 @@ def test_integrate_bracket_power(capsys):
 
 def test_integrate_budget_exit(capsys):
     code, _, err = run(capsys, "integrate", "--backend", "padic", "--p", "3",
-                       "--level-cap", "3", "--target-valuation", "6",
-                       "--integrand", '{"type":"custom_hash","seed":7}')
+                       "--level-cap", "2", "--target-valuation", "6",
+                       "--integrand", '{"type":"bracket_power","offset":0,"power":6}')
     assert code == 3
     assert "level cap" in err
 
@@ -109,9 +109,9 @@ def test_integrate_certifies_at_cap(capsys):
     payload = json.loads(out)
     assert payload["level"] == 3
     assert payload["stabilization_valuation"] >= 8
-    code, _, err = run(capsys, "integrate", "--backend", "padic", "--p", "5",
-                       "--target-valuation", "8",
-                       "--integrand", '{"type":"custom_hash","seed":7}')
+    code, _, err = run(capsys, "integrate", "--backend", "padic", "--p", "3",
+                       "--level-cap", "2", "--target-valuation", "8",
+                       "--integrand", '{"type":"bracket_power","offset":0,"power":6}')
     assert code == 3
     assert "level cap" in err
 
@@ -119,7 +119,7 @@ def test_integrate_certifies_at_cap(capsys):
 @pytest.mark.parametrize("integrand,level_cap,kind", [
     ('{"type":"bracket_power","offset":0,"power":2}', "8", "exact-degree"),
     ('{"type":"bracket_power","offset":0,"power":6}', "3", "a-priori-bound"),
-    ('{"type":"custom_hash","seed":7}', "3", "none"),
+    ('{"type":"bracket_power","offset":0,"power":6}', "1", "none"),
 ])
 def test_integrate_prints_certificate_kind(capsys, integrand, level_cap, kind):
     code, out, _ = run(capsys, "integrate", "--backend", "padic", "--p", "3",
@@ -172,7 +172,8 @@ MALFORMED_INTEGRANDS = {
     "not-an-object": "[1]",
     "not-json": "{not json",
     "string-value": '{"type":"reflected_power","offset":"1","power":2}',
-    "bool-value": '{"type":"custom_hash","seed":true}',
+    "bool-value": '{"type":"bracket_power","offset":true,"power":6}',
+    "custom-hash": '{"type":"custom_hash","seed":7}',
     "short-triple": '{"type":"bernstein_product","factors":[[1,2]]}',
     "factors-not-a-list": '{"type":"bernstein_product","factors":5}',
     "factors-missing": '{"type":"bernstein_product"}',
@@ -369,6 +370,12 @@ def test_table_integral(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert [r["n"] for r in rows] == [1, 2, 3, 4]
+
+
+def test_table_integral_negative_k(capsys):
+    code, out, err = run(capsys, "table", "--kind", "integral", "--range", "0:3",
+                         "--k", "-1")
+    assert (code, out, err) == (2, "", "error: need k >= 0\n")
 
 
 def test_table_bad_range(capsys):
