@@ -119,7 +119,10 @@ def test_integrate_certifies_at_cap(capsys):
 @pytest.mark.parametrize("integrand,level_cap,kind", [
     ('{"type":"bracket_power","offset":0,"power":2}', "8", "exact-degree"),
     ('{"type":"bracket_power","offset":0,"power":6}', "3", "a-priori-bound"),
-    ('{"type":"bracket_power","offset":0,"power":6}', "1", "none"),
+    # a short id: the full parameter string of this row would share its
+    # first 100 characters with the row above
+    pytest.param('{"type":"bracket_power","offset":0,"power":6}', "1", "none",
+                 id="bracket-power-6-cap-1-none"),
 ])
 def test_integrate_prints_certificate_kind(capsys, integrand, level_cap, kind):
     code, out, _ = run(capsys, "integrate", "--backend", "padic", "--p", "3",
