@@ -83,6 +83,19 @@ def test_integrate_constant_bernstein_product_low_precision(capsys):
     assert json.loads(out)["stabilization_valuation"] == 1
 
 
+@pytest.mark.parametrize("integrand", [
+    '{"type":"bracket_power","offset":0,"power":2}',
+    '{"type":"reflected_power","offset":1,"power":2}',
+])
+def test_integrate_low_precision_bracket_exits_2(capsys, integrand):
+    # at K = 2 and q = 4, 1/(1 - q) keeps K - 2 nu(q - 1) = 0 digits, so the
+    # level-1 sum cannot be formed and the error escapes
+    code, out, err = run(capsys, "integrate", "--backend", "padic", "--p", "3",
+                         "--precision", "2", "--integrand", integrand)
+    assert (code, out) == (2, "")
+    assert err == "error: division result would be certified only modulo p^0\n"
+
+
 def test_integrate_bracket_power(capsys):
     code, out, _ = run(capsys, "integrate", "--backend", "padic", "--p", "3",
                        "--target-valuation", "6",
