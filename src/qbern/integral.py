@@ -38,14 +38,15 @@ duality), so the oracle's ruling on it rules on this prefactor.
 
 Each integrand has one shape (``_shape``): ``scale * y^a (1 - y)^b`` for
 y = [x + c]_q or [c - x]_{1/q}, which ``_bracket_form`` writes as
-(1 - r q^x)/(1 - s); no other integrand exists.  The term evaluator, the
-integer kernel and the coefficient valuations all read it, and a constant
-(a + b = 0) forms no 1/(1 - s).  The kernel sums in plain ints modulo
-p^(K + nu_p(scale)), the bracket stepping by ``[y+1]_q = 1 + q[y]_q`` (or
-``[y-1]_{1/q} = q([y]_{1/q} - 1)``) with no division.  Its contract is
-bit-identity with the ``PadicNumber`` loop ``_object_sum``, which a q not
-carried to exactly K digits still takes: the same (valuation, unit,
-precision), or the same exception, for every sum.
+(1 - r q^x)/(1 - s); no other integrand exists.  The integer kernel and
+the coefficient valuations both read it, and a constant (a + b = 0) forms
+no 1/(1 - s).  The kernel ``_kernel_sum`` is the one Riemann evaluator.
+Since ``QContext`` carries q to exactly K digits, it sums in plain ints
+modulo p^(K + nu_p(scale)), the bracket stepping by ``[y+1]_q = 1 + q[y]_q``
+(or ``[y-1]_{1/q} = q([y]_{1/q} - 1)``) with no division.  Its contract is
+bit-identity with the same sum taken term by term in ``PadicNumber``
+arithmetic, which the tests keep as its reference: the same (valuation,
+unit, precision), or the same exception, for every sum.
 """
 
 from __future__ import annotations
@@ -211,30 +212,9 @@ def _bracket_form(c: int, reflected: bool, ctx: QContext):
     return q_pow(c, ctx), ctx.q
 
 
-def _term_evaluator(f: Integrand, ctx: QContext):
-    """Build term(x, q^x) -> Scalar with everything x-independent hoisted."""
-    scale, a, b, c, reflected = _shape(f)
-    const = ctx.embed(scale)
-    if a + b == 0:  # a constant needs no 1/(1 - s)
-        return lambda x, qx: const
-    one = ctx.one()
-    r, s = _bracket_form(c, reflected, ctx)
-    inv = one / (one - s)
-
-    def term(x, qx):
-        y = (one - r * qx) * inv
-        return const * y ** a * (one - y) ** b
-
-    return term
-
-
 def riemann_sum(f: Integrand, ctx: QContext, level: int) -> Scalar:
-    """The level-N q-Riemann sum (1/[p^N]_q) sum_{x<p^N} q^x f(x).
-
-    The integer kernel ``_kernel_sum`` sums it; a q not carried to exactly
-    K digits goes through the ``PadicNumber`` loop ``_object_sum``, the
-    reference the kernel matches bit for bit.
-    """
+    """The level-N q-Riemann sum (1/[p^N]_q) sum_{x<p^N} q^x f(x), summed
+    by the integer kernel ``_kernel_sum``."""
     if ctx.is_symbolic:
         raise DomainError("the Riemann evaluator requires the padic backend")
     if level < 1:
@@ -245,45 +225,38 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int) -> Scalar:
         raise BudgetExceeded(
             f"level {level} needs {total} terms, over the budget of {DEFAULT_TERM_BUDGET}"
         )
-    # hoists the x-independent constants, which raise on too few digits
-    term = _term_evaluator(f, ctx)
-    if ctx.q.prec == ctx.pctx.precision:
-        return _kernel_sum(f, ctx, total)
-    return _object_sum(term, ctx, total)
-
-
-# kept as the reference path: tests require the kernel to match it bit for bit
-def _object_sum(term, ctx: QContext, total: int) -> Scalar:
-    """sum_{x<total} q^x term(x, q^x) / sum_{x<total} q^x in PadicNumbers."""
-    q = ctx.q
-    qx = ctx.one()
-    weighted = ctx.zero()
-    weights = ctx.zero()
-    for x in range(total):
-        weighted = weighted + qx * term(x, qx)
-        weights = weights + qx
-        qx = qx * q
-    return weighted / weights
+    return _kernel_sum(f, ctx, total)
 
 
 def _kernel_sum(f: Integrand, ctx: QContext, total: int) -> Scalar:
-    """``_object_sum`` summed in plain ints.
+    """sum_{x<total} q^x f(x) / sum_{x<total} q^x, summed in plain ints.
 
     Its bracket y starts at [c]_s (s = q, or 1/q when reflected) and steps
     affinely with x: ``[x+c+1]_q = 1 + q[x+c]_q`` or
     ``[c-x-1]_{1/q} = q([c-x]_{1/q} - 1)``.  With q = ctx.q.unit (q carried
     to exactly K digits) the terms are p-adic integers and are summed modulo
-    p^(K + nu_p(scale)).  The object loop certifies its weight sum to K and
-    its weighted sum to exactly ``nu_p(scale) + K - nu(q-1)``: every bracket
-    term has valuation >= 0 and precision K - nu(1-s) = K - nu(q-1), and
-    some residue x makes a term a unit.  A constant (a + b = 0) forms no
-    1/(1-s), and there it is ``nu_p(scale) + K``.  Rebuilt with those
-    precisions and divided by ``PadicNumber.__truediv__``, the two sums give
-    the object loop's (v, unit, prec) and its exceptions.
+    p^(K + nu_p(scale)).
+
+    The result, or the exception, is that of the same sum taken term by
+    term in ``PadicNumber`` arithmetic with y = (1 - r q^x) (1/(1 - s)).
+    That sum keeps K - 2 nu(q-1) digits of 1/(1 - s) and raises
+    PrecisionExhausted when none is left.  Otherwise it certifies its
+    weight sum to K and its weighted sum to exactly
+    ``nu_p(scale) + K - nu(q-1)``: every bracket term has valuation >= 0 and
+    precision K - nu(1-s) = K - nu(q-1), and some residue x makes a term a
+    unit.  A constant (a + b = 0) forms no 1/(1-s), and there it is
+    ``nu_p(scale) + K``.  Rebuilt with those precisions and divided by
+    ``PadicNumber.__truediv__``, the two sums give its (v, unit, prec) and
+    its exceptions.
     """
     pctx = ctx.pctx
     p, digits = pctx.prime, pctx.precision
     scale, a, b, c, reflected = _shape(f)
+    e = ctx.q_minus_one_valuation if a + b else 0
+    if 2 * e >= digits:
+        raise PrecisionExhausted(
+            f"division result would be certified only modulo p^{digits - 2 * e}"
+        )
     shift = int_valuation(scale, p)
     mod = p ** (digits + shift)
     u = ctx.q.unit
@@ -298,8 +271,7 @@ def _kernel_sum(f: Integrand, ctx: QContext, total: int) -> Scalar:
         weights += qx
         qx = qx * u % mod
         y = (u * y + step) % mod
-    prec = shift + digits - (ctx.q_minus_one_valuation if a + b else 0)
-    return (PadicNumber(pctx, 0, scale * weighted, prec)
+    return (PadicNumber(pctx, 0, scale * weighted, shift + digits - e)
             / PadicNumber(pctx, 0, weights, digits))
 
 
@@ -332,7 +304,8 @@ def integrate(
     MaxLevelExceeded carries the best result, the latest level whose
     certificate is the highest, with the history of every level summed.  A
     level whose sum cannot be formed at the working precision (it raises
-    DivisionByZero or PrecisionExhausted) ends the run the same way; at
+    DivisionByZero or PrecisionExhausted), or whose p^N terms are over
+    DEFAULT_TERM_BUDGET (BudgetExceeded), ends the run the same way; at
     level 1 the error escapes.
     """
     if ctx.is_symbolic:
@@ -346,7 +319,7 @@ def integrate(
     for level in range(1, cap + 1):
         try:
             sums.append(riemann_sum(f, ctx, level))
-        except (DivisionByZero, PrecisionExhausted) as exc:
+        except (BudgetExceeded, DivisionByZero, PrecisionExhausted) as exc:
             if level == 1:
                 raise
             stop = f"before level {level} ({exc})"

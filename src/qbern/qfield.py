@@ -526,7 +526,7 @@ class QContext:
 
     Symbolic contexts carry q as a rational function (the indeterminate by
     default; 1/q after inversion).  Padic contexts require q to be a unit
-    with nu_p(q - 1) >= 1.
+    with nu_p(q - 1) >= 1, carried to exactly the working precision K.
     """
 
     backend: str
@@ -544,6 +544,8 @@ class QContext:
                 raise DomainError("padic context needs a PadicContext and a padic q")
             if self.q.valuation != 0:
                 raise DomainError("q must be a p-adic unit")
+            if self.q.prec != self.pctx.precision:
+                raise DomainError("q must carry exactly the working precision")
             if (self.q - 1)._effective_valuation() < 1:
                 raise DomainError("q must satisfy nu_p(q - 1) >= 1")
             if (self.q - 1).is_zero():
@@ -569,8 +571,6 @@ class QContext:
                     f"q - 1 vanishes to the working precision: q = {q} is "
                     f"congruent to 1 mod {prime}^{precision}"
                 )
-        elif isinstance(q, PadicNumber):
-            qval = q
         else:
             raise DomainError(f"cannot interpret q specification {q!r}")
         return cls("padic", qval, pctx)

@@ -17,6 +17,8 @@ from qbern.integral import (
     BernsteinProduct,
     BracketPower,
     ReflectedPower,
+    _bracket_form,
+    _shape,
     bernstein_power_product_integral,
     closed_bracket_power,
     closed_one_minus_x_power,
@@ -73,12 +75,42 @@ def test_riemann_budget():
         riemann_sum(BracketPower(0, 1), ctx, 14)
 
 
+# -- the PadicNumber reference for the integer kernel -------------------------
+
+
+def _term_evaluator(f, ctx):
+    """Build term(x, q^x) -> Scalar with everything x-independent hoisted."""
+    scale, a, b, c, reflected = _shape(f)
+    const = ctx.embed(scale)
+    if a + b == 0:  # a constant needs no 1/(1 - s)
+        return lambda x, qx: const
+    one = ctx.one()
+    r, s = _bracket_form(c, reflected, ctx)
+    inv = one / (one - s)
+
+    def term(x, qx):
+        y = (one - r * qx) * inv
+        return const * y ** a * (one - y) ** b
+
+    return term
+
+
+def _object_sum(term, ctx, total):
+    """sum_{x<total} q^x term(x, q^x) / sum_{x<total} q^x in PadicNumbers."""
+    q = ctx.q
+    qx = ctx.one()
+    weighted = ctx.zero()
+    weights = ctx.zero()
+    for x in range(total):
+        weighted = weighted + qx * term(x, qx)
+        weights = weights + qx
+        qx = qx * q
+    return weighted / weights
+
+
 def test_block_reduction_order_free(padic_ctx3):
     # partial sums over contiguous blocks combine bit-identically in any order
     from itertools import permutations
-
-    from qbern.integral import _term_evaluator
-    from qbern.qfield import q_pow
 
     f = BracketPower(0, 2)
     level, blocks = 3, 4
@@ -125,8 +157,6 @@ def _outcome(compute):
 def test_kernel_bit_identical_to_object_loop(p):
     # the integer kernel returns the PadicNumber loop's (v, unit, prec), or
     # raises the same exception class, on every structured integrand
-    from qbern.integral import _object_sum, _term_evaluator
-
     integrands = [cls(c, m) for cls in (BracketPower, ReflectedPower)
                   for c in (-2, 0, 3, 10**9 + 7, -(10**9 + 7)) for m in range(5)]
     integrands += [BernsteinProduct(shape) for shape in KERNEL_SHAPES]
@@ -484,6 +514,28 @@ def test_unsummable_level_ends_the_run():
     # at level 1 there is nothing to carry, so the error escapes
     with pytest.raises(PrecisionExhausted):
         integrate(BracketPower(0, 2), QContext.padic(3, 2, "1+p"), 30, level_cap=4)
+
+
+def test_level_over_budget_ends_the_run(padic_ctx3, monkeypatch):
+    # with a budget of 30 terms at p = 3, level 4 (81 terms) is over it: the
+    # run ends with the exact-degree result of level 3, as a cap of 3 gives
+    import qbern.integral as integral
+
+    f = BracketPower(0, 2)
+    with pytest.raises(MaxLevelExceeded) as capped:
+        integrate(f, padic_ctx3, 30, level_cap=3)
+    monkeypatch.setattr(integral, "DEFAULT_TERM_BUDGET", 30)
+    with pytest.raises(MaxLevelExceeded) as cut:
+        integrate(f, padic_ctx3, 30, level_cap=5)
+    best = cut.value.result
+    assert best == capped.value.result
+    assert (best.level, best.certificate) == (3, "exact-degree")
+    assert "before level 4 (level 4 needs 81 terms" in str(cut.value)
+    # at level 1 there is nothing to carry, so the error escapes
+    monkeypatch.setattr(integral, "DEFAULT_TERM_BUDGET", 2)
+    with pytest.raises(BudgetExceeded) as first:
+        integrate(f, padic_ctx3, 30, level_cap=5)
+    assert not isinstance(first.value, MaxLevelExceeded)
 
 
 def test_default_level_caps():

@@ -11,7 +11,7 @@ from qbern.errors import (
     NonIntegerExponentInSymbolicMode,
 )
 from qbern import qfield
-from qbern.padic import PadicNumber
+from qbern.padic import PadicContext, PadicNumber
 from qbern.qfield import (
     QContext,
     RationalFunction,
@@ -257,6 +257,15 @@ def test_context_validation():
         QContext.padic(3, 24, 1)      # q = 1
     with pytest.raises(DomainError):
         QContext.symbolic(RF.from_fraction(1))
+    # a padic q is carried to exactly the working precision K = 8 digits,
+    # and enters QContext.padic only as a rational
+    pctx = PadicContext(3, 8)
+    assert QContext("padic", PadicNumber(pctx, 0, 4, 8), pctx).q.prec == 8
+    for digits in (5, 12):
+        with pytest.raises(DomainError):
+            QContext("padic", PadicNumber(pctx, 0, 4, digits), pctx)
+    with pytest.raises(DomainError):
+        QContext.padic(3, 8, PadicNumber(pctx, 0, 4, 8))
 
 
 def test_backend_coherence(padic_contexts):
