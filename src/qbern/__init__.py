@@ -17,7 +17,6 @@ from .errors import (
     RequestedPrecisionNotCertified,
 )
 from .identities import (
-    IdentityId,
     IdentityReport,
     SuiteConfig,
     Verdict,

@@ -177,7 +177,6 @@ class CarlitzTable:
 
     def __init__(self, ctx: QContext):
         self.ctx = ctx
-        self._inverse: CarlitzTable | None = None
         q = RationalFunction.indeterminate()
         if ctx.is_symbolic and ctx.q == q.reciprocal():
             base = table_for(invert_q(ctx))
@@ -226,20 +225,18 @@ class CarlitzTable:
         return self.inverse_table().beta(n)
 
     def inverse_table(self) -> "CarlitzTable":
-        if self._inverse is None:
-            self._inverse = CarlitzTable(invert_q(self.ctx))
-        return self._inverse
+        return table_for(invert_q(self.ctx))
 
     # -- precision ledger (padic) ------------------------------------------
 
     # unreached by the CLI, kept: the acceptance test checks the ledger with it
-    def precision_ledger_bound(self, n: int, which: str = "beta") -> int:
-        """Lower bound K - sum_k nu_p(divisor_k) on the certified precision."""
+    def precision_ledger_bound(self, n: int) -> int:
+        """Lower bound K - sum_k nu_p(divisor_k) on the certified precision
+        of beta_n."""
         if self.ctx.is_symbolic:
             raise DomainError("the precision ledger applies to the padic backend")
         # the digits left only decrease, so the least is the last
-        shift = 1 if which == "beta" else 0
-        return min(_ledger(self.ctx, shift, n), default=self.ctx.pctx.precision)
+        return min(_ledger(self.ctx, 1, n), default=self.ctx.pctx.precision)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,19 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from math import isinf
 
 from .bernstein import BernsteinSpec, bernstein_eval
 from .carlitz import eval_at_one, table_for
 from .errors import BudgetExceeded, DomainError, MaxLevelExceeded, QbernError
-from .identities import SuiteConfig, reports_to_jsonl, run_suite, suite_exit_status
+from .identities import (
+    _GRID_FIELDS,
+    SuiteConfig,
+    reports_to_jsonl,
+    run_suite,
+    suite_exit_status,
+)
 from .integral import bernstein_power_product_integral, integrand_from_json, integrate
 from .qfield import QContext, rational_literal
 
@@ -28,16 +35,8 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-_GLOBAL_DEFAULTS = {
-    "p": 3,
-    "precision": 24,
-    "q": "1+p",
-    "backend": "symbolic",
-    "target_valuation": 8,
-    "level_cap": None,
-    "format": "json",
-    "out": None,
-}
+# the output flags; the defaults of the others are SuiteConfig's
+_OUTPUT_DEFAULTS = {"format": "json", "out": None}
 
 
 # options whose value is a rational literal, which may start with "-";
@@ -52,10 +51,11 @@ def _add_literal(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
 
 def _global_flags() -> argparse.ArgumentParser:
     # Shared flags, accepted both before and after the subcommand; defaults
-    # are suppressed here and filled in after parsing so the position of a
-    # flag never matters.
+    # are suppressed here so the position of a flag never matters, and each
+    # flag not given is absent from the parsed namespace.  The suite flags
+    # are named after the SuiteConfig fields they set.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--p", type=int, help="odd prime (padic backend)")
+    common.add_argument("--p", dest="prime", type=int, help="odd prime (padic backend)")
     common.add_argument("--precision", type=int,
                         help="working precision K in base-p digits")
     _add_literal(common, "--q", help='q as a rational "a/b" or the token "1+p" (padic only)')
@@ -116,12 +116,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> SuiteConfig:
-    """The global flags as a suite configuration; its ``context()`` is the
-    working context of every command."""
-    return SuiteConfig(backend=args.backend, prime=args.p, precision=args.precision,
-                       q=args.q, target_valuation=args.target_valuation,
-                       level_cap=args.level_cap)
+def _config(args, grid=None) -> SuiteConfig:
+    """The fields of ``grid`` (a grid file's JSON), overridden by each suite
+    flag given on the command line; its ``context()`` is the working context
+    of every command."""
+    given = {key: value for key, value in vars(args).items() if key in _GRID_FIELDS}
+    if grid is None or isinstance(grid, dict):  # from_json refuses any other grid
+        grid = {**(grid or {}), **given}
+    return SuiteConfig.from_json(grid)
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DomainError(f"cannot read {what}: {exc}") from exc
 
 
 def _parse_x(text: str, ctx: QContext):
@@ -168,7 +178,7 @@ def _cmd_number(args) -> int:
     ctx = _config(args).context()
     tbl = table_for(ctx)
     value = tbl.beta(args.n) if args.command == "beta" else tbl.xi(args.n)
-    payload = {"n": args.n, "backend": args.backend, **_scalar_payload(value, ctx)}
+    payload = {"n": args.n, "backend": ctx.backend, **_scalar_payload(value, ctx)}
     _emit(args, json.dumps(payload, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -177,7 +187,7 @@ def _cmd_beta_poly(args) -> int:
     ctx = _config(args).context()
     x = _parse_x(args.x, ctx)
     value = table_for(ctx).beta_poly(args.n, x)
-    payload = {"n": args.n, "x": str(x), "backend": args.backend,
+    payload = {"n": args.n, "x": str(x), "backend": ctx.backend,
                **_scalar_payload(value, ctx)}
     _emit(args, json.dumps(payload, sort_keys=True) + "\n")
     return EXIT_OK
@@ -187,28 +197,22 @@ def _cmd_bernstein(args) -> int:
     ctx = _config(args).context()
     x = _parse_x(args.x, ctx)
     value = bernstein_eval(BernsteinSpec(args.k, args.n), x, ctx)
-    payload = {"k": args.k, "n": args.n, "x": str(x), "backend": args.backend,
+    payload = {"k": args.k, "n": args.n, "x": str(x), "backend": ctx.backend,
                **_scalar_payload(value, ctx)}
     _emit(args, json.dumps(payload, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def _cmd_integrate(args) -> int:
-    if args.backend != "padic":
+    config = _config(args)
+    if config.backend != "padic":
         raise DomainError("integrate requires --backend padic")
-    ctx = _config(args).context()
+    ctx = config.context()
     spec = args.integrand
-    if spec.startswith("@"):
-        try:
-            with open(spec[1:]) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DomainError(f"cannot read integrand file: {exc}") from exc
-    else:
-        data = json.loads(spec)
+    data = _read_json(spec[1:], "integrand file") if spec.startswith("@") else json.loads(spec)
     integrand = integrand_from_json(data)
     try:
-        result = integrate(integrand, ctx, args.target_valuation, args.level_cap)
+        result = integrate(integrand, ctx, config.target_valuation, config.level_cap)
     except MaxLevelExceeded as exc:
         # the best result still goes out; the error line and exit 3 follow
         if exc.result is not None:
@@ -219,16 +223,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.grid:
-        try:
-            with open(args.grid) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DomainError(f"cannot read grid file: {exc}") from exc
-        config = SuiteConfig.from_json(data)
-    else:
-        config = _config(args)
-    reports = run_suite(config)
+    grid = _read_json(args.grid, "grid file") if args.grid else None
+    reports = run_suite(_config(args, grid))
     _emit(args, reports_to_jsonl(reports))
     return suite_exit_status(reports)
 
@@ -253,7 +249,7 @@ def _cmd_table(args) -> int:
                 raise DomainError("the q=1 column requires the symbolic backend")
             header.append("value_at_q1")
         for n in _parse_range(args.range):
-            row = {"n": n, "backend": args.backend,
+            row = {"n": n, "backend": ctx.backend,
                    "value": _render_cell(tbl.beta(n), ctx)}
             if args.at_one:
                 row["value_at_q1"] = str(eval_at_one(tbl.beta(n)))
@@ -273,7 +269,7 @@ def _cmd_table(args) -> int:
         for n in _parse_range(args.range):
             if not 0 <= args.k <= n:
                 continue
-            value = bernstein_power_product_integral([(args.k, n, 1)], ctx, "direct", tbl)
+            value = bernstein_power_product_integral([(args.k, n, 1)], ctx, "direct")
             rows.append({"n": n, "k": args.k, "route": "direct",
                          "value": _render_cell(value, ctx)})
     if args.format == "csv":
@@ -287,22 +283,15 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+_SELFTEST_GRID = {"identities": [["THM1", {"n": 1, "x": 0}], ["PROP2", {"n": 2}],
+                                 ["EQ6", {"n": 2}], ["THM3", {"n": 2}]]}
+
+
 def _cmd_selftest(args) -> int:
-    config = SuiteConfig(
-        backend="padic",
-        prime=args.p,
-        precision=args.precision,
-        q=args.q,
-        target_valuation=min(args.target_valuation, 6),
-        identities=[
-            ("THM1", {"n": 1, "x": 0}),
-            ("PROP2", {"n": 2}),
-            ("EQ6", {"n": 2}),
-            ("THM3", {"n": 2}),
-        ],
-        corrupt=args.corrupt,
-    )
-    reports = run_suite(config)
+    # the other suite flags apply; the backend is always padic
+    config = _config(args, _SELFTEST_GRID)
+    reports = run_suite(replace(config, backend="padic",
+                                target_valuation=min(config.target_valuation, 6)))
     _emit(args, reports_to_jsonl(reports))
     return suite_exit_status(reports)
 
@@ -334,7 +323,7 @@ def _join_literals(argv: list) -> list:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_literals(sys.argv[1:] if argv is None else list(argv)))
-    for key, value in _GLOBAL_DEFAULTS.items():
+    for key, value in _OUTPUT_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
     try:

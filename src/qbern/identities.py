@@ -10,7 +10,7 @@ nonzero difference, out-of-hypothesis parameters short-circuit with
 reading are marked ``quarantined`` so a suite can report them without
 failing on them.
 
-Identity catalog (ids are stable external labels):
+Identity catalog (the ``CATALOG`` keys, stable external labels):
 
   THM1          reflection duality of the bracket-power integral, both sides
                 by independent Riemann runs; the report notes which sign
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import product
 from math import isinf
 from typing import Callable, Optional
@@ -46,20 +45,24 @@ from .bernstein import BernsteinSpec, bernstein_eval
 from .carlitz import CarlitzTable, classical_bernoulli, eval_at_one, table_for
 from .errors import DomainError, MaxLevelExceeded, PoleAtOne
 from .integral import (
+    INT,
+    INTS,
+    PAIRS,
     BracketPower,
     ReflectedPower,
     _bernstein_shape,
     _is_json_int,
     _reflected_sum,
     bernstein_power_product_integral,
+    check_fields,
     closed_one_minus_x_power,
     closed_reflected_power,
     integrate,
+    one_of,
 )
 from .qfield import QContext, RationalFunction, Scalar, invert_q, q_pow
 
 __all__ = [
-    "IdentityId",
     "Verdict",
     "IdentityReport",
     "SuiteConfig",
@@ -74,20 +77,6 @@ __all__ = [
 
 # the valuation a Riemann-oracle side runs to when the caller sets no target
 ORACLE_TARGET = 8
-
-
-class IdentityId(str, Enum):
-    THM1 = "THM1"
-    PROP2 = "PROP2"
-    EQ6 = "EQ6"
-    EQ7 = "EQ7"
-    THM3 = "THM3"
-    EQ9_EQ11 = "EQ9_EQ11"
-    EQ13_EQ14 = "EQ13_EQ14"
-    THM4_COR5 = "THM4_COR5"
-    THM6 = "THM6"
-    EQ10_SYMMETRY = "EQ10_SYMMETRY"
-    Q_TO_1 = "Q_TO_1"
 
 
 @dataclass(frozen=True)
@@ -123,7 +112,7 @@ class Verdict:
 
 @dataclass
 class IdentityReport:
-    identity: IdentityId
+    identity: str  # a CATALOG key
     parameters: dict
     backend: str
     domain_ok: bool = True
@@ -144,7 +133,7 @@ class IdentityReport:
 
     def to_json(self) -> dict:
         return {
-            "identity": self.identity.value,
+            "identity": self.identity,
             "parameters": self.parameters,
             "backend": self.backend,
             "domain_ok": self.domain_ok,
@@ -277,8 +266,8 @@ def _theorem3(run: _Run, n: int):
 
 def _routes(run: _Run, factors, first: str, second: str):
     """The two closed routes of one Bernstein integral, in report order."""
-    return (bernstein_power_product_integral(factors, run.ctx, first, run.tbl),
-            bernstein_power_product_integral(factors, run.ctx, second, run.tbl), "", False)
+    return (bernstein_power_product_integral(factors, run.ctx, first),
+            bernstein_power_product_integral(factors, run.ctx, second), "", False)
 
 
 def _eq9_eq11(run: _Run, n: int, k: int):
@@ -326,9 +315,9 @@ def _theorem6(run: _Run, nm, k: int, reading: str):
     coeff, a, b = _bernstein_shape(factors)  # b = sum m_i n_i - k sum m_i
     if b <= 1:
         return "needs sum m_i n_i > k sum m_i + 1"
-    rhs = bernstein_power_product_integral(factors, run.ctx, "direct", run.tbl)
+    rhs = bernstein_power_product_integral(factors, run.ctx, "direct")
     if reading == "sigma":
-        lhs = bernstein_power_product_integral(factors, run.ctx, "reflected", run.tbl)
+        lhs = bernstein_power_product_integral(factors, run.ctx, "reflected")
         note = ("for s = 2 the literal printed index coincides with the "
                 "sum reading; s >= 3 instances separate them") if len(nm) == 2 else ""
         return lhs, rhs, note, False
@@ -376,16 +365,7 @@ def _q_to_1(run: _Run, n: int, xi: bool):
 # ---------------------------------------------------------------------------
 
 
-def _is_seq(v) -> bool:
-    return isinstance(v, (list, tuple))
-
-
-# parameter types: (what an error message calls it, predicate)
-_INT = ("an integer", _is_json_int)
-_INTS = ("a list of integers", lambda v: _is_seq(v) and all(map(_is_json_int, v)))
-_PAIRS = ("a list of [n, m] integer pairs",
-          lambda v: _is_seq(v) and all(_is_seq(t) and len(t) == 2 and all(map(_is_json_int, t))
-                                       for t in v))
+# parameter types besides those of integral.py
 _BOOL = ("true or false", lambda v: isinstance(v, bool))
 _READING = ('"sigma" or "literal"', lambda v: v in ("sigma", "literal"))
 
@@ -393,66 +373,48 @@ _READING = ('"sigma" or "literal"', lambda v: v in ("sigma", "literal"))
 @dataclass(frozen=True)
 class _Entry:
     sides: Callable       # (run, **params) -> skip reason | (lhs, rhs, notes, quarantined)
-    params: dict          # parameter name -> (type name, predicate)
+    params: dict          # parameter name -> its field type
     defaults: dict = field(default_factory=dict)
     shape: Callable = dict  # (**params) -> the report's ``parameters``
     oracle: bool = False    # a padic side is the Riemann oracle
 
 
 CATALOG = {
-    IdentityId.THM1: _Entry(_theorem1, {"n": _INT, "x": _INT}, oracle=True),
-    IdentityId.PROP2: _Entry(_prop2, {"n": _INT}),
-    IdentityId.EQ6: _Entry(_eq6, {"n": _INT}, oracle=True),
-    IdentityId.EQ7: _Entry(_eq7, {"n": _INT}),
-    IdentityId.THM3: _Entry(_theorem3, {"n": _INT}, oracle=True),
-    IdentityId.EQ9_EQ11: _Entry(_eq9_eq11, {"n": _INT, "k": _INT}),
-    IdentityId.EQ13_EQ14: _Entry(_two_product, {"n": _INT, "m": _INT, "k": _INT}),
-    IdentityId.THM4_COR5: _Entry(
-        _theorem4, {"n": _INTS, "k": _INT},
+    "THM1": _Entry(_theorem1, {"n": INT, "x": INT}, oracle=True),
+    "PROP2": _Entry(_prop2, {"n": INT}),
+    "EQ6": _Entry(_eq6, {"n": INT}, oracle=True),
+    "EQ7": _Entry(_eq7, {"n": INT}),
+    "THM3": _Entry(_theorem3, {"n": INT}, oracle=True),
+    "EQ9_EQ11": _Entry(_eq9_eq11, {"n": INT, "k": INT}),
+    "EQ13_EQ14": _Entry(_two_product, {"n": INT, "m": INT, "k": INT}),
+    "THM4_COR5": _Entry(
+        _theorem4, {"n": INTS, "k": INT},
         shape=lambda n, k: {"s": len(n), "n": list(n), "k": k}),
-    IdentityId.THM6: _Entry(
-        _theorem6, {"nm": _PAIRS, "k": _INT, "reading": _READING},
+    "THM6": _Entry(
+        _theorem6, {"nm": PAIRS, "k": INT, "reading": _READING},
         defaults={"reading": "sigma"},
         shape=lambda nm, k, reading: {"s": len(nm), "nm": [list(t) for t in nm],
                                       "k": k, "reading": reading}),
-    IdentityId.EQ10_SYMMETRY: _Entry(
-        _symmetry, {"k": _INT, "n": _INT, "x": _INT},
+    "EQ10_SYMMETRY": _Entry(
+        _symmetry, {"k": INT, "n": INT, "x": INT},
         shape=lambda k, n, x: {"k": k, "n": n, "x": str(x)}),
-    IdentityId.Q_TO_1: _Entry(_q_to_1, {"n": _INT, "xi": _BOOL}, defaults={"xi": False}),
+    "Q_TO_1": _Entry(_q_to_1, {"n": INT, "xi": _BOOL}, defaults={"xi": False}),
 }
 
 
-def _check_params(identity: IdentityId, params: dict):
-    """Raise DomainError unless ``params`` fit the identity's declared ones."""
-    declared = CATALOG[identity].params
-    unknown = sorted(set(params) - set(declared))
-    if unknown:
-        raise DomainError(f"{identity.value}: unknown parameters {unknown}")
-    missing = sorted(set(declared) - set(params) - set(CATALOG[identity].defaults))
-    if missing:
-        raise DomainError(f"{identity.value}: missing parameters {missing}")
-    for name, value in params.items():
-        what, ok = declared[name]
-        if not ok(value):
-            raise DomainError(f"{identity.value}: parameter {name!r} must be {what}, "
-                              f"got {value!r}")
-
-
-def verify(identity, params: dict, ctx: QContext, target: Optional[int] = None,
-           level_cap: Optional[int] = None,
-           tbl: Optional[CarlitzTable] = None) -> IdentityReport:
+def verify(identity: str, params: dict, ctx: QContext, target: Optional[int] = None,
+           level_cap: Optional[int] = None) -> IdentityReport:
     """Verify one catalog entry with the given parameters.
 
     ``target`` is the padic comparison valuation (None: the shared certified
     precision; ORACLE_TARGET for an identity with a Riemann-oracle side).
     """
-    identity = IdentityId(identity)
     entry = CATALOG[identity]
     params = {**entry.defaults, **params}
     if target is None and entry.oracle and not ctx.is_symbolic:
         target = ORACLE_TARGET
     shape = entry.shape(**params)
-    sides = entry.sides(_Run(ctx, tbl or table_for(ctx), target, level_cap), **params)
+    sides = entry.sides(_Run(ctx, table_for(ctx), target, level_cap), **params)
     if isinstance(sides, str):
         return IdentityReport(identity, shape, ctx.backend, domain_ok=False, notes=sides)
     lhs, rhs, notes, quarantined = sides
@@ -467,12 +429,39 @@ def verify(identity, params: dict, ctx: QContext, target: Optional[int] = None,
 # the one named entry point left: the acceptance test imports it
 def verify_theorem1(n: int, x: int, ctx: QContext, target: int = ORACLE_TARGET,
                     level_cap: Optional[int] = None) -> IdentityReport:
-    return verify(IdentityId.THM1, {"n": n, "x": x}, ctx, target, level_cap)
+    return verify("THM1", {"n": n, "x": x}, ctx, target, level_cap)
 
 
 # ---------------------------------------------------------------------------
 # suite driver
 # ---------------------------------------------------------------------------
+
+
+# a grid's fields, each optional; SuiteConfig gives the defaults
+_GRID_FIELDS = {
+    "backend": ('"symbolic" or "padic"', lambda v: v in ("symbolic", "padic")),
+    "prime": INT,
+    "precision": INT,
+    "q": ("a rational literal string or an integer",
+          lambda v: isinstance(v, str) or _is_json_int(v)),
+    "target_valuation": INT,
+    "level_cap": ("an integer or null", lambda v: v is None or _is_json_int(v)),
+    "identities": ("a list of grid entries or null", lambda v: v is None or isinstance(v, list)),
+    "corrupt": _BOOL,
+}
+_ENTRY_FIELDS = {"identity": one_of(CATALOG),
+                 "params": ("a JSON object", lambda v: isinstance(v, dict))}
+
+
+def _grid_entry(entry) -> tuple:
+    """(identity, params) of a grid entry: an object with the fields
+    ``identity`` and optional ``params``, or an [identity, params] pair."""
+    if isinstance(entry, list) and len(entry) == 2:
+        entry = dict(zip(_ENTRY_FIELDS, entry))
+    check_fields("grid entry", entry, _ENTRY_FIELDS, optional=("params",))
+    name, params = entry["identity"], entry.get("params", {})
+    check_fields(f"{name} params", params, CATALOG[name].params, CATALOG[name].defaults)
+    return name, params
 
 
 @dataclass
@@ -483,7 +472,7 @@ class SuiteConfig:
     prime: int = 3
     precision: int = 24
     q: str = "1+p"
-    target_valuation: int = 8
+    target_valuation: int = ORACLE_TARGET
     level_cap: Optional[int] = None
     identities: Optional[list] = None  # [(identity_name, params_dict), ...]
     corrupt: bool = False  # self-test: flip one sign to force a failure
@@ -496,45 +485,12 @@ class SuiteConfig:
         return QContext.padic(self.prime, self.precision, self.q)
 
     @classmethod
-    def from_json(cls, data: dict) -> "SuiteConfig":
-        if not isinstance(data, dict):
-            raise DomainError("a grid must be a JSON object")
-        cfg = cls()
-        allowed = {"backend", "prime", "precision", "q", "target_valuation",
-                   "level_cap", "identities", "corrupt"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise DomainError(f"unknown grid fields: {sorted(unknown)}")
-        for key in allowed:
-            if key in data:
-                setattr(cfg, key, data[key])
-        if cfg.backend not in ("symbolic", "padic"):
-            raise DomainError(f"unknown backend {cfg.backend!r}")
-        for key in ("prime", "precision", "target_valuation", "level_cap"):
-            value = getattr(cfg, key)
-            if not (_is_json_int(value) or key == "level_cap" and value is None):
-                raise DomainError(f"{key} must be an integer")
-        if not isinstance(cfg.corrupt, bool):
-            raise DomainError("corrupt must be true or false")
-        if cfg.identities is not None:
-            if not isinstance(cfg.identities, list):
-                raise DomainError("identities must be a list")
-            parsed = []
-            for entry in cfg.identities:
-                if isinstance(entry, dict):
-                    name, params = entry.get("identity"), entry.get("params", {})
-                elif _is_seq(entry) and len(entry) == 2:
-                    name, params = entry
-                else:
-                    raise DomainError(f"grid entry {entry!r} is neither an object "
-                                      "nor an [identity, params] pair")
-                identity = IdentityId(name)  # validates
-                if not isinstance(params, dict):
-                    raise DomainError(f"params for {name} must be an object")
-                _check_params(identity, params)
-                parsed.append((name, params))
-            cfg.identities = parsed
-        return cfg
+    def from_json(cls, data) -> "SuiteConfig":
+        """The configuration of a JSON grid; malformed input raises DomainError."""
+        check_fields("grid", data, _GRID_FIELDS, optional=_GRID_FIELDS)
+        entries = data.get("identities")
+        return cls(**{**data, "identities": None if entries is None
+                      else [_grid_entry(entry) for entry in entries]})
 
 
 def default_grid(backend: str) -> list:
@@ -613,12 +569,11 @@ def default_grid(backend: str) -> list:
 def run_suite(config: SuiteConfig) -> list:
     """Run the configured grid; one report per entry, in grid order."""
     ctx = config.context()
-    tbl = table_for(ctx)
     grid = config.identities if config.identities is not None else default_grid(config.backend)
     target = None if ctx.is_symbolic else config.target_valuation
     reports = []
     for index, (name, params) in enumerate(grid):
-        report = verify(name, params, ctx, target, config.level_cap, tbl)
+        report = verify(name, params, ctx, target, config.level_cap)
         if config.corrupt and index == 0:
             report = _corrupted(report, ctx)
         reports.append(report)

@@ -471,18 +471,17 @@ def _reflected_sum(a: int, total: int, top: int, tbl: CarlitzTable) -> Scalar:
     With top = total this is the reflected expansion; the index of the
     inverted-q values is the only place the reflected-route readings differ.
     """
-    ctx = tbl.ctx
+    ctx, inverse = tbl.ctx, tbl.inverse_table()
     q2 = ctx.q ** 2
     acc = ctx.zero()
     for l in range(a + 1):
-        inner = ctx.embed(total - l + 1) - ctx.q + q2 * tbl.beta_inverse_q(top - l)
+        inner = ctx.embed(total - l + 1) - ctx.q + q2 * inverse.beta(top - l)
         term = comb(a, l) * inner
         acc = acc + (term if (a + l) % 2 == 0 else -term)
     return acc
 
 
-def bernstein_power_product_integral(factors, ctx: QContext, route: str = "direct",
-                                     tbl: Optional[CarlitzTable] = None) -> Scalar:
+def bernstein_power_product_integral(factors, ctx: QContext, route: str = "direct") -> Scalar:
     """Integral of prod_i B_{k_i,n_i}(x, q)^{m_i} dmu_q for (k, n, m) factors.
 
     The integrand is c [x]_q^a (1 - [x]_q)^b (``_bernstein_shape``).
@@ -493,7 +492,7 @@ def bernstein_power_product_integral(factors, ctx: QContext, route: str = "direc
     coeff, a, b = _bernstein_shape(factors)
     if coeff == 0:
         return ctx.zero()
-    tbl = tbl or table_for(ctx)
+    tbl = table_for(ctx)
     if route == "direct":
         return coeff * _power_integral_direct(a, b, tbl)
     if route == "reflected":
@@ -502,41 +501,61 @@ def bernstein_power_product_integral(factors, ctx: QContext, route: str = "direc
 
 
 # ---------------------------------------------------------------------------
-# integrand serialization
+# JSON input
 # ---------------------------------------------------------------------------
-
-
-def integrand_from_json(data) -> Integrand:
-    """The integrand of a JSON form; malformed input raises DomainError."""
-    if not isinstance(data, dict):
-        raise DomainError(f"an integrand must be a JSON object, got {data!r}")
-    kind = data.get("type")
-    if kind == "bracket_power":
-        return BracketPower(_json_int(data, "offset"), _json_int(data, "power"))
-    if kind == "reflected_power":
-        return ReflectedPower(_json_int(data, "offset"), _json_int(data, "power"))
-    if kind == "bernstein_product":
-        factors = data.get("factors")
-        if not isinstance(factors, list) or not all(
-            isinstance(t, list) and len(t) == 3 and all(map(_is_json_int, t))
-            for t in factors
-        ):
-            raise DomainError(
-                f"bernstein_product factors must be a list of [k, n, m] integer "
-                f"triples, got {factors!r}"
-            )
-        return BernsteinProduct(tuple(tuple(t) for t in factors))
-    raise DomainError(f"unknown integrand type {kind!r}")
 
 
 def _is_json_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _json_int(data: dict, key: str) -> int:
-    if key not in data:
-        raise DomainError(f"integrand {data['type']!r} needs the field {key!r}")
-    value = data[key]
-    if not _is_json_int(value):
-        raise DomainError(f"integrand field {key!r} must be an integer, got {value!r}")
-    return value
+def _int_lists(v, width: int) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(t, list) and len(t) == width and all(map(_is_json_int, t)) for t in v)
+
+
+# field types: (what an error message calls it, predicate)
+INT = ("an integer", _is_json_int)
+INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_json_int, v)))
+PAIRS = ("a list of [n, m] integer pairs", lambda v: _int_lists(v, 2))
+TRIPLES = ("a list of [k, n, m] integer triples", lambda v: _int_lists(v, 3))
+
+
+def one_of(table: dict) -> tuple:
+    """The field type of a name: a string key of ``table``."""
+    return ("one of " + ", ".join(map(repr, table)), lambda v: isinstance(v, str) and v in table)
+
+
+def check_fields(what: str, data, declared: dict, optional=()) -> None:
+    """Raise DomainError unless ``data`` is a JSON object of ``declared``
+    fields only, each of its declared type, with every field not in
+    ``optional`` present."""
+    if not isinstance(data, dict):
+        raise DomainError(f"{what} must be a JSON object, got {data!r}")
+    for name, (kind, ok) in declared.items():
+        if name in data:
+            if not ok(data[name]):
+                raise DomainError(f"{what}: {name!r} must be {kind}, got {data[name]!r}")
+        elif name not in optional:
+            raise DomainError(f"{what}: missing field {name!r}")
+    unknown = set(data) - set(declared)
+    if unknown:
+        raise DomainError(f"{what}: unknown fields {sorted(unknown, key=repr)}")
+
+
+# integrand type -> (class, its fields)
+_INTEGRANDS = {
+    "bracket_power": (BracketPower, {"offset": INT, "power": INT}),
+    "reflected_power": (ReflectedPower, {"offset": INT, "power": INT}),
+    "bernstein_product": (BernsteinProduct, {"factors": TRIPLES}),
+}
+_INTEGRAND_TYPE = one_of(_INTEGRANDS)
+
+
+def integrand_from_json(data) -> Integrand:
+    """The integrand of a JSON form; malformed input raises DomainError."""
+    kind = data.get("type") if isinstance(data, dict) else None
+    # a list or an object is no type, and no dict key either
+    cls, fields = _INTEGRANDS.get(kind if isinstance(kind, str) else None, (None, {}))
+    check_fields("integrand", data, {"type": _INTEGRAND_TYPE, **fields})
+    return cls(**{name: data[name] for name in fields})

@@ -669,17 +669,10 @@ def invert_q(ctx: QContext) -> QContext:
 
 
 # unreached by the CLI, kept: the acceptance test imports it
-def scalars_equal(a: Scalar, b: Scalar, ctx: QContext, valuation=None) -> bool:
-    """Exact equality (symbolic) or agreement to a valuation (padic).
-
-    With ``valuation=None`` a padic comparison uses the full shared
-    certified precision.
-    """
+def scalars_equal(a: Scalar, b: Scalar, ctx: QContext) -> bool:
+    """Exact equality (symbolic) or agreement to the shared certified
+    precision (padic)."""
     if ctx.is_symbolic:
         return a == b
-    t = valuation
-    if t is None:
-        t = min(a.prec, b.prec)
-        if t == inf:
-            t = ctx.pctx.precision
-    return a.equals_to_precision(b, t)
+    t = min(a.prec, b.prec)
+    return a.equals_to_precision(b, ctx.pctx.precision if t == inf else t)

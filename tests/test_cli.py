@@ -194,6 +194,8 @@ MALFORMED_INTEGRANDS = {
     "factors-not-a-list": '{"type":"bernstein_product","factors":5}',
     "factors-missing": '{"type":"bernstein_product"}',
     "unknown-type": '{"type":"nope"}',
+    "type-not-a-string": '{"type":[1],"offset":0,"power":2}',
+    "integrand-unknown-field": '{"type":"bracket_power","offset":0,"power":2,"junk":1}',
     "missing-file": "@{tmp}/missing.json",
     "directory": "@{tmp}",
 }
@@ -269,6 +271,9 @@ MALFORMED_GRIDS = {
     "identities-not-a-list": json.dumps({"identities": 5}),
     "entry-not-a-pair": json.dumps({"identities": [5]}),
     "unknown-identity": _grid(("NOPE", {"n": 2})),
+    "identity-not-a-string": _grid(({}, {"n": 2})),
+    "entry-unknown-key": json.dumps({"identities": [
+        {"identity": "PROP2", "params": {"n": 2}, "junk": 1}]}),
     "missing-params": _grid(("PROP2", {})),
     "missing-one-param": _grid(("THM4_COR5", {"n": 3})),
     "ill-typed-int": _grid(("PROP2", {"n": "x"})),
@@ -294,6 +299,15 @@ def test_verify_malformed_grid(name, capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_flag_overrides_grid_field(capsys, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(_grid(("PROP2", {"n": 2}), backend="padic", prime=3))
+    code, out, _ = run(capsys, "verify", "--grid", str(path), "--p", "5")
+    assert code == 0
+    report = json.loads(out.splitlines()[0])
+    assert report["lhs"]["p"] == 5 and report["rhs"]["p"] == 5
 
 
 ZERO_DENOMINATORS = {
@@ -343,6 +357,12 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--p", "3")
     assert code == 0
     assert '"summary"' in out
+
+
+def test_selftest_honours_level_cap(capsys):
+    code, out, _ = run(capsys, "selftest", "--level-cap", "1")
+    assert code == 1
+    assert "level cap 1 hit" in out
 
 
 def test_selftest_corrupt(capsys):
