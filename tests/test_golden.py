@@ -36,6 +36,8 @@ CASES = {
         "integrate", "--backend", "padic", "--p", "3", "--level-cap", "1",
         "--integrand", '{"type":"bracket_power","offset":0,"power":6}',
     ],
+    "xi_padic_p5": ["xi", "--n", "12", "--backend", "padic", "--p", "5"],
+    "xi_symbolic": ["xi", "--n", "16"],
 }
 
 
