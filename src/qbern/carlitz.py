@@ -9,16 +9,15 @@ and the unmodified xi_k solve the analogous relation without the leading q,
 with divisor ``q^k - 1``.  The xi_k have a pole at q = 1 while the beta_k
 degenerate to the ordinary Bernoulli numbers.
 
-Symbolically the recurrence is run on raw numerators over the known common
-denominators ``prod_j (q^j - 1)``, as int lists in Z[q] multiplied by the
-Kronecker product of :mod:`qbern.qfield`; only the final, memoized value is
-canonicalized, with the certified heuristic gcd (a GCDHEU candidate
-accepted only when it divides both sides exactly, the pseudo-remainder
-sequence as fallback).  The table at the indeterminate 1/q is that table
-with q -> 1/q substituted, not a second recurrence.  On the padic backend
-the table pre-validates the certified precision of the whole run using
-nu_p(q^k - 1) = nu_p(q-1) + nu_p(k) (odd p, q = 1 mod p), so
-PrecisionExhausted is raised eagerly with the offending step.
+One :class:`CarlitzTable` per context memoizes both, filled by the step its
+context picks.  At the indeterminate q the recurrence runs on raw
+numerators in Z[q] over the known denominators ``prod_j (q^j - 1)``, with
+the Kronecker product of :mod:`qbern.qfield`; only the memoized value is
+canonicalized, by the certified heuristic gcd.  At 1/q, the only other
+symbolic q, the values are those at q with q -> 1/q substituted.  On the
+padic backend the scalar step runs once the whole run has passed the
+precision ledger nu_p(q^k - 1) = nu_p(q-1) + nu_p(k) (odd p, q = 1 mod p),
+so PrecisionExhausted names the offending step before any entry is filled.
 """
 
 from __future__ import annotations
@@ -28,73 +27,64 @@ from math import comb
 
 from .errors import DivisionByZero, DomainError, PoleAtOne, PrecisionExhausted
 from .padic import int_valuation
-from .qfield import (
-    QContext,
-    RationalFunction,
-    Scalar,
-    invert_q,
-    q_bracket,
-    q_pow,
-)
+from .qfield import QContext, RationalFunction, Scalar, invert_q, q_bracket, q_pow
 from .qfield import _zmul  # the Z[q] product
 
-__all__ = [
-    "CarlitzTable",
-    "classical_bernoulli",
-    "eval_at_one",
-    "table_for",
-]
+__all__ = ["CarlitzTable", "classical_bernoulli", "eval_at_one", "table_for"]
 
 _ONE = Fraction(1)
+_Q = RationalFunction.indeterminate()
+
+# kind -> (shift, lead): entry k divides by q^(k + shift) - 1, and beta
+# carries the leading factor q of q(q beta + 1)^k
+_KINDS = {"beta": (1, 1), "xi": (0, 0)}
 
 
-def _q_power_minus_one_poly(j: int):
-    # q^j - 1 as a dense integer coefficient list
-    return [-1] + [0] * (j - 1) + [1]
+def _scalar_step(ctx: QContext, values: list, k: int, shift: int, lead: int) -> Scalar:
+    """Entry k, ``(delta_{k,1} - [q] sum_{i<k} C(k,i) q^i v_i) / (q^{k+shift} - 1)``
+    over the scalars of ``ctx``, the bracketed q present for beta."""
+    q = ctx.q
+    s = ctx.zero()
+    qi = ctx.one()
+    for i in range(k):
+        s = s + comb(k, i) * qi * values[i]
+        qi = qi * q
+    if lead:
+        s = q * s
+    num = (ctx.one() if k == 1 else ctx.zero()) - s
+    return num / (q ** (k + shift) - ctx.one())
 
 
-class _Recurrence:
-    """One of the two recurrences, over the scalars of any context.
+def _zq_step(nums: list, dens: list, k: int, shift: int, lead: int) -> RationalFunction:
+    """Entry k at the indeterminate q, from entries i = nums[i] / dens[i] with
+    dens[i] the product of the divisors ``q^{shift+j} - 1`` for j = 1..i.
 
-    Entry k is ``(delta_{k,1} - [q] sum_{i<k} C(k,i) q^i v_i) / (q^{k+shift} - 1)``,
-    the bracketed q present for beta.  On the padic backend the whole run
-    to a requested index is first checked against the precision ledger.
+    Appends the raw pair of entry k; both are int lists in Z[q], so no gcd
+    work happens until the value is exported as a RationalFunction.
     """
-
-    def __init__(self, ctx: QContext, shift: int, leading_q: bool):
-        self.ctx = ctx
-        self.shift = shift          # divisor exponent is k + shift
-        self.leading_q = leading_q  # True for beta (q * (q beta + 1)^k)
-        self.values = [ctx.one()]
-
-    def extend_to(self, n: int):
-        if n < len(self.values):
-            return
-        if not self.ctx.is_symbolic:
-            self._check_precision(n)
-        for k in range(len(self.values), n + 1):
-            self.values.append(self._step(k))
-
-    def _check_precision(self, n: int):
-        for k, remaining in enumerate(_ledger(self.ctx, self.shift, n), start=1):
-            if remaining <= 0:
-                raise PrecisionExhausted(
-                    f"certified precision vanishes at recurrence step {k} "
-                    f"(need more than {self.ctx.pctx.precision} digits to reach index {n})"
-                )
-
-    def _step(self, k: int) -> Scalar:
-        ctx = self.ctx
-        q = ctx.q
-        s = ctx.zero()
-        qi = ctx.one()
-        for i in range(k):
-            s = s + comb(k, i) * qi * self.values[i]
-            qi = qi * q
-        if self.leading_q:
-            s = q * s
-        num = (ctx.one() if k == 1 else ctx.zero()) - s
-        return num / (q ** (k + self.shift) - ctx.one())
+    # dens[i] | dens[k-1]
+    prev_den = dens[k - 1]
+    total = []  # minus the q-weighted sum, the numerator for k > 1
+    ratio = [1]
+    # iterate i downward carrying dens[k-1]/dens[i]
+    for i in range(k - 1, -1, -1):
+        c = comb(k, i)
+        term = _zmul(nums[i], ratio)
+        power = i + lead  # multiply by q^i, and by q for beta
+        total.extend([0] * (power + len(term) - len(total)))
+        for j, t in enumerate(term, power):
+            total[j] -= c * t
+        if i > 0:
+            ratio = _zmul(ratio, [-1] + [0] * (i + shift - 1) + [1])  # q^(i+shift) - 1
+    if k == 1:
+        for j, t in enumerate(prev_den):
+            total[j] += t
+    while total and not total[-1]:
+        total.pop()
+    new_den = _zmul(prev_den, [-1] + [0] * (k + shift - 1) + [1])
+    nums.append(total)
+    dens.append(new_den)
+    return RationalFunction(total, new_den)
 
 
 def _ledger(ctx: QContext, shift: int, n: int):
@@ -111,62 +101,6 @@ def _ledger(ctx: QContext, shift: int, n: int):
         yield remaining
 
 
-class _SymbolicIndeterminateRecurrence(_Recurrence):
-    """Fast path when q is the indeterminate: integer-polynomial numerators.
-
-    Entry k is stored as ``num_k / den_k`` with den_k the cumulative product
-    of the divisors ``q^{shift+j} - 1`` for j = 1..k; numerators and
-    denominators are plain int lists in Z[q], multiplied with the Kronecker
-    product of :mod:`qbern.qfield`, so no gcd work happens until a value is
-    exported as a :class:`RationalFunction`.
-    """
-
-    def __init__(self, ctx: QContext, shift: int, leading_q: bool):
-        super().__init__(ctx, shift, leading_q)
-        self.raw_num = [[1]]
-        self.raw_den = [[1]]
-
-    def _step(self, k: int) -> RationalFunction:
-        # values[i] = raw_num[i] / raw_den[i], raw_den[i] | raw_den[k-1]
-        prev_den = self.raw_den[k - 1]
-        lead = 1 if self.leading_q else 0  # the factor q of beta
-        total = []  # minus the q-weighted sum, the numerator for k > 1
-        ratio = [1]
-        # iterate i downward carrying raw_den[k-1]/raw_den[i]
-        for i in range(k - 1, -1, -1):
-            c = comb(k, i)
-            term = _zmul(self.raw_num[i], ratio)
-            power = i + lead  # multiply by q^i, and by q for beta
-            total.extend([0] * (power + len(term) - len(total)))
-            for j, t in enumerate(term, power):
-                total[j] -= c * t
-            if i > 0:
-                ratio = _zmul(ratio, _q_power_minus_one_poly(i + self.shift))
-        if k == 1:
-            for j, t in enumerate(prev_den):
-                total[j] += t
-        while total and not total[-1]:
-            total.pop()
-        new_den = _zmul(prev_den, _q_power_minus_one_poly(k + self.shift))
-        self.raw_num.append(total)
-        self.raw_den.append(new_den)
-        return RationalFunction(total, new_den)
-
-
-class _Substituted:
-    """The values of another recurrence with q -> 1/q substituted: the
-    table at the indeterminate 1/q, read off the one at q."""
-
-    def __init__(self, source: _Recurrence):
-        self.source = source
-        self.values = []
-
-    def extend_to(self, n: int):
-        self.source.extend_to(n)
-        self.values.extend(v.substitute_reciprocal()
-                           for v in self.source.values[len(self.values):n + 1])
-
-
 class CarlitzTable:
     """Memoized beta_k and xi_k values for one context.
 
@@ -177,29 +111,47 @@ class CarlitzTable:
 
     def __init__(self, ctx: QContext):
         self.ctx = ctx
-        q = RationalFunction.indeterminate()
-        if ctx.is_symbolic and ctx.q == q.reciprocal():
-            base = table_for(invert_q(ctx))
-            self._beta, self._xi = _Substituted(base._beta), _Substituted(base._xi)
-            return
-        recurrence = (_SymbolicIndeterminateRecurrence if ctx.is_symbolic and ctx.q == q
-                      else _Recurrence)
-        self._beta = recurrence(ctx, 1, True)
-        self._xi = recurrence(ctx, 0, False)
+        self._memo = {kind: [ctx.one()] for kind in _KINDS}
+        at_q = ctx.is_symbolic and ctx.q == _Q
+        # the Z[q] step's raw numerators and denominators, per kind
+        self._raw = {kind: ([[1]], [[1]]) for kind in _KINDS} if at_q else None
+        # at 1/q, the table whose values are substituted
+        self._source = table_for(invert_q(ctx)) if ctx.is_symbolic and not at_q else None
+
+    def _filled(self, kind: str, n: int) -> list:
+        """The memo of ``kind``, extended to index n by the step of the context."""
+        if n < 0:
+            raise DomainError("index must be nonnegative")
+        values = self._memo[kind]
+        if n < len(values):
+            return values
+        shift, lead = _KINDS[kind]
+        if self._raw is not None:
+            nums, dens = self._raw[kind]
+            for k in range(len(values), n + 1):
+                values.append(_zq_step(nums, dens, k, shift, lead))
+        elif self._source is not None:
+            source = self._source._filled(kind, n)
+            values.extend(v.substitute_reciprocal() for v in source[len(values):n + 1])
+        else:
+            ctx = self.ctx
+            for k, remaining in enumerate(_ledger(ctx, shift, n), start=1):
+                if remaining <= 0:
+                    raise PrecisionExhausted(
+                        f"certified precision vanishes at recurrence step {k} "
+                        f"(need more than {ctx.pctx.precision} digits to reach index {n})"
+                    )
+            for k in range(len(values), n + 1):
+                values.append(_scalar_step(ctx, values, k, shift, lead))
+        return values
 
     # -- the numbers ------------------------------------------------------
 
     def beta(self, n: int) -> Scalar:
-        if n < 0:
-            raise DomainError("index must be nonnegative")
-        self._beta.extend_to(n)
-        return self._beta.values[n]
+        return self._filled("beta", n)[n]
 
     def xi(self, n: int) -> Scalar:
-        if n < 0:
-            raise DomainError("index must be nonnegative")
-        self._xi.extend_to(n)
-        return self._xi.values[n]
+        return self._filled("xi", n)[n]
 
     # -- the polynomials --------------------------------------------------
 
@@ -219,10 +171,6 @@ class CarlitzTable:
         for i in range(n + 1):
             acc = acc + comb(n, i) * self.beta(i) * qx_pows[i] * bx_pows[n - i]
         return acc
-
-    def beta_inverse_q(self, n: int) -> Scalar:
-        """beta_n computed in the q -> 1/q context."""
-        return self.inverse_table().beta(n)
 
     def inverse_table(self) -> "CarlitzTable":
         return table_for(invert_q(self.ctx))

@@ -126,11 +126,17 @@ def _config(args, grid=None) -> SuiteConfig:
     return SuiteConfig.from_json(grid)
 
 
-def _read_json(path: str, what: str):
+def _read_json(spec: str, what: str):
+    """The JSON value of ``spec``: inline text, or the file named after a
+    leading "@".  Unreadable, malformed or too deeply nested JSON raises
+    DomainError."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        if spec.startswith("@"):
+            what += " file"
+            with open(spec[1:]) as fh:
+                spec = fh.read()
+        return json.loads(spec)
+    except (OSError, ValueError, RecursionError) as exc:
         raise DomainError(f"cannot read {what}: {exc}") from exc
 
 
@@ -208,9 +214,7 @@ def _cmd_integrate(args) -> int:
     if config.backend != "padic":
         raise DomainError("integrate requires --backend padic")
     ctx = config.context()
-    spec = args.integrand
-    data = _read_json(spec[1:], "integrand file") if spec.startswith("@") else json.loads(spec)
-    integrand = integrand_from_json(data)
+    integrand = integrand_from_json(_read_json(args.integrand, "integrand"))
     try:
         result = integrate(integrand, ctx, config.target_valuation, config.level_cap)
     except MaxLevelExceeded as exc:
@@ -223,7 +227,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    grid = _read_json(args.grid, "grid file") if args.grid else None
+    grid = _read_json("@" + args.grid, "grid") if args.grid else None
     reports = run_suite(_config(args, grid))
     _emit(args, reports_to_jsonl(reports))
     return suite_exit_status(reports)

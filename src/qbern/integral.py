@@ -437,7 +437,7 @@ def closed_one_minus_x_power(n: int, ctx: QContext, tbl: Optional[CarlitzTable] 
     if n <= 1:
         raise DomainError("the closed form requires n > 1")
     tbl = tbl or table_for(ctx)
-    return ctx.q ** 2 * tbl.beta_inverse_q(n) + ctx.embed(n + 1) - ctx.q
+    return ctx.q ** 2 * tbl.inverse_table().beta(n) + ctx.embed(n + 1) - ctx.q
 
 
 # -- shared route sums -------------------------------------------------------

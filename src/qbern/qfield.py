@@ -524,9 +524,9 @@ def rational_literal(text: str) -> Fraction:
 class QContext:
     """Backend tag plus the value of q.
 
-    Symbolic contexts carry q as a rational function (the indeterminate by
-    default; 1/q after inversion).  Padic contexts require q to be a unit
-    with nu_p(q - 1) >= 1, carried to exactly the working precision K.
+    Symbolic contexts carry q as the indeterminate or, after inversion, its
+    reciprocal 1/q.  Padic contexts require q to be a unit with
+    nu_p(q - 1) >= 1, carried to exactly the working precision K.
     """
 
     backend: str
@@ -535,10 +535,9 @@ class QContext:
 
     def __post_init__(self):
         if self.backend == "symbolic":
-            if not isinstance(self.q, RationalFunction):
-                raise DomainError("symbolic context needs a RationalFunction q")
-            if self.q == RationalFunction.from_fraction(1) or self.q.is_zero():
-                raise DomainError("q must differ from 0 and 1")
+            q = RationalFunction.indeterminate()
+            if not isinstance(self.q, RationalFunction) or self.q not in (q, q.reciprocal()):
+                raise DomainError("a symbolic q is the indeterminate q or its reciprocal 1/q")
         elif self.backend == "padic":
             if self.pctx is None or not isinstance(self.q, PadicNumber):
                 raise DomainError("padic context needs a PadicContext and a padic q")
@@ -556,8 +555,8 @@ class QContext:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def symbolic(cls, q: Optional[RationalFunction] = None) -> "QContext":
-        return cls("symbolic", q if q is not None else RationalFunction.indeterminate())
+    def symbolic(cls) -> "QContext":
+        return cls("symbolic", RationalFunction.indeterminate())
 
     @classmethod
     def padic(cls, prime: int, precision: int, q="1+p") -> "QContext":

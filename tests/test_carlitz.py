@@ -99,9 +99,10 @@ def test_beta_poly_negative_argument(sym_table):
 
 
 def test_beta_inverse_q(sym_table):
-    assert sym_table.beta_inverse_q(0) == rf((1,))
-    assert sym_table.beta_inverse_q(1) == rf((0, -1), (1, 1))        # -q/(1+q)
-    assert sym_table.beta_inverse_q(2) == rf((0, 0, 1), (1, 2, 2, 1))  # q^2/((q+1)(q^2+q+1))
+    inverse = sym_table.inverse_table()
+    assert inverse.beta(0) == rf((1,))
+    assert inverse.beta(1) == rf((0, -1), (1, 1))        # -q/(1+q)
+    assert inverse.beta(2) == rf((0, 0, 1), (1, 2, 2, 1))  # q^2/((q+1)(q^2+q+1))
 
 
 def test_beta_poly_padic_matches_symbolic(sym_table, padic_ctx3):
@@ -166,7 +167,7 @@ def test_eager_precision_exhausted():
     with pytest.raises(PrecisionExhausted, match="step 3"):
         tbl.beta(5)
     # nothing was partially filled beyond the existing entries
-    assert len(tbl._beta.values) == 1
+    assert len(tbl._memo["beta"]) == 1
 
 
 def test_precision_ledger_bound(padic_contexts):
@@ -204,17 +205,17 @@ def test_general_rational_q_recurrence():
 
 
 def test_inverse_table_is_the_substituted_table():
-    # the table at 1/q reads its values off the table at q; a direct run of
-    # the recurrence on rational functions at 1/q gives the same values
-    from qbern.carlitz import _Recurrence
+    # the table at 1/q reads its values off the table at q; the scalar step
+    # run on rational functions at 1/q gives the same values
+    from qbern.carlitz import _KINDS, _scalar_step
     from qbern.qfield import invert_q
 
     ictx = invert_q(QContext.symbolic())
     tbl = table_for(ictx)
-    assert tbl._beta.source is table_for(QContext.symbolic())._beta
-    beta, xi = _Recurrence(ictx, 1, True), _Recurrence(ictx, 0, False)
-    beta.extend_to(16)
-    xi.extend_to(16)
-    for n in range(17):
-        assert tbl.beta(n) == beta.values[n]
-        assert tbl.xi(n) == xi.values[n]
+    assert tbl._source is table_for(QContext.symbolic())
+    for kind, (shift, lead) in _KINDS.items():
+        values = [ictx.one()]
+        for k in range(1, 17):
+            values.append(_scalar_step(ictx, values, k, shift, lead))
+        for n in range(17):
+            assert getattr(tbl, kind)(n) == values[n], (kind, n)

@@ -183,6 +183,9 @@ def test_integrate_requires_padic(capsys):
     assert code == 2
 
 
+# nested past the interpreter's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
 MALFORMED_INTEGRANDS = {
     "missing-key": '{"type":"bracket_power","offset":0}',
     "not-an-object": "[1]",
@@ -198,12 +201,15 @@ MALFORMED_INTEGRANDS = {
     "integrand-unknown-field": '{"type":"bracket_power","offset":0,"power":2,"junk":1}',
     "missing-file": "@{tmp}/missing.json",
     "directory": "@{tmp}",
+    "deeply-nested": DEEP,
+    "deeply-nested-file": "@{tmp}/deep.json",
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_INTEGRANDS))
 def test_integrate_malformed_integrand(name, capsys, tmp_path):
     spec = MALFORMED_INTEGRANDS[name].replace("{tmp}", str(tmp_path))
+    (tmp_path / "deep.json").write_text(DEEP)
     code, out, err = run(capsys, "integrate", "--backend", "padic", "--integrand", spec)
     assert code == 2
     assert out == ""
@@ -288,6 +294,7 @@ MALFORMED_GRIDS = {
                                              "reading": "mystery"})),
     "symbolic-q-literal": _grid(("PROP2", {"n": 2}), backend="symbolic", q="5"),
     "corrupt-not-bool": _grid(("PROP2", {"n": 2}), corrupt="no"),
+    "deeply-nested": DEEP,
 }
 
 

@@ -256,7 +256,12 @@ def test_context_validation():
     with pytest.raises(DomainError):
         QContext.padic(3, 24, 1)      # q = 1
     with pytest.raises(DomainError):
-        QContext.symbolic(RF.from_fraction(1))
+        QContext("symbolic", RF.from_fraction(1))
+    # a symbolic q is the indeterminate or its reciprocal, nothing else
+    q = RF.indeterminate()
+    for other in (2 * q, q + 1, q ** 2):
+        with pytest.raises(DomainError):
+            QContext("symbolic", other)
     # a padic q is carried to exactly the working precision K = 8 digits,
     # and enters QContext.padic only as a rational
     pctx = PadicContext(3, 8)
