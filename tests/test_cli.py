@@ -177,6 +177,17 @@ def test_missing_literal_value_exits_2(capsys, argv):
     assert "expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["beta-poly", "--n", "2", "--x", "1/2"],
+    ["bernstein", "--k", "1", "--n", "2", "--x", "1/2"],
+    ["table", "--kind", "bernstein", "--range", "0:2", "--x", "1/2"],
+])
+def test_symbolic_rational_x_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--backend", "symbolic")
+    assert (code, out) == (2, "")
+    assert err == "error: symbolic backend takes integer x only\n"
+
+
 def test_integrate_requires_padic(capsys):
     code, _, err = run(capsys, "integrate",
                        "--integrand", '{"type":"bracket_power","offset":0,"power":1}')
