@@ -2,8 +2,8 @@
 
 Subcommands: beta, xi, beta-poly, bernstein, integrate, verify, table,
 selftest.  Exit codes: 0 success / all verified, 1 identity violation,
-2 usage or configuration error (including insufficient working precision),
-3 work budget exceeded.
+2 usage or configuration error (including insufficient working precision,
+save in a verify or selftest row, which is skipped), 3 work budget exceeded.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from .errors import BudgetExceeded, DomainError, MaxLevelExceeded, QbernError
 from .identities import (
     _GRID_FIELDS,
     SuiteConfig,
+    _corrupted,
     reports_to_jsonl,
     run_suite,
     suite_exit_status,
 )
 from .integral import bernstein_power_product_integral, integrand_from_json, integrate
-from .qfield import QContext, rational_literal
+from .qfield import rational_literal
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -140,15 +141,13 @@ def _read_json(spec: str, what: str):
         raise DomainError(f"cannot read {what}: {exc}") from exc
 
 
-def _parse_x(text: str, ctx: QContext):
-    """An integer x, or on the padic backend a rational one."""
+def _parse_x(text: str):
+    """An integer x, else a rational one, which only the padic backend
+    evaluates (``q_pow`` refuses it on the symbolic backend)."""
     try:
-        x = int(text)
+        return int(text)
     except ValueError:
-        x = rational_literal(text.strip())
-    if ctx.is_symbolic and not isinstance(x, int):
-        raise DomainError("symbolic backend takes integer x only")
-    return x
+        return rational_literal(text.strip())
 
 
 def _scalar_payload(value, ctx) -> dict:
@@ -191,7 +190,7 @@ def _cmd_number(args) -> int:
 
 def _cmd_beta_poly(args) -> int:
     ctx = _config(args).context()
-    x = _parse_x(args.x, ctx)
+    x = _parse_x(args.x)
     value = table_for(ctx).beta_poly(args.n, x)
     payload = {"n": args.n, "x": str(x), "backend": ctx.backend,
                **_scalar_payload(value, ctx)}
@@ -201,7 +200,7 @@ def _cmd_beta_poly(args) -> int:
 
 def _cmd_bernstein(args) -> int:
     ctx = _config(args).context()
-    x = _parse_x(args.x, ctx)
+    x = _parse_x(args.x)
     value = bernstein_eval(BernsteinSpec(args.k, args.n), x, ctx)
     payload = {"k": args.k, "n": args.n, "x": str(x), "backend": ctx.backend,
                **_scalar_payload(value, ctx)}
@@ -211,8 +210,6 @@ def _cmd_bernstein(args) -> int:
 
 def _cmd_integrate(args) -> int:
     config = _config(args)
-    if config.backend != "padic":
-        raise DomainError("integrate requires --backend padic")
     ctx = config.context()
     integrand = integrand_from_json(_read_json(args.integrand, "integrand"))
     try:
@@ -259,7 +256,7 @@ def _cmd_table(args) -> int:
                 row["value_at_q1"] = str(eval_at_one(tbl.beta(n)))
             rows.append(row)
     elif args.kind == "bernstein":
-        x = _parse_x(args.x, ctx)
+        x = _parse_x(args.x)
         header = ["n", "k", "x", "value"]
         for n in _parse_range(args.range):
             for k in range(n + 1):
@@ -294,8 +291,10 @@ _SELFTEST_GRID = {"identities": [["THM1", {"n": 1, "x": 0}], ["PROP2", {"n": 2}]
 def _cmd_selftest(args) -> int:
     # the other suite flags apply; the backend is always padic
     config = _config(args, _SELFTEST_GRID)
-    reports = run_suite(replace(config, backend="padic",
-                                target_valuation=min(config.target_valuation, 6)))
+    config = replace(config, backend="padic", target_valuation=min(config.target_valuation, 6))
+    reports = run_suite(config)
+    if args.corrupt:
+        reports[0] = _corrupted(reports[0], config.context())
     _emit(args, reports_to_jsonl(reports))
     return suite_exit_status(reports)
 

@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 from .bernstein import BernsteinSpec, bernstein_eval
 from .carlitz import CarlitzTable, classical_bernoulli, eval_at_one, table_for
-from .errors import DomainError, MaxLevelExceeded, PoleAtOne
+from .errors import DomainError, MaxLevelExceeded, PoleAtOne, PrecisionExhausted
 from .integral import (
     INT,
     INTS,
@@ -75,7 +75,8 @@ __all__ = [
     "summarize",
 ]
 
-# the valuation a Riemann-oracle side runs to when the caller sets no target
+# the padic comparison valuation, and the valuation a Riemann-oracle side
+# runs to, when the caller sets no target
 ORACLE_TARGET = 8
 
 
@@ -145,28 +146,25 @@ class IdentityReport:
         }
 
 
-def _compare(lhs: Scalar, rhs: Scalar, ctx: QContext, target: Optional[int]) -> Verdict:
-    """Exact comparison in symbolic mode; valuation comparison in padic mode.
+def _compare(lhs: Scalar, rhs: Scalar, ctx: QContext, target: int) -> Verdict:
+    """Exact comparison in symbolic mode, which ignores ``target``; in padic
+    mode, agreement to valuation ``target``.
 
-    The padic comparison runs at min(target, shared certified precision);
-    an unmet target therefore shows up as a Fail with the achieved
-    valuation attached, never as a silently weakened check.
+    A padic target above the shared certified precision shows up as a Fail
+    with the achieved valuation attached, never as a silently weakened check.
     """
-    if ctx.is_symbolic:
-        diff = lhs - rhs
-        return Verdict.exact() if diff.is_zero() else Verdict.fail(diff)
-    certified = min(lhs.prec, rhs.prec)
-    t = certified if target is None else target
     diff = lhs - rhs
+    if ctx.is_symbolic:
+        return Verdict.exact() if diff.is_zero() else Verdict.fail(diff)
     achieved = diff._effective_valuation()
-    if t > certified:
+    if target > min(lhs.prec, rhs.prec):
         # cannot certify the requested agreement; report what is achieved
         return Verdict.fail(diff, achieved=achieved)
-    if diff.is_zero() and achieved >= t:
+    if diff.is_zero() and achieved >= target:
         # bit-exact agreement at the shared certified precision
         return Verdict.exact()
-    if achieved >= t:
-        return Verdict.to_valuation(t)
+    if achieved >= target:
+        return Verdict.to_valuation(target)
     return Verdict.fail(diff, achieved=achieved)
 
 
@@ -176,7 +174,7 @@ class _Run:
 
     ctx: QContext
     tbl: CarlitzTable
-    target: Optional[int]
+    target: int
     level_cap: Optional[int]
 
     def integrate(self, f, ctx: Optional[QContext] = None):
@@ -335,8 +333,6 @@ def _symmetry(run: _Run, k: int, n: int, x):
     ctx = run.ctx
     if not 0 <= k <= n:
         return "need 0 <= k <= n"
-    if ctx.is_symbolic and not isinstance(x, int):
-        return "symbolic backend takes integer x only"
     lhs = bernstein_eval(BernsteinSpec(k, n), x, ctx)
     reflected = 1 - x if isinstance(x, int) else ctx.one() - x
     rhs = bernstein_eval(BernsteinSpec(n - k, n), reflected, invert_q(ctx))
@@ -376,15 +372,14 @@ class _Entry:
     params: dict          # parameter name -> its field type
     defaults: dict = field(default_factory=dict)
     shape: Callable = dict  # (**params) -> the report's ``parameters``
-    oracle: bool = False    # a padic side is the Riemann oracle
 
 
 CATALOG = {
-    "THM1": _Entry(_theorem1, {"n": INT, "x": INT}, oracle=True),
+    "THM1": _Entry(_theorem1, {"n": INT, "x": INT}),
     "PROP2": _Entry(_prop2, {"n": INT}),
-    "EQ6": _Entry(_eq6, {"n": INT}, oracle=True),
+    "EQ6": _Entry(_eq6, {"n": INT}),
     "EQ7": _Entry(_eq7, {"n": INT}),
-    "THM3": _Entry(_theorem3, {"n": INT}, oracle=True),
+    "THM3": _Entry(_theorem3, {"n": INT}),
     "EQ9_EQ11": _Entry(_eq9_eq11, {"n": INT, "k": INT}),
     "EQ13_EQ14": _Entry(_two_product, {"n": INT, "m": INT, "k": INT}),
     "THM4_COR5": _Entry(
@@ -402,19 +397,22 @@ CATALOG = {
 }
 
 
-def verify(identity: str, params: dict, ctx: QContext, target: Optional[int] = None,
+def verify(identity: str, params: dict, ctx: QContext, target: int = ORACLE_TARGET,
            level_cap: Optional[int] = None) -> IdentityReport:
     """Verify one catalog entry with the given parameters.
 
-    ``target`` is the padic comparison valuation (None: the shared certified
-    precision; ORACLE_TARGET for an identity with a Riemann-oracle side).
+    ``target`` is the padic comparison valuation and the valuation a
+    Riemann-oracle side integrates to; the symbolic comparison is exact.  A
+    side that runs out of certified digits skips the row with the error as
+    its note.
     """
     entry = CATALOG[identity]
     params = {**entry.defaults, **params}
-    if target is None and entry.oracle and not ctx.is_symbolic:
-        target = ORACLE_TARGET
     shape = entry.shape(**params)
-    sides = entry.sides(_Run(ctx, table_for(ctx), target, level_cap), **params)
+    try:
+        sides = entry.sides(_Run(ctx, table_for(ctx), target, level_cap), **params)
+    except PrecisionExhausted as exc:
+        sides = str(exc)
     if isinstance(sides, str):
         return IdentityReport(identity, shape, ctx.backend, domain_ok=False, notes=sides)
     lhs, rhs, notes, quarantined = sides
@@ -447,7 +445,6 @@ _GRID_FIELDS = {
     "target_valuation": INT,
     "level_cap": ("an integer or null", lambda v: v is None or _is_json_int(v)),
     "identities": ("a list of grid entries or null", lambda v: v is None or isinstance(v, list)),
-    "corrupt": _BOOL,
 }
 _ENTRY_FIELDS = {"identity": one_of(CATALOG),
                  "params": ("a JSON object", lambda v: isinstance(v, dict))}
@@ -475,7 +472,6 @@ class SuiteConfig:
     target_valuation: int = ORACLE_TARGET
     level_cap: Optional[int] = None
     identities: Optional[list] = None  # [(identity_name, params_dict), ...]
-    corrupt: bool = False  # self-test: flip one sign to force a failure
 
     def context(self) -> QContext:
         if self.backend == "symbolic":
@@ -570,23 +566,17 @@ def run_suite(config: SuiteConfig) -> list:
     """Run the configured grid; one report per entry, in grid order."""
     ctx = config.context()
     grid = config.identities if config.identities is not None else default_grid(config.backend)
-    target = None if ctx.is_symbolic else config.target_valuation
-    reports = []
-    for index, (name, params) in enumerate(grid):
-        report = verify(name, params, ctx, target, config.level_cap)
-        if config.corrupt and index == 0:
-            report = _corrupted(report, ctx)
-        reports.append(report)
-    return reports
+    return [verify(name, params, ctx, config.target_valuation, config.level_cap)
+            for name, params in grid]
 
 
 def _corrupted(report: IdentityReport, ctx: QContext) -> IdentityReport:
-    # Self-test hook: flip the sign of one side and re-verdict.
+    """The report with the sign of its right side flipped and re-verdicted
+    at valuation 1: ``selftest --corrupt`` proves a failure is detected."""
     if report.lhs is None or report.rhs is None or not report.domain_ok:
         return report
     flipped = -report.rhs
-    target = None if ctx.is_symbolic else 1
-    verdict = _compare(report.lhs, flipped, ctx, target)
+    verdict = _compare(report.lhs, flipped, ctx, 1)
     return IdentityReport(report.identity, {**report.parameters, "corrupted": True},
                           report.backend, verdict=verdict, lhs=report.lhs,
                           rhs=flipped, notes="self-test sign flip")

@@ -213,12 +213,6 @@ class PadicNumber:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -252,12 +246,6 @@ class PadicNumber:
         mod = p ** rel
         unit = self.unit % mod * pow(other.unit % mod, -1, mod)
         return PadicNumber(self.ctx, v, unit, prec)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, e: int):
         if not isinstance(e, int):

@@ -400,12 +400,6 @@ class RationalFunction:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -428,12 +422,6 @@ class RationalFunction:
         if other is None:
             return NotImplemented
         return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.reciprocal()
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -637,9 +625,7 @@ def q_pow(x, ctx: QContext) -> Scalar:
     if isinstance(x, int):
         return ctx.q ** x
     if ctx.is_symbolic:
-        raise NonIntegerExponentInSymbolicMode(
-            "symbolic backend supports integer exponents only"
-        )
+        raise NonIntegerExponentInSymbolicMode("symbolic backend takes integer x only")
     if isinstance(x, Fraction):
         x = PadicNumber.from_fraction(x, ctx.pctx)
     if not isinstance(x, PadicNumber):

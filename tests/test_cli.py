@@ -192,6 +192,7 @@ def test_integrate_requires_padic(capsys):
     code, _, err = run(capsys, "integrate",
                        "--integrand", '{"type":"bracket_power","offset":0,"power":1}')
     assert code == 2
+    assert err == "error: the Riemann evaluator requires the padic backend\n"
 
 
 # nested past the interpreter's recursion limit
@@ -304,7 +305,7 @@ MALFORMED_GRIDS = {
     "reading-out-of-domain": _grid(("THM6", {"nm": [[1, 1]], "k": 1,
                                              "reading": "mystery"})),
     "symbolic-q-literal": _grid(("PROP2", {"n": 2}), backend="symbolic", q="5"),
-    "corrupt-not-bool": _grid(("PROP2", {"n": 2}), corrupt="no"),
+    "corrupt-field": _grid(("PROP2", {"n": 2}), corrupt=True),
     "deeply-nested": DEEP,
 }
 
@@ -317,6 +318,19 @@ def test_verify_malformed_grid(name, capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_precision_short_row_does_not_abort_the_grid(capsys, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(_grid(("PROP2", {"n": 2}), ("THM6", {"nm": [[4, 2], [5, 2]], "k": 1}),
+                          backend="padic", prime=3, precision=24))
+    code, out, err = run(capsys, "verify", "--grid", str(path))
+    assert (code, err) == (0, "")
+    prop2, thm6, summary = map(json.loads, out.splitlines())
+    assert prop2["identity"] == "PROP2" and prop2["verdict"]["kind"] in ("exact", "valuation")
+    assert thm6["identity"] == "THM6" and not thm6["domain_ok"]
+    assert thm6["notes"].startswith("certified precision vanishes at recurrence step 17")
+    assert summary["summary"]["skipped_out_of_domain"] == 1
 
 
 def test_verify_flag_overrides_grid_field(capsys, tmp_path):

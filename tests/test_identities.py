@@ -17,6 +17,7 @@ from qbern.identities import (
     verify,
     verify_theorem1,
     _compare,
+    _corrupted,
 )
 from qbern.errors import DomainError
 from qbern.integral import integrand_from_json
@@ -153,13 +154,32 @@ def test_default_symbolic_suite_passes():
     assert suite_exit_status(reports) == 0
 
 
+def test_verify_defaults_to_the_suite_target():
+    # verify with no target compares each padic row as the default suite does
+    ctx = SuiteConfig(backend="padic").context()
+    suite = run_suite(SuiteConfig(backend="padic"))
+    grid = default_grid("padic")
+    assert len(suite) == len(grid)
+    for (name, params), report in zip(grid, suite):
+        assert verify(name, params, ctx).to_json() == report.to_json()
+
+
+def test_precision_short_row_is_skipped_with_the_error():
+    # THM6 needs beta_17, past what 24 digits at p = 3 certify; PROP2 still runs
+    ctx = QContext.padic(3, 24, "1+p")
+    report = verify("THM6", {"nm": [[4, 2], [5, 2]], "k": 1}, ctx)
+    assert not report.domain_ok and report.verdict is None
+    assert report.notes.startswith("certified precision vanishes at recurrence step 17")
+    assert verify("PROP2", {"n": 2}, ctx).passed
+
+
 def test_corrupted_suite_fails():
     cfg = SuiteConfig(
         backend="symbolic",
         identities=[("PROP2", {"n": 2}), ("PROP2", {"n": 3})],
-        corrupt=True,
     )
     reports = run_suite(cfg)
+    reports[0] = _corrupted(reports[0], cfg.context())
     assert suite_exit_status(reports) == 1
     assert any(not r.passed for r in reports)
 
@@ -277,7 +297,7 @@ _GRID = st.fixed_dictionaries(
                             min_size=1, max_size=3)},
     optional={"backend": st.sampled_from(["symbolic", "padic"]) | _JSON,
               "prime": _INT | _JSON, "q": st.just("7/6") | _JSON,
-              "level_cap": _INT | _JSON, "corrupt": st.booleans() | _JSON})
+              "level_cap": _INT | _JSON})
 
 
 @settings(max_examples=200, deadline=None)
