@@ -38,6 +38,11 @@ CASES = {
     ],
     "xi_padic_p5": ["xi", "--n", "12", "--backend", "padic", "--p", "5"],
     "xi_symbolic": ["xi", "--n", "16"],
+    "beta_poly_padic_p5": ["beta-poly", "--n", "3", "--x", "-1/2", "--backend", "padic",
+                           "--p", "5"],
+    "bernstein_symbolic": ["bernstein", "--k", "1", "--n", "3", "--x", "2"],
+    "table_beta_padic_p5": ["table", "--kind", "beta", "--range", "0:6", "--backend", "padic",
+                            "--p", "5", "--format", "csv"],
 }
 
 
