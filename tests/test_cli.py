@@ -405,6 +405,18 @@ def test_selftest_corrupt(capsys):
     assert summary["failed"] >= 1
 
 
+@pytest.mark.parametrize("before, after", [
+    (["--format", "csv", "table", "--kind", "beta", "--range", "0:2"],
+     ["table", "--kind", "beta", "--range", "0:2", "--format", "csv"]),
+    (["--backend", "padic", "--p", "5", "beta", "--n", "3"],
+     ["beta", "--n", "3", "--backend", "padic", "--p", "5"]),
+], ids=["format", "backend"])
+def test_global_flags_before_the_subcommand(capsys, before, after):
+    first = run(capsys, *before)
+    assert first[0] == 0
+    assert first == run(capsys, *after)
+
+
 def test_table_beta_csv(capsys):
     code, out, _ = run(capsys, "table", "--kind", "beta", "--range", "0:2",
                        "--format", "csv", "--at-one")

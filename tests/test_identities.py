@@ -164,6 +164,21 @@ def test_verify_defaults_to_the_suite_target():
         assert verify(name, params, ctx).to_json() == report.to_json()
 
 
+@pytest.mark.parametrize("name, params, backend, note", [
+    ("THM1", {"n": -1, "x": 0}, "padic", "need n >= 0"),
+    ("THM4_COR5", {"n": [], "k": 1}, "symbolic", "need at least one factor"),
+    ("THM6", {"nm": [], "k": 1}, "symbolic", "need at least one factor"),
+    ("THM6", {"nm": [[2, -1]], "k": 1}, "symbolic", "indices must be nonnegative"),
+    ("THM6", {"nm": [[1, 1]], "k": 1}, "symbolic", "needs sum m_i n_i > k sum m_i + 1"),
+    ("EQ10_SYMMETRY", {"k": 3, "n": 2, "x": 0}, "symbolic", "need 0 <= k <= n"),
+    ("Q_TO_1", {"n": 2}, "padic", "q -> 1 evaluation is symbolic"),
+])
+def test_domain_skip_notes(name, params, backend, note):
+    report = verify(name, params, SuiteConfig(backend=backend).context())
+    assert (report.domain_ok, report.verdict, report.notes) == (False, None, note)
+    assert report.passed
+
+
 def test_precision_short_row_is_skipped_with_the_error():
     # THM6 needs beta_17, past what 24 digits at p = 3 certify; PROP2 still runs
     ctx = QContext.padic(3, 24, "1+p")

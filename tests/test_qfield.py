@@ -282,6 +282,24 @@ def test_backend_coherence(padic_contexts):
         assert scalars_equal(got, want, ctx)
 
 
+# operands outside the two scalar classes, int and Fraction
+_FOREIGN = [
+    lambda p, r: r + p,
+    lambda p, r: p + r,
+    lambda p, r: p + "x",
+    lambda p, r: "x" + p,
+    lambda p, r: r * 0.5,
+    lambda p, r: p.equals_to_precision(r, 1),
+]
+
+
+@pytest.mark.parametrize("combine", _FOREIGN, ids=[
+    "rf+padic", "padic+rf", "padic+str", "str+padic", "rf*float", "equals_to_precision"])
+def test_foreign_operand_raises_type_error(combine, padic_ctx3):
+    with pytest.raises(TypeError):
+        combine(padic_ctx3.q, Q)
+
+
 def test_q_congruent_to_one_is_named():
     # q = 10 is 1 mod 3^2 without being 1
     with pytest.raises(DomainError, match="vanishes to the working precision"):
