@@ -23,6 +23,7 @@ so PrecisionExhausted names the offending step before any entry is filled.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .errors import DivisionByZero, DomainError, PoleAtOne, PrecisionExhausted
@@ -215,13 +216,7 @@ def eval_at_one(f: RationalFunction) -> Fraction:
         raise PoleAtOne("reduced denominator vanishes at q = 1") from None
 
 
-# per-context memoized tables; recomputation is deterministic so sharing is safe
-_TABLES: dict[QContext, CarlitzTable] = {}
-
-
+# one memoized table per context; recomputation is deterministic so sharing is safe
+@cache
 def table_for(ctx: QContext) -> CarlitzTable:
-    tbl = _TABLES.get(ctx)
-    if tbl is None:
-        tbl = CarlitzTable(ctx)
-        _TABLES[ctx] = tbl
-    return tbl
+    return CarlitzTable(ctx)

@@ -3,7 +3,8 @@
 Subcommands: beta, xi, beta-poly, bernstein, integrate, verify, table,
 selftest.  Exit codes: 0 success / all verified, 1 identity violation,
 2 usage or configuration error (including insufficient working precision,
-save in a verify or selftest row, which is skipped), 3 work budget exceeded.
+save in a verify or selftest row, which is skipped, and a selftest in which
+no row ran), 3 work budget exceeded.
 """
 
 from __future__ import annotations
@@ -150,8 +151,9 @@ def _parse_x(text: str):
         return rational_literal(text.strip())
 
 
-def _scalar_payload(value, ctx) -> dict:
-    payload = {"value": value.to_json()}
+def _print_value(args, ctx, value, **index) -> int:
+    """Emit one scalar's payload, after its ``index`` fields."""
+    payload = {**index, "backend": ctx.backend, "value": value.to_json()}
     if ctx.is_symbolic:
         payload["rendered"] = value.render()
         payload["certified_precision"] = None
@@ -159,7 +161,8 @@ def _scalar_payload(value, ctx) -> dict:
         payload["certified_precision"] = (
             None if isinf(value.prec) else int(value.prec)
         )
-    return payload
+    _emit(args, json.dumps(payload, sort_keys=True) + "\n")
+    return EXIT_OK
 
 
 def _emit(args, text: str):
@@ -183,29 +186,20 @@ def _cmd_number(args) -> int:
     ctx = _config(args).context()
     tbl = table_for(ctx)
     value = tbl.beta(args.n) if args.command == "beta" else tbl.xi(args.n)
-    payload = {"n": args.n, "backend": ctx.backend, **_scalar_payload(value, ctx)}
-    _emit(args, json.dumps(payload, sort_keys=True) + "\n")
-    return EXIT_OK
+    return _print_value(args, ctx, value, n=args.n)
 
 
 def _cmd_beta_poly(args) -> int:
     ctx = _config(args).context()
     x = _parse_x(args.x)
-    value = table_for(ctx).beta_poly(args.n, x)
-    payload = {"n": args.n, "x": str(x), "backend": ctx.backend,
-               **_scalar_payload(value, ctx)}
-    _emit(args, json.dumps(payload, sort_keys=True) + "\n")
-    return EXIT_OK
+    return _print_value(args, ctx, table_for(ctx).beta_poly(args.n, x), n=args.n, x=str(x))
 
 
 def _cmd_bernstein(args) -> int:
     ctx = _config(args).context()
     x = _parse_x(args.x)
     value = bernstein_eval(BernsteinSpec(args.k, args.n), x, ctx)
-    payload = {"k": args.k, "n": args.n, "x": str(x), "backend": ctx.backend,
-               **_scalar_payload(value, ctx)}
-    _emit(args, json.dumps(payload, sort_keys=True) + "\n")
-    return EXIT_OK
+    return _print_value(args, ctx, value, k=args.k, n=args.n, x=str(x))
 
 
 def _cmd_integrate(args) -> int:
@@ -290,11 +284,13 @@ _SELFTEST_GRID = {"identities": [["THM1", {"n": 1, "x": 0}], ["PROP2", {"n": 2}]
 
 def _cmd_selftest(args) -> int:
     # the other suite flags apply; the backend is always padic
-    config = _config(args, _SELFTEST_GRID)
-    config = replace(config, backend="padic", target_valuation=min(config.target_valuation, 6))
+    config = replace(_config(args, _SELFTEST_GRID), backend="padic")
     reports = run_suite(config)
+    ran = [i for i, r in enumerate(reports) if r.verdict is not None]
+    if not ran:
+        raise DomainError(f"no self-test row ran: {reports[0].notes}")
     if args.corrupt:
-        reports[0] = _corrupted(reports[0], config.context())
+        reports[ran[0]] = _corrupted(reports[ran[0]], config.context())
     _emit(args, reports_to_jsonl(reports))
     return suite_exit_status(reports)
 

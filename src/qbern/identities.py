@@ -117,7 +117,7 @@ class IdentityReport:
     parameters: dict
     backend: str
     domain_ok: bool = True
-    verdict: Optional[Verdict] = None
+    verdict: Optional[Verdict] = None  # set exactly when domain_ok
     lhs: Optional[Scalar] = None
     rhs: Optional[Scalar] = None
     quarantined: bool = False
@@ -126,11 +126,7 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         # domain skips pass vacuously; quarantined failures do not fail a suite
-        if not self.domain_ok:
-            return True
-        if self.verdict is None:
-            return False
-        return self.verdict.ok or self.quarantined
+        return not self.domain_ok or self.verdict.ok or self.quarantined
 
     def to_json(self) -> dict:
         return {
@@ -182,11 +178,7 @@ class _Run:
         try:
             return integrate(f, ctx or self.ctx, self.target, self.level_cap).value, ""
         except MaxLevelExceeded as exc:
-            res = exc.result
-            return res.value, (
-                f"level cap {res.level} hit before a certificate reached {self.target} "
-                f"(best {res.stabilization_valuation})"
-            )
+            return exc.result.value, str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +565,6 @@ def run_suite(config: SuiteConfig) -> list:
 def _corrupted(report: IdentityReport, ctx: QContext) -> IdentityReport:
     """The report with the sign of its right side flipped and re-verdicted
     at valuation 1: ``selftest --corrupt`` proves a failure is detected."""
-    if report.lhs is None or report.rhs is None or not report.domain_ok:
-        return report
     flipped = -report.rhs
     verdict = _compare(report.lhs, flipped, ctx, 1)
     return IdentityReport(report.identity, {**report.parameters, "corrupted": True},
@@ -586,8 +576,7 @@ def summarize(reports) -> dict:
     total = len(reports)
     skipped = sum(1 for r in reports if not r.domain_ok)
     quarantined_failures = sum(
-        1 for r in reports
-        if r.domain_ok and r.quarantined and r.verdict is not None and not r.verdict.ok
+        1 for r in reports if r.domain_ok and r.quarantined and not r.verdict.ok
     )
     failed = sum(1 for r in reports if not r.passed)
     passed = total - failed - skipped

@@ -38,15 +38,12 @@ duality), so the oracle's ruling on it rules on this prefactor.
 
 Each integrand has one shape (``_shape``): ``scale * y^a (1 - y)^b`` for
 y = [x + c]_q or [c - x]_{1/q}, which ``_bracket_form`` writes as
-(1 - r q^x)/(1 - s); no other integrand exists.  The integer kernel and
-the coefficient valuations both read it, and a constant (a + b = 0) forms
-no 1/(1 - s).  The kernel ``_kernel_sum`` is the one Riemann evaluator.
-Since ``QContext`` carries q to exactly K digits, it sums in plain ints
-modulo p^(K + nu_p(scale)), the bracket stepping by ``[y+1]_q = 1 + q[y]_q``
-(or ``[y-1]_{1/q} = q([y]_{1/q} - 1)``) with no division.  Its contract is
-bit-identity with the same sum taken term by term in ``PadicNumber``
-arithmetic, which the tests keep as its reference: the same (valuation,
-unit, precision), or the same exception, for every sum.
+(1 - r q^x)/(1 - s); no other integrand exists.  ``riemann_sum``, the one
+Riemann evaluator, and the coefficient valuations both read it, and a
+constant (a + b = 0) forms no 1/(1 - s).  Since ``QContext`` carries q to
+exactly K digits, ``riemann_sum`` sums in plain ints with no division, bit
+for bit as the same sum taken term by term in ``PadicNumber`` arithmetic,
+which the tests keep as its reference.
 """
 
 from __future__ import annotations
@@ -214,22 +211,7 @@ def _bracket_form(c: int, reflected: bool, ctx: QContext):
 
 def riemann_sum(f: Integrand, ctx: QContext, level: int) -> Scalar:
     """The level-N q-Riemann sum (1/[p^N]_q) sum_{x<p^N} q^x f(x), summed
-    by the integer kernel ``_kernel_sum``."""
-    if ctx.is_symbolic:
-        raise DomainError("the Riemann evaluator requires the padic backend")
-    if level < 1:
-        raise DomainError("level must be >= 1")
-    p = ctx.prime
-    total = p ** level
-    if total > DEFAULT_TERM_BUDGET:
-        raise BudgetExceeded(
-            f"level {level} needs {total} terms, over the budget of {DEFAULT_TERM_BUDGET}"
-        )
-    return _kernel_sum(f, ctx, total)
-
-
-def _kernel_sum(f: Integrand, ctx: QContext, total: int) -> Scalar:
-    """sum_{x<total} q^x f(x) / sum_{x<total} q^x, summed in plain ints.
+    in plain ints.
 
     Its bracket y starts at [c]_s (s = q, or 1/q when reflected) and steps
     affinely with x: ``[x+c+1]_q = 1 + q[x+c]_q`` or
@@ -249,6 +231,15 @@ def _kernel_sum(f: Integrand, ctx: QContext, total: int) -> Scalar:
     ``PadicNumber.__truediv__``, the two sums give its (v, unit, prec) and
     its exceptions.
     """
+    if ctx.is_symbolic:
+        raise DomainError("the Riemann evaluator requires the padic backend")
+    if level < 1:
+        raise DomainError("level must be >= 1")
+    total = ctx.prime ** level
+    if total > DEFAULT_TERM_BUDGET:
+        raise BudgetExceeded(
+            f"level {level} needs {total} terms, over the budget of {DEFAULT_TERM_BUDGET}"
+        )
     pctx = ctx.pctx
     p, digits = pctx.prime, pctx.precision
     scale, a, b, c, reflected = _shape(f)

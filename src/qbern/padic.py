@@ -169,7 +169,7 @@ class PadicNumber:
             return PadicNumber.from_int(other, self.ctx)
         if isinstance(other, Fraction):
             return PadicNumber.from_fraction(other, self.ctx)
-        return None
+        raise TypeError(f"cannot combine PadicNumber with {type(other).__name__}")
 
     def _effective_valuation(self):
         # Lower bound on the true valuation: exact for nonzero values,
@@ -186,8 +186,6 @@ class PadicNumber:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         prec = min(self.prec, other.prec)
         if self.is_zero():
             return other.truncated(prec)
@@ -209,14 +207,10 @@ class PadicNumber:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         prec = min(
             self._effective_valuation() + other.prec,
             other._effective_valuation() + self.prec,
@@ -229,8 +223,6 @@ class PadicNumber:
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero (to certified precision)")
         if self.is_zero():
@@ -271,8 +263,6 @@ class PadicNumber:
     def equals_to_precision(self, other: "PadicNumber", t: int) -> bool:
         """True iff nu_p(self - other) >= t; requires t to be certified."""
         other = self._coerce(other)
-        if other is None:
-            raise TypeError("cannot compare with non-padic value")
         if t > min(self.prec, other.prec):
             raise RequestedPrecisionNotCertified(
                 f"requested agreement modulo p^{t} exceeds certified precision "

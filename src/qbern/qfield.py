@@ -360,12 +360,10 @@ class RationalFunction:
             return other
         if isinstance(other, (int, Fraction)):
             return RationalFunction.from_fraction(other)
-        return None
+        raise TypeError(f"cannot combine RationalFunction with {type(other).__name__}")
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if not self._n:
             return other
         if not other._n:
@@ -396,14 +394,10 @@ class RationalFunction:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if not self._n or not other._n:
             return RationalFunction.from_fraction(0)
         _, n1, d2 = _zgcd(self._n, other._d)
@@ -419,8 +413,6 @@ class RationalFunction:
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self * other.reciprocal()
 
     def __pow__(self, e: int):

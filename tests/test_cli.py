@@ -394,7 +394,7 @@ def test_selftest(capsys):
 def test_selftest_honours_level_cap(capsys):
     code, out, _ = run(capsys, "selftest", "--level-cap", "1")
     assert code == 1
-    assert "level cap 1 hit" in out
+    assert "within level cap 1" in out
 
 
 def test_selftest_corrupt(capsys):
@@ -403,6 +403,22 @@ def test_selftest_corrupt(capsys):
     lines = out.strip().split("\n")
     summary = json.loads(lines[-1])["summary"]
     assert summary["failed"] >= 1
+
+
+@pytest.mark.parametrize("argv", [[], ["--corrupt"]], ids=["plain", "corrupt"])
+def test_selftest_with_no_row_run_exits_2(capsys, argv):
+    # at 2 digits every row is skipped for precision, so nothing was checked
+    code, out, err = run(capsys, "selftest", "--precision", "2", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no self-test row ran: ") and err.count("\n") == 1
+
+
+def test_selftest_corrupt_flips_the_first_row_that_ran(capsys):
+    code, out, _ = run(capsys, "selftest", "--corrupt", "--precision", "3")
+    assert code == 1
+    reports = [json.loads(line) for line in out.splitlines()[:-1]]
+    flipped = [r for r in reports if r["parameters"].get("corrupted")]
+    assert len(flipped) == 1 and flipped[0]["verdict"]["kind"] == "fail"
 
 
 @pytest.mark.parametrize("before, after", [
