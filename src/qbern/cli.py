@@ -152,7 +152,8 @@ def _parse_x(text: str):
 
 
 def _print_value(args, ctx, value, **index) -> int:
-    """Emit one scalar's payload, after its ``index`` fields."""
+    """Emit the JSON payload of one scalar ``value`` with its ``index``
+    fields (n, k, x) and return the exit code."""
     payload = {**index, "backend": ctx.backend, "value": value.to_json()}
     if ctx.is_symbolic:
         payload["rendered"] = value.render()
@@ -286,11 +287,11 @@ def _cmd_selftest(args) -> int:
     # the other suite flags apply; the backend is always padic
     config = replace(_config(args, _SELFTEST_GRID), backend="padic")
     reports = run_suite(config)
-    ran = [i for i, r in enumerate(reports) if r.verdict is not None]
-    if not ran:
+    ran = next((i for i, r in enumerate(reports) if r.verdict is not None), None)
+    if ran is None:
         raise DomainError(f"no self-test row ran: {reports[0].notes}")
     if args.corrupt:
-        reports[ran[0]] = _corrupted(reports[ran[0]], config.context())
+        reports[ran] = _corrupted(reports[ran], config.context())
     _emit(args, reports_to_jsonl(reports))
     return suite_exit_status(reports)
 
