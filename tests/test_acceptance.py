@@ -122,9 +122,9 @@ def test_criterion_1_symbolic_identities():
     failures = []
     for r in reports:
         if not r.domain_ok:
-            failures.append(f"{r.identity.value}{r.parameters} out of domain")
+            failures.append(f"{r.identity}{r.parameters} out of domain")
         elif r.verdict.kind != "exact":
-            failures.append(f"{r.identity.value}{r.parameters} -> {r.verdict.kind}")
+            failures.append(f"{r.identity}{r.parameters} -> {r.verdict.kind}")
     if elapsed >= 60:
         failures.append(f"runtime {elapsed:.1f}s >= 60s")
     finish("1", failures, f" ({len(reports)} instances, {elapsed:.1f}s)")
