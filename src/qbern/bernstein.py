@@ -6,25 +6,22 @@ reflected bracket [1-x]_{1/q}^{n-k}.  Their integrals live in ``integral``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import DomainError
 from .qfield import QContext, Scalar, q_bracket
+from .record import Record
 
 __all__ = ["BernsteinSpec", "bernstein_eval"]
 
 
-@dataclass(frozen=True)
-class BernsteinSpec:
+class BernsteinSpec(Record):
     """Index pair (k, n) with 0 <= k <= n."""
 
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise DomainError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
+    def __init__(self, k: int, n: int):
+        if not 0 <= k <= n:
+            raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+        self.k, self.n = k, n
 
 
 def bernstein_eval(spec: BernsteinSpec, x, ctx: QContext) -> Scalar:

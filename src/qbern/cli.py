@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from math import isinf
 
 from .bernstein import BernsteinSpec, bernstein_eval
@@ -285,7 +284,7 @@ _SELFTEST_GRID = {"identities": [["THM1", {"n": 1, "x": 0}], ["PROP2", {"n": 2}]
 
 def _cmd_selftest(args) -> int:
     # the other suite flags apply; the backend is always padic
-    config = replace(_config(args, _SELFTEST_GRID), backend="padic")
+    config = _config(args, _SELFTEST_GRID).replace(backend="padic")
     reports = run_suite(config)
     ran = next((i for i, r in enumerate(reports) if r.verdict is not None), None)
     if ran is None:

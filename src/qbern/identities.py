@@ -36,10 +36,8 @@ beta_{.,1/q}) and direct (route II, over beta_{.,q}).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import product
 from math import isinf
-from typing import Callable, Optional
 
 from .bernstein import BernsteinSpec, bernstein_eval
 from .carlitz import CarlitzTable, classical_bernoulli, eval_at_one, table_for
@@ -61,6 +59,7 @@ from .integral import (
     one_of,
 )
 from .qfield import QContext, RationalFunction, Scalar, invert_q, q_pow
+from .record import Record
 
 __all__ = [
     "Verdict",
@@ -80,11 +79,10 @@ __all__ = [
 ORACLE_TARGET = 8
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # "exact" | "valuation" | "fail"
-    valuation: Optional[object] = None
-    diff: Optional[Scalar] = None
+class Verdict(Record):
+    def __init__(self, kind: str, valuation=None, diff: Scalar | None = None):
+        self.kind = kind  # "exact" | "valuation" | "fail"
+        self.valuation, self.diff = valuation, diff
 
     @classmethod
     def exact(cls) -> "Verdict":
@@ -111,17 +109,14 @@ class Verdict:
         return out
 
 
-@dataclass
-class IdentityReport:
-    identity: str  # a CATALOG key
-    parameters: dict
-    backend: str
-    domain_ok: bool = True
-    verdict: Optional[Verdict] = None  # set exactly when domain_ok
-    lhs: Optional[Scalar] = None
-    rhs: Optional[Scalar] = None
-    quarantined: bool = False
-    notes: str = ""
+class IdentityReport(Record):
+    def __init__(self, identity: str, parameters: dict, backend: str, domain_ok: bool = True,
+                 verdict: Verdict | None = None, lhs: Scalar | None = None,
+                 rhs: Scalar | None = None, quarantined: bool = False, notes: str = ""):
+        self.identity = identity  # a CATALOG key
+        self.parameters, self.backend, self.domain_ok = parameters, backend, domain_ok
+        self.verdict = verdict  # set exactly when domain_ok
+        self.lhs, self.rhs, self.quarantined, self.notes = lhs, rhs, quarantined, notes
 
     @property
     def passed(self) -> bool:
@@ -164,16 +159,13 @@ def _compare(lhs: Scalar, rhs: Scalar, ctx: QContext, target: int) -> Verdict:
     return Verdict.fail(diff, achieved=achieved)
 
 
-@dataclass
-class _Run:
+class _Run(Record):
     """What a side function needs besides the identity's parameters."""
 
-    ctx: QContext
-    tbl: CarlitzTable
-    target: int
-    level_cap: Optional[int]
+    def __init__(self, ctx: QContext, tbl: CarlitzTable, target: int, level_cap: int | None):
+        self.ctx, self.tbl, self.target, self.level_cap = ctx, tbl, target, level_cap
 
-    def integrate(self, f, ctx: Optional[QContext] = None):
+    def integrate(self, f, ctx: QContext | None = None):
         """Adaptive integration that falls back to the capped value on a miss."""
         try:
             return integrate(f, ctx or self.ctx, self.target, self.level_cap).value, ""
@@ -358,12 +350,12 @@ _BOOL = ("true or false", lambda v: isinstance(v, bool))
 _READING = ('"sigma" or "literal"', lambda v: v in ("sigma", "literal"))
 
 
-@dataclass(frozen=True)
-class _Entry:
-    sides: Callable       # (run, **params) -> skip reason | (lhs, rhs, notes, quarantined)
-    params: dict          # parameter name -> its field type
-    defaults: dict = field(default_factory=dict)
-    shape: Callable = dict  # (**params) -> the report's ``parameters``
+class _Entry(Record):
+    def __init__(self, sides, params: dict, defaults: dict | None = None, shape=dict):
+        self.sides = sides    # (run, **params) -> skip reason | (lhs, rhs, notes, quarantined)
+        self.params = params  # parameter name -> its field type
+        self.defaults = defaults or {}
+        self.shape = shape    # (**params) -> the report's ``parameters``
 
 
 CATALOG = {
@@ -390,7 +382,7 @@ CATALOG = {
 
 
 def verify(identity: str, params: dict, ctx: QContext, target: int = ORACLE_TARGET,
-           level_cap: Optional[int] = None) -> IdentityReport:
+           level_cap: int | None = None) -> IdentityReport:
     """Verify one catalog entry with the given parameters.
 
     ``target`` is the padic comparison valuation and the valuation a
@@ -418,7 +410,7 @@ def verify(identity: str, params: dict, ctx: QContext, target: int = ORACLE_TARG
 
 # the one named entry point left: the acceptance test imports it
 def verify_theorem1(n: int, x: int, ctx: QContext, target: int = ORACLE_TARGET,
-                    level_cap: Optional[int] = None) -> IdentityReport:
+                    level_cap: int | None = None) -> IdentityReport:
     return verify("THM1", {"n": n, "x": x}, ctx, target, level_cap)
 
 
@@ -453,17 +445,15 @@ def _grid_entry(entry) -> tuple:
     return name, params
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(Record):
     """Grid plus backend parameters for one suite run."""
 
-    backend: str = "symbolic"
-    prime: int = 3
-    precision: int = 24
-    q: str = "1+p"
-    target_valuation: int = ORACLE_TARGET
-    level_cap: Optional[int] = None
-    identities: Optional[list] = None  # [(identity_name, params_dict), ...]
+    def __init__(self, backend: str = "symbolic", prime: int = 3, precision: int = 24,
+                 q: str = "1+p", target_valuation: int = ORACLE_TARGET,
+                 level_cap: int | None = None, identities: list | None = None):
+        self.backend, self.prime, self.precision, self.q = backend, prime, precision, q
+        self.target_valuation, self.level_cap = target_valuation, level_cap
+        self.identities = identities  # [(identity_name, params_dict), ...]
 
     def context(self) -> QContext:
         if self.backend == "symbolic":

@@ -48,10 +48,8 @@ which the tests keep as its reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
 from math import comb, inf, isinf
-from typing import Optional, Union
 
 from .carlitz import CarlitzTable, table_for
 from .errors import (
@@ -63,6 +61,7 @@ from .errors import (
 )
 from .padic import PadicNumber, int_valuation
 from .qfield import QContext, Scalar, invert_q, q_pow
+from .record import Record
 
 __all__ = [
     "BracketPower",
@@ -97,38 +96,29 @@ def default_level_cap(p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BracketPower:
+class BracketPower(Record):
     """x -> [x + offset]_q^power."""
 
-    offset: int
-    power: int
-
-    def __post_init__(self):
-        if self.power < 0:
+    def __init__(self, offset: int, power: int):
+        if power < 0:
             raise DomainError("power must be nonnegative")
+        self.offset, self.power = offset, power
 
 
-@dataclass(frozen=True)
-class ReflectedPower:
+class ReflectedPower(Record):
     """x -> [offset - x]_{1/q}^power."""
 
-    offset: int
-    power: int
-
-    def __post_init__(self):
-        if self.power < 0:
+    def __init__(self, offset: int, power: int):
+        if power < 0:
             raise DomainError("power must be nonnegative")
+        self.offset, self.power = offset, power
 
 
-@dataclass(frozen=True)
-class BernsteinProduct:
+class BernsteinProduct(Record):
     """x -> prod_i B_{k_i, n_i}(x, q)^{m_i}; factors are (k, n, m) triples."""
 
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(tuple(f) for f in self.factors))
+    def __init__(self, factors: tuple):
+        self.factors = tuple(tuple(f) for f in factors)
         for k, n, m in self.factors:
             if not 0 <= k <= n:
                 raise DomainError(f"need 0 <= k <= n in factor {(k, n, m)}")
@@ -136,11 +126,10 @@ class BernsteinProduct:
                 raise DomainError(f"power must be nonnegative in factor {(k, n, m)}")
 
 
-Integrand = Union[BracketPower, ReflectedPower, BernsteinProduct]
+Integrand = BracketPower | ReflectedPower | BernsteinProduct
 
 
-@dataclass(frozen=True)
-class RiemannResult:
+class RiemannResult(Record):
     """Adaptive integration outcome: the value, the level reached, and the
     certificate ``stabilization_valuation`` with its kind ``certificate``.
 
@@ -154,11 +143,11 @@ class RiemannResult:
     levels i+1 and i+2, for every level summed: on a cap miss it runs past
     ``level``."""
 
-    value: Scalar
-    level: int
-    stabilization_valuation: object
-    certificate: str
-    history: tuple = ()
+    def __init__(self, value: Scalar, level: int, stabilization_valuation, certificate: str,
+                 history: tuple = ()):
+        self.value, self.level = value, level
+        self.stabilization_valuation, self.certificate = stabilization_valuation, certificate
+        self.history = history
 
     def to_json(self) -> dict:
         sv = self.stabilization_valuation
@@ -282,7 +271,7 @@ def integrate(
     f: Integrand,
     ctx: QContext,
     target: int,
-    level_cap: Optional[int] = None,
+    level_cap: int | None = None,
 ) -> RiemannResult:
     """Sum levels 1, 2, ... and return at the first level whose certificate
     reaches the target valuation.
@@ -334,7 +323,7 @@ def integrate(
     raise MaxLevelExceeded(
         f"no certificate reaches valuation {target} {stop}; "
         f"best achieved valuation {best.stabilization_valuation}",
-        result=replace(best, history=tuple(history)),
+        result=best.replace(history=tuple(history)),
     )
 
 
@@ -423,7 +412,7 @@ def closed_reflected_power(n: int, x, ctx: QContext) -> Scalar:
     return closed_bracket_power(n, 1 - x, invert_q(ctx))
 
 
-def closed_one_minus_x_power(n: int, ctx: QContext, tbl: Optional[CarlitzTable] = None) -> Scalar:
+def closed_one_minus_x_power(n: int, ctx: QContext, tbl: CarlitzTable | None = None) -> Scalar:
     """Closed form of the integral of [1 - x]_{1/q}^n: q^2 beta_{n,1/q} + n + 1 - q."""
     if n <= 1:
         raise DomainError("the closed form requires n > 1")

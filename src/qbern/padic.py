@@ -15,7 +15,6 @@ share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isinf
 
@@ -25,6 +24,7 @@ from .errors import (
     PrecisionExhausted,
     RequestedPrecisionNotCertified,
 )
+from .record import Record
 
 __all__ = ["PadicContext", "PadicNumber", "int_valuation"]
 
@@ -52,18 +52,15 @@ def int_valuation(n: int, p: int):
     return v
 
 
-@dataclass(frozen=True)
-class PadicContext:
+class PadicContext(Record):
     """An odd prime together with the working precision K for exact inputs."""
 
-    prime: int
-    precision: int
-
-    def __post_init__(self):
-        if not _is_odd_prime(self.prime):
-            raise ValueError(f"prime must be an odd prime >= 3, got {self.prime}")
-        if self.precision < 1:
-            raise ValueError(f"working precision must be >= 1, got {self.precision}")
+    def __init__(self, prime: int, precision: int):
+        if not _is_odd_prime(prime):
+            raise ValueError(f"prime must be an odd prime >= 3, got {prime}")
+        if precision < 1:
+            raise ValueError(f"working precision must be >= 1, got {precision}")
+        self.prime, self.precision = prime, precision
 
 
 class PadicNumber:

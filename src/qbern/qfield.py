@@ -33,10 +33,8 @@ variants and contexts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, inf, lcm
-from typing import Optional, Union
 
 from .errors import (
     DivisionByZero,
@@ -44,6 +42,7 @@ from .errors import (
     NonIntegerExponentInSymbolicMode,
 )
 from .padic import PadicContext, PadicNumber
+from .record import Record
 
 __all__ = [
     "RationalFunction",
@@ -483,7 +482,7 @@ class RationalFunction:
         return self.render()
 
 
-Scalar = Union[PadicNumber, RationalFunction]
+Scalar = PadicNumber | RationalFunction
 
 
 def rational_literal(text: str) -> Fraction:
@@ -500,8 +499,7 @@ def rational_literal(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QContext:
+class QContext(Record):
     """Backend tag plus the value of q.
 
     Symbolic contexts carry q as the indeterminate or, after inversion, its
@@ -509,28 +507,25 @@ class QContext:
     nu_p(q - 1) >= 1, carried to exactly the working precision K.
     """
 
-    backend: str
-    q: Scalar
-    pctx: Optional[PadicContext] = None
-
-    def __post_init__(self):
-        if self.backend == "symbolic":
-            q = RationalFunction.indeterminate()
-            if not isinstance(self.q, RationalFunction) or self.q not in (q, q.reciprocal()):
+    def __init__(self, backend: str, q: Scalar, pctx: PadicContext | None = None):
+        if backend == "symbolic":
+            x = RationalFunction.indeterminate()
+            if not isinstance(q, RationalFunction) or q not in (x, x.reciprocal()):
                 raise DomainError("a symbolic q is the indeterminate q or its reciprocal 1/q")
-        elif self.backend == "padic":
-            if self.pctx is None or not isinstance(self.q, PadicNumber):
+        elif backend == "padic":
+            if pctx is None or not isinstance(q, PadicNumber):
                 raise DomainError("padic context needs a PadicContext and a padic q")
-            if self.q.valuation != 0:
+            if q.valuation != 0:
                 raise DomainError("q must be a p-adic unit")
-            if self.q.prec != self.pctx.precision:
+            if q.prec != pctx.precision:
                 raise DomainError("q must carry exactly the working precision")
-            if (self.q - 1)._effective_valuation() < 1:
+            if (q - 1)._effective_valuation() < 1:
                 raise DomainError("q must satisfy nu_p(q - 1) >= 1")
-            if (self.q - 1).is_zero():
+            if (q - 1).is_zero():
                 raise DomainError("q = 1 is not an admissible padic q")
         else:
-            raise DomainError(f"unknown backend {self.backend!r}")
+            raise DomainError(f"unknown backend {backend!r}")
+        self.backend, self.q, self.pctx = backend, q, pctx
 
     # -- constructors ---------------------------------------------------
 
