@@ -109,6 +109,10 @@ def _zmul(x, y):
     # of slack) above that bound leaves every signed digit unambiguous.
     if not x or not y:
         return []
+    if len(y) == 1:
+        x, y = y, x
+    if len(x) == 1:  # a constant scales the other operand, with no packing
+        return _zcomb(x[0], y, 0, ())
     bound = max(map(abs, x)) * max(map(abs, y)) * min(len(x), len(y))
     b = bound.bit_length() + 2
     return _unpack(_pack(x, b) * _pack(y, b), b)
