@@ -1,9 +1,13 @@
 """Command-line surface: outputs, formats, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qbern
 from qbern.cli import main
 
 
@@ -511,3 +515,13 @@ def test_symbolic_verify_rejects_q_literal(capsys):
     code, out, err = run(capsys, "verify", "--q", "5")
     assert (code, out) == (2, "")
     assert err == "error: a q literal only applies to the padic backend\n"
+
+
+def test_cli_import_path_loads_no_dataclasses_or_typing():
+    # every qbern process pays its imports; -S keeps site's own imports out
+    src = str(Path(qbern.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import qbern.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
