@@ -17,8 +17,9 @@ a content to take.  Under it:
   digits.  With xi >= 2 min(|x|_inf, |y|_inf) + 2 a candidate that divides
   both inputs is the gcd, so a candidate is accepted only after its
   cofactors multiply back to both inputs exactly; those cofactors are the
-  reduced operands.  After a few growing xi the primitive pseudo-remainder
-  sequence takes over, and exact division in Z[q] gives the cofactors.
+  reduced operands.  xi grows until that check holds, which it does once
+  xi is past twice the coefficients of the gcd (times a bounded integer)
+  and of both cofactors.
 
 Fractions appear only at the edges: the public constructor clears the
 denominators of its coefficients, and ``num``/``den`` rebuild the canonical
@@ -130,50 +131,11 @@ def _zcomb(s, x, t, y):
     return out
 
 
-def _zexquo(x, y):
-    # The quotient x / y in Z[q]; ArithmeticError unless y divides x there.
-    # Long division over Q is unique, so a step that leaves a remainder
-    # modulo lc(y) shows that the quotient is not in Z[q].
-    r = list(x)
-    dy = len(y) - 1
-    q = [0] * max(len(r) - dy, 0)
-    for d in reversed(range(len(q))):
-        c, rem = divmod(r[d + dy], y[-1])
-        if rem:
-            raise ArithmeticError("polynomial division was expected to be exact")
-        if c:
-            q[d] = c
-            for i in range(dy):
-                r[d + i] -= c * y[i]
-    if any(r[:dy]):
-        raise ArithmeticError("polynomial division was expected to be exact")
-    return q
-
-
 def _peval(a, x: Fraction) -> Fraction:
     acc = _ZERO
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def _int_prem(a, b):
-    # Pseudo-remainder over Z (Collins); scaling skipped for monic divisors.
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db:
-        lr = r[-1]
-        d = len(r) - 1 - db
-        if lb != 1:
-            r = [lb * c for c in r]
-        for i in range(db + 1):
-            r[d + i] -= lr * b[i]
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            break
-    return r
 
 
 def _content(a):
@@ -191,9 +153,6 @@ def _int_primitive(a):
     return list(a) if g == 1 else [c // g for c in a]
 
 
-_HEU_TRIES = 6
-
-
 def _heugcd(x, y):
     """GCDHEU (Char, Geddes, Gonnet 1989) on primitive x, y of degree >= 1.
 
@@ -202,15 +161,22 @@ def _heugcd(x, y):
     xi >= 2 min(|x|_inf, |y|_inf) + 2, h is gcd(x, y) as soon as it divides
     both; that is checked here by exhibiting the cofactors x/h and y/h
     (read from x(xi)/h(xi), then multiplied back).  A constant h divides
-    everything, so x and y are then coprime.  Returns (h, x/h, y/h), or
-    None when no xi of the few tried gives a checked h.
+    everything, so x and y are then coprime.  Returns (h, x/h, y/h).
+
+    The loop ends.  Write x = g xbar and y = g ybar with g = gcd(x, y).  The
+    integer gcd at xi is then d g(xi), and d divides the inputs' contents
+    times the nonzero resultant Res(xbar, ybar), whatever xi is.  Once xi is
+    more than twice the coefficients of d g, xbar and ybar, the digits read
+    back exactly, and b grows by a quarter on each try, so that point is
+    reached.  Trailing zeros would keep the products from ever matching, so
+    they are stripped first.
     """
-    x, y = list(x), list(y)
+    x, y = list(_strip(x)), list(_strip(y))
     nx, ny = max(map(abs, x)), max(map(abs, y))
     # 2^b >= 2 max(|x|, |y|) + 2 >= the certificate's 2 min(...) + 2, and
     # leaves room to read back cofactors about as large as x and y
     b = (2 * max(nx, ny) + 1).bit_length()
-    for _ in range(_HEU_TRIES):
+    while True:
         xv, yv = _pack(x, b), _pack(y, b)
         h = _int_primitive(_unpack(gcd(xv, yv), b))
         if len(h) == 1:
@@ -220,21 +186,6 @@ def _heugcd(x, y):
         if _zmul(h, cx) == x and _zmul(h, cy) == y:
             return h, cx, cy
         b += b // 4 + 2  # xi grows to about xi^(5/4)
-    return None
-
-
-# the fallback when GCDHEU finds no certified gcd; _zexquo gives its cofactors
-def _prs_gcd(x, y):
-    # gcd of primitive x, y in Z[q] by a primitive pseudo-remainder sequence
-    if len(x) < len(y):
-        x, y = y, x
-    while len(y) > 1:
-        r = _int_prem(x, y)
-        if not r:
-            return y
-        x, y = y, _int_primitive(r)
-    # the sequence bottomed out at a nonzero constant: coprime
-    return [1]
 
 
 def _zgcd(x, y):
@@ -242,11 +193,7 @@ def _zgcd(x, y):
     # positive leading coefficients; h and both cofactors are of that kind
     if len(x) == 1 or len(y) == 1:
         return [1], x, y
-    found = _heugcd(x, y)
-    if found is not None:
-        return found
-    h = _prs_gcd(x, y)
-    return h, _zexquo(x, h), _zexquo(y, h)
+    return _heugcd(x, y)
 
 
 def _fmt_scaled(a, p, r):

@@ -20,7 +20,7 @@ from qbern.qfield import (
     q_pow,
     scalars_equal,
 )
-from qbern.qfield import _int_primitive, _prs_gcd
+from qbern.qfield import _int_primitive
 
 RF = RationalFunction
 SYM = QContext.symbolic()
@@ -336,6 +336,62 @@ def _prim(a):
     return _int_primitive(qfield._clear_denominators(a)[0])
 
 
+# The independent gcd reference: a primitive pseudo-remainder sequence, with
+# exact division in Z[q] for the cofactors.
+
+
+def _zexquo(x, y):
+    # The quotient x / y in Z[q]; ArithmeticError unless y divides x there.
+    # Long division over Q is unique, so a step that leaves a remainder
+    # modulo lc(y) shows that the quotient is not in Z[q].
+    r = list(x)
+    dy = len(y) - 1
+    q = [0] * max(len(r) - dy, 0)
+    for d in reversed(range(len(q))):
+        c, rem = divmod(r[d + dy], y[-1])
+        if rem:
+            raise ArithmeticError("polynomial division was expected to be exact")
+        if c:
+            q[d] = c
+            for i in range(dy):
+                r[d + i] -= c * y[i]
+    if any(r[:dy]):
+        raise ArithmeticError("polynomial division was expected to be exact")
+    return q
+
+
+def _int_prem(a, b):
+    # Pseudo-remainder over Z (Collins); scaling skipped for monic divisors.
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(r) - 1 >= db:
+        lr = r[-1]
+        d = len(r) - 1 - db
+        if lb != 1:
+            r = [lb * c for c in r]
+        for i in range(db + 1):
+            r[d + i] -= lr * b[i]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            break
+    return r
+
+
+def _prs_gcd(x, y):
+    # gcd of primitive x, y in Z[q] by a primitive pseudo-remainder sequence
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        r = _int_prem(x, y)
+        if not r:
+            return y
+        x, y = y, _int_primitive(r)
+    # the sequence bottomed out at a nonzero constant: coprime
+    return [1]
+
+
 def _check_gcd(x, y, found):
     # found = (h, x/h, y/h): the PRS gcd, with cofactors that multiply back
     h, cx, cy = found
@@ -393,9 +449,9 @@ def test_gcd_matches_prs_on_planted_factors(planted):
     _check_gcd(x, y, found)
     h = found[0]
     assert h[-1] > 0 and _int_primitive(h) == list(h)
-    qfield._zexquo(h, _prim(g))  # the planted factor divides the gcd ...
-    qfield._zexquo(x, h)         # ... which divides both; each raises otherwise
-    qfield._zexquo(y, h)
+    _zexquo(h, _prim(g))  # the planted factor divides the gcd ...
+    _zexquo(x, h)         # ... which divides both; each raises otherwise
+    _zexquo(y, h)
 
 
 @settings(max_examples=100, deadline=None)
@@ -404,8 +460,8 @@ def test_heuristic_gcd_is_the_prs_gcd(data):
     x = _prim(_fr(_nonconstant(data.draw, int_polys)))
     y = _prim(_fr(_nonconstant(data.draw, small_polys)))
     found = qfield._heugcd(x, y)
-    if found is not None:
-        _check_gcd(x, y, found)
+    assert found is not None
+    _check_gcd(x, y, found)
 
 
 def test_gcd_coprime_and_content():
@@ -431,40 +487,42 @@ def test_heuristic_starts_at_the_certified_bound(monkeypatch):
         assert 2 ** seen[0] >= 2 * min(max(map(abs, x)), max(map(abs, y))) + 2
 
 
-def test_prs_fallback_gives_the_same_gcd(monkeypatch, sym_table):
-    pairs = [
-        (_schoolbook([1, 2], [3, -1, 4]), _schoolbook([1, 2], [0, 5])),
-        ([-1, 0, 0, 0, 1], [1, 0, -1]),
-        (_prim(sym_table.beta(9).den), _prim(sym_table.beta(8).den)),
-    ]
-    pairs = [(_prim(_fr(a)), _prim(_fr(b))) for a, b in pairs]
-    fast = [qfield._zgcd(a, b) for a, b in pairs]
+def test_heuristic_retries_until_certified(monkeypatch):
+    # 2q^3 - q^2 and q^4 + 2q^3 - 3q^2 + 2q share only q, but the digits at
+    # 2^3 and 2^5 read back a gcd that does not divide both: three points
     calls = []
-    monkeypatch.setattr(qfield, "_heugcd", lambda x, y: calls.append(1))  # gives up
-    slow = [qfield._zgcd(a, b) for a, b in pairs]
-    assert [tuple(map(list, s)) for s in slow] == [tuple(map(list, f)) for f in fast]
-    assert len(calls) == len(pairs)
+    pack = qfield._pack
+    monkeypatch.setattr(qfield, "_pack", lambda a, b: calls.append((a, b)) or pack(a, b))
+    x, y = [0, 0, -1, 2], [0, 2, -3, 2, 1]
+    found = qfield._zgcd(x, y)
+    # each point packs x once; the check's products pack other lists
+    assert [b for a, b in calls if a == x] == [3, 5, 8]
+    assert found == ([0, 1], [0, -1, 2], [2, -3, 2, 1])
+    _check_gcd(x, y, found)
+
+
+def test_common_factor_cancels_back_to_beta(sym_table):
     beta, factor = sym_table.beta(7), _fr([3, 2])  # a common factor 2q + 3
     assert RF(_schoolbook(beta.num, factor), _schoolbook(beta.den, factor)) == beta
 
 
 def test_exact_division_raises_on_remainder():
     with pytest.raises(ArithmeticError):
-        qfield._zexquo([1, 0, 1], [1, 1])            # q^2 + 1 by q + 1
+        _zexquo([1, 0, 1], [1, 1])            # q^2 + 1 by q + 1
     with pytest.raises(ArithmeticError):
-        qfield._zexquo([0, 0, 1], [1, 2])            # q^2 by 2q + 1
+        _zexquo([0, 0, 1], [1, 2])            # q^2 by 2q + 1
     with pytest.raises(ArithmeticError):
-        qfield._zexquo([1], [1, 1])                  # degree too low
+        _zexquo([1], [1, 1])                  # degree too low
     with pytest.raises(ArithmeticError):
-        qfield._zexquo([1, 3, 2], [2, 4])            # (1 + q)/2 is not in Z[q]
-    assert qfield._zexquo([1, 3, 2], [1, 2]) == [1, 1]
+        _zexquo([1, 3, 2], [2, 4])            # (1 + q)/2 is not in Z[q]
+    assert _zexquo([1, 3, 2], [1, 2]) == [1, 1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(int_polys.filter(any), int_polys.filter(any))
 def test_exact_division_inverts_product(a, b):
     a, b = list(qfield._strip(a)), list(qfield._strip(b))
-    assert qfield._zexquo(qfield._zmul(a, b), b) == a
+    assert _zexquo(qfield._zmul(a, b), b) == a
 
 
 # -- the stored form matches sympy's canonical form --------------------------------
