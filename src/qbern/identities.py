@@ -13,8 +13,8 @@ failing on them.
 Identity catalog (the ``CATALOG`` keys, stable external labels):
 
   THM1          reflection duality of the bracket-power integral, both sides
-                by independent Riemann runs; the report notes which sign
-                reading of the reflected closed form the oracle supports.
+                by independent Riemann runs; the oracle rules on the sign of
+                the reflected closed form, and a refuted form fails the row.
   PROP2         beta_n(2) = beta_n / q^2 + n + 1 - 1/q          (n > 1)
   EQ6           Riemann integral of [1-x]_{1/q}^n equals (-q)^n beta_n(-1)
   EQ7           (-q)^n beta_n(-1) = beta_{n,1/q}(2)
@@ -182,7 +182,7 @@ _NEEDS_PADIC = "Riemann oracle requires the padic backend"
 
 def _theorem1(run: _Run, n: int, x: int):
     """Both sides by independent Riemann runs under the two measures, plus
-    the sign adjudication of the reflected closed form for n >= 1."""
+    the oracle's ruling on the sign of the reflected closed form for n >= 1."""
     ctx = run.ctx
     if ctx.is_symbolic:
         return _NEEDS_PADIC
@@ -194,14 +194,21 @@ def _theorem1(run: _Run, n: int, x: int):
     notes = "; ".join(s for s in (note_l, note_r) if s)
     if n >= 1:
         closed = closed_reflected_power(n, x, ctx)
-        ruling = (
-            "oracle supports the reflected closed form as printed "
-            f"(agreement {(lhs - closed)._effective_valuation()} vs "
-            f"{(lhs + closed)._effective_valuation()} "
-            "for the sign-flipped reading); "
-            "for even n the plain bracket-power closed form therefore needs the "
-            "1/(1-q)^(n-1) prefactor, not 1/(q-1)^(n-1)"
-        )
+        diff = lhs - closed
+        printed, flipped = diff._effective_valuation(), (lhs + closed)._effective_valuation()
+        agreements = f"(agreement {printed} vs {flipped} for the sign-flipped reading)"
+        if not diff.is_zero() and printed < run.target:  # a certified digit differs
+            rhs = closed
+            ruling = (f"oracle refutes the reflected closed form as printed {agreements}; "
+                      "the right side is that closed form")
+        elif printed >= run.target > flipped:
+            ruling = (
+                f"oracle supports the reflected closed form as printed {agreements}; "
+                "for even n the plain bracket-power closed form therefore needs the "
+                "1/(1-q)^(n-1) prefactor, not 1/(q-1)^(n-1)"
+            )
+        else:  # the integral vanishes to the target, or the oracle falls short
+            ruling = f"oracle cannot rule on the reflected closed form {agreements}"
         notes = f"{notes}; {ruling}" if notes else ruling
     return lhs, rhs, notes, False
 

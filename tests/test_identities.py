@@ -19,10 +19,12 @@ from qbern.identities import (
     _compare,
     _corrupted,
 )
-from qbern.errors import DomainError
-from qbern.integral import integrand_from_json
+from qbern import carlitz, identities, integral
+from qbern.carlitz import table_for
+from qbern.errors import DomainError, QbernError
+from qbern.integral import closed_reflected_power, integrand_from_json
 from qbern.padic import PadicNumber
-from qbern.qfield import QContext
+from qbern.qfield import QContext, q_pow
 
 SYM = QContext.symbolic()
 
@@ -339,3 +341,82 @@ def test_default_grid_shapes():
             "THM4_COR5", "THM6", "EQ10_SYMMETRY", "Q_TO_1"} <= names
     pad = default_grid("padic")
     assert any(name == "THM1" for name, _ in pad)
+
+
+# -- the mutation gate ----------------------------------------------------------
+#
+# Each mutation plants one known defect in a closed form or the Carlitz
+# table.  Some default grid (symbolic, p = 3 or p = 5) must then fail a row
+# or raise; mutations may be added here, never dropped.
+
+
+def _patch(m, name, mutate, modules=(integral,)):
+    # ``name`` replaced by ``mutate`` of its original in every module that
+    # binds it
+    new = mutate(getattr(modules[0], name))
+    for module in modules:
+        m.setattr(module, name, new)
+
+
+MUTATIONS = {
+    # the disputed prefactor 1/(q-1)^(m-1): the closed form times (-1)^(m-1)
+    "prefactor": lambda m: _patch(
+        m, "closed_bracket_power",
+        lambda f: lambda k, x, ctx: f(k, x, ctx) if k % 2 else -f(k, x, ctx)),
+    "one_minus_x_plus_n": lambda m: _patch(
+        m, "closed_one_minus_x_power",
+        lambda f: lambda n, ctx, tbl=None: f(n, ctx, tbl) - ctx.one(), (integral, identities)),
+    "reflected_index_plus_1": lambda m: _patch(
+        m, "_reflected_sum",
+        lambda f: lambda a, total, top, tbl: f(a, total, top + 1, tbl), (integral, identities)),
+    "image_q_not_minus_q": lambda m: m.setattr(
+        identities, "_reflected_image",
+        lambda run, n: q_pow(n, run.ctx) * run.tbl.beta_poly(n, -1)),
+    "direct_route_negated": lambda m: _patch(
+        m, "_power_integral_direct", lambda f: lambda a, b, tbl: -f(a, b, tbl)),
+    "shape_a_b_swapped": lambda m: _patch(
+        m, "_bernstein_shape",
+        lambda f: lambda factors: (lambda c, a, b: (c, b, a))(*f(factors)),
+        (integral, identities)),
+    "carlitz_lead_dropped": lambda m: m.setitem(carlitz._KINDS, "beta", (1, 0)),
+}
+
+# the memos a mutated value could live on in
+_CACHED = (table_for, integral._power_integral_direct, integral._power_integral_reflected)
+
+
+def _grid_fails(backend: str, prime: int) -> bool:
+    try:
+        return suite_exit_status(run_suite(SuiteConfig(backend=backend, prime=prime))) != 0
+    except QbernError:
+        return True
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_mutation_gate(mutation, monkeypatch):
+    for f in _CACHED:
+        f.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            MUTATIONS[mutation](m)
+            caught = any(_grid_fails(backend, prime) for backend, prime in
+                         (("symbolic", 3), ("padic", 3), ("padic", 5)))
+    finally:
+        for f in _CACHED:
+            f.cache_clear()
+    assert caught, f"no default grid detects the mutation {mutation}"
+
+
+def test_theorem1_ruling_follows_the_agreements(padic_ctx3, monkeypatch):
+    # one level is short of the target: the oracle cannot rule
+    short = verify_theorem1(2, 1, padic_ctx3, target=8, level_cap=1)
+    assert "oracle cannot rule on the reflected closed form (agreement" in short.notes
+    # the disputed prefactor flips the even-n form: refuted, and the row
+    # compares the integral with that form
+    MUTATIONS["prefactor"](monkeypatch)
+    report = verify_theorem1(2, 1, padic_ctx3, target=8)
+    assert report.verdict.kind == "fail"
+    assert report.notes == ("oracle refutes the reflected closed form as printed "
+                            "(agreement -1 vs 20 for the sign-flipped reading); "
+                            "the right side is that closed form")
+    assert report.rhs == closed_reflected_power(2, 1, padic_ctx3)
