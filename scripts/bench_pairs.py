@@ -12,10 +12,21 @@ i runs ``perfbench/run.py --seed SEED+i`` once in the parent checkout and
 once in this working tree, the side that goes first alternating from pair
 to pair so that a drift of the host's speed falls on both sides alike.
 Each run lasts ``--seconds``, by default the ``run_seconds`` of
-BENCHMARK.json.  It prints each side's median and quartiles of every
-end-to-end metric and the number of pairs in which the change's ``wall_s``
-is lower, and writes those figures as JSON to ``--out``.  The exit code is
-1 when any run reports ``correct: false``.
+BENCHMARK.json.  A metric counts in a pair only when both runs of the pair
+reported it, so the two series stay aligned seed for seed.  It prints each
+side's median and quartiles of every end-to-end metric, the number of pairs
+in which the change's ``wall_s`` is lower, and for every ``end_to_end``
+metric of BENCHMARK.json one of three states, reading its ``bound`` as
+relative to the parent's median:
+
+* ``within bound``;
+* ``worse``: the change's median is worse than the parent's by more than
+  the bound, in the metric's ``better`` direction;
+* ``unresolved``: the parent's own (q3 - q1)/median exceeds the bound, or a
+  side has no value, so the runs cannot tell.
+
+It writes those figures as JSON to ``--out``.  The exit code is 1 when any
+run reports ``correct: false``.
 """
 
 from __future__ import annotations
@@ -57,17 +68,35 @@ def compare(dirs: dict, workload: str, seed: int, pairs: int, seconds: float):
     values = {side: {} for side in SIDES}
     correct = True
     for i in range(pairs):
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            out = run_side(dirs[side], workload, seed + i, seconds)
-            correct = correct and bool(out.get("correct"))
-            for name, metric in out.get("metrics", {}).items():
-                values[side].setdefault(name, []).append(metric["value"])
-    walls = zip(values["parent"].get("wall_s", []), values["change"].get("wall_s", []))
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        out = {side: run_side(dirs[side], workload, seed + i, seconds) for side in order}
+        correct = correct and all(o.get("correct") for o in out.values())
+        metrics = {side: out[side].get("metrics", {}) for side in SIDES}
+        for name in metrics["parent"]:
+            if name in metrics["change"]:
+                for side in SIDES:
+                    values[side].setdefault(name, []).append(metrics[side][name]["value"])
+    walls = list(zip(values["parent"].get("wall_s", []), values["change"].get("wall_s", [])))
     summary = {side: {name: quartiles(series) for name, series in values[side].items()}
                for side in SIDES}
     summary["wall_s_wins"] = sum(change < parent for parent, change in walls)
+    summary["wall_s_pairs"] = len(walls)
     summary["all_correct"] = correct
     return summary, correct
+
+
+def bound_state(summary: dict, metric: dict) -> str:
+    """``within bound``, ``worse`` or ``unresolved`` for one end-to-end
+    metric of BENCHMARK.json (its ``bound`` relative to the parent's median)."""
+    parent = summary["parent"].get(metric["name"])
+    change = summary["change"].get(metric["name"])
+    if parent is None or change is None:
+        return "unresolved"
+    median, bound = parent["median"], metric["bound"]
+    if parent["q3"] - parent["q1"] > bound * abs(median):
+        return "unresolved"
+    worse = change["median"] - median if metric["better"] == "lower" else median - change["median"]
+    return "worse" if worse > bound * abs(median) else "within bound"
 
 
 def main(argv=None) -> int:
@@ -93,12 +122,16 @@ def main(argv=None) -> int:
     for workload in workloads:
         summary, correct = compare(dirs, workload, args.seed, args.pairs, seconds)
         ok = ok and correct
+        summary["bounds"] = {m["name"]: bound_state(summary, m) for m in spec["end_to_end"]}
         report["workloads"][workload] = summary
         for side in SIDES:
             for name, q in summary[side].items():
                 print(f"{workload} {side:6} {name}: median {q['median']:.6g} "
                       f"(q1 {q['q1']:.6g}, q3 {q['q3']:.6g})")
-        print(f"{workload}: change lower in wall_s in {summary['wall_s_wins']}/{args.pairs} "
+        for name, state in summary["bounds"].items():
+            print(f"{workload} {name}: {state}")
+        print(f"{workload}: change lower in wall_s in "
+              f"{summary['wall_s_wins']}/{summary['wall_s_pairs']} "
               f"pairs; all runs correct: {correct}")
     if args.out is not None:
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

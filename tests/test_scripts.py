@@ -49,3 +49,34 @@ def test_bench_pairs(tmp_path, capsys):
     assert report["parent"]["wall_s"]["median"] == pytest.approx(0.645)
     assert report["change"]["wall_s"]["q1"] == pytest.approx(0.2875)
     assert report["change"]["setup_s"]["median"] == pytest.approx(0.1)
+
+    # A parent run that prints nothing drops its whole pair, so every later
+    # pair still compares the same seed on both sides; each end-to-end metric
+    # gets one of three states against its relative bound.
+    def gappy_run(directory, workload, seed, seconds):
+        side = "parent" if directory == tmp_path else "change"
+        if side == "parent" and seed == 4:
+            return {"correct": False, "metrics": {}}
+        values = {
+            "wall_s": 0.5 + seed / 100 + (0.005 if side == "change" else 0),
+            "setup_s": 0.2 if side == "change" else 0.1,         # twice the parent's
+            "peak_rss_mb": 20 + 10 * (seed % 2),                 # a spread of 5/30
+            "verify_pass_ratio": 1.0,
+        }
+        return {"correct": True,
+                "metrics": {name: {"value": v} for name, v in values.items()}}
+
+    bench.run_side = gappy_run
+    assert bench.main(argv) == 1  # the empty run is not correct
+    printed = capsys.readouterr().out
+    report = json.loads(out.read_text())["workloads"]["symbolic_grid"]
+    # pairs of seeds 3, 5 and 6: the change is slower in each
+    assert (report["wall_s_wins"], report["wall_s_pairs"]) == (0, 3)
+    assert "change lower in wall_s in 0/3 pairs" in printed
+    assert report["parent"]["wall_s"]["median"] == pytest.approx(0.55)
+    assert report["change"]["wall_s"]["median"] == pytest.approx(0.555)
+    assert report["bounds"] == {"setup_s": "worse", "wall_s": "within bound",
+                                "peak_rss_mb": "unresolved",
+                                "verify_pass_ratio": "within bound"}
+    assert "symbolic_grid setup_s: worse" in printed
+    assert "symbolic_grid peak_rss_mb: unresolved" in printed
