@@ -488,8 +488,8 @@ def test_heuristic_starts_at_the_certified_bound(monkeypatch):
 
 
 def test_heuristic_retries_until_certified(monkeypatch):
-    # 2q^3 - q^2 and q^4 + 2q^3 - 3q^2 + 2q share only q, but the digits at
-    # 2^3 and 2^5 read back a gcd that does not divide both: three points
+    # 2q^3 - q^2 and q^4 + 2q^3 - 3q^2 + 2q share only q, and the cofactor
+    # check fails at xi = 2^3 and 2^5: three points
     calls = []
     pack = qfield._pack
     monkeypatch.setattr(qfield, "_pack", lambda a, b: calls.append((a, b)) or pack(a, b))
