@@ -14,10 +14,9 @@ context picks.  At the indeterminate q the recurrence runs on raw
 numerators in Z[q] over the known denominators ``prod_j (q^j - 1)``, with
 the Kronecker product of :mod:`qbern.qfield`; only the memoized value is
 canonicalized, by the certified heuristic gcd.  At 1/q, the only other
-symbolic q, the values are those at q with q -> 1/q substituted.  On the
-padic backend the scalar step runs once the whole run has passed the
-precision ledger nu_p(q^k - 1) = nu_p(q-1) + nu_p(k) (odd p, q = 1 mod p),
-so PrecisionExhausted names the offending step before any entry is filled.
+symbolic q, the values are those at q with q -> 1/q substituted.  A padic
+q is rational, so on the padic backend the scalar step runs over Fraction
+at that rational and each value is embedded once, with K unit digits.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .errors import DivisionByZero, DomainError, PoleAtOne, PrecisionExhausted
+from .errors import DivisionByZero, DomainError, PoleAtOne
 from .padic import int_valuation
 from .qfield import QContext, RationalFunction, Scalar, invert_q, q_bracket, q_pow
 from .qfield import _zmul  # the Z[q] product
@@ -41,19 +40,19 @@ _Q = RationalFunction.indeterminate()
 _KINDS = {"beta": (1, 1), "xi": (0, 0)}
 
 
-def _scalar_step(ctx: QContext, values: list, k: int, shift: int, lead: int) -> Scalar:
+def _scalar_step(q, values: list, k: int, shift: int, lead: int):
     """Entry k, ``(delta_{k,1} - [q] sum_{i<k} C(k,i) q^i v_i) / (q^{k+shift} - 1)``
-    over the scalars of ``ctx``, the bracketed q present for beta."""
-    q = ctx.q
-    s = ctx.zero()
-    qi = ctx.one()
+    in the ring of q and the values, the bracketed q present for beta."""
+    s = 0
+    qi = 1
     for i in range(k):
         s = s + comb(k, i) * qi * values[i]
         qi = qi * q
     if lead:
         s = q * s
-    num = (ctx.one() if k == 1 else ctx.zero()) - s
-    return num / (q ** (k + shift) - ctx.one())
+    if k == 1:
+        s = s - 1
+    return -s / (q ** (k + shift) - 1)
 
 
 def _zq_step(nums: list, dens: list, k: int, shift: int, lead: int) -> RationalFunction:
@@ -88,20 +87,6 @@ def _zq_step(nums: list, dens: list, k: int, shift: int, lead: int) -> RationalF
     return RationalFunction(total, new_den)
 
 
-def _ledger(ctx: QContext, shift: int, n: int):
-    """Yield the certified digits left after each recurrence step k = 1..n.
-
-    LTE: nu_p(q^m - 1) = nu_p(q-1) + nu_p(m) for odd p, q = 1 mod p, and
-    step k divides by q^(k+shift) - 1.
-    """
-    p = ctx.prime
-    e = ctx.q_minus_one_valuation
-    remaining = ctx.pctx.precision
-    for k in range(1, n + 1):
-        remaining -= e + int_valuation(k + shift, p)
-        yield remaining
-
-
 class CarlitzTable:
     """Memoized beta_k and xi_k values for one context.
 
@@ -118,6 +103,8 @@ class CarlitzTable:
         self._raw = {kind: ([[1]], [[1]]) for kind in _KINDS} if at_q else None
         # at 1/q, the table whose values are substituted
         self._source = table_for(invert_q(ctx)) if ctx.is_symbolic and not at_q else None
+        # padic: the exact values at the rational q, which _memo embeds
+        self._exact = None if ctx.is_symbolic else {kind: [_ONE] for kind in _KINDS}
 
     def _filled(self, kind: str, n: int) -> list:
         """The memo of ``kind``, extended to index n by the step of the context."""
@@ -135,15 +122,10 @@ class CarlitzTable:
             source = self._source._filled(kind, n)
             values.extend(v.substitute_reciprocal() for v in source[len(values):n + 1])
         else:
-            ctx = self.ctx
-            for k, remaining in enumerate(_ledger(ctx, shift, n), start=1):
-                if remaining <= 0:
-                    raise PrecisionExhausted(
-                        f"certified precision vanishes at recurrence step {k} "
-                        f"(need more than {ctx.pctx.precision} digits to reach index {n})"
-                    )
+            exact = self._exact[kind]
             for k in range(len(values), n + 1):
-                values.append(_scalar_step(ctx, values, k, shift, lead))
+                exact.append(_scalar_step(self.ctx.rational, exact, k, shift, lead))
+                values.append(self.ctx.embed(exact[k]))
         return values
 
     # -- the numbers ------------------------------------------------------
@@ -180,12 +162,16 @@ class CarlitzTable:
 
     # unreached by the CLI, kept: the acceptance test checks the ledger with it
     def precision_ledger_bound(self, n: int) -> int:
-        """Lower bound K - sum_k nu_p(divisor_k) on the certified precision
-        of beta_n."""
-        if self.ctx.is_symbolic:
+        """Lower bound K - sum_k nu_p(q^(k+1) - 1) on the certified precision
+        of beta_n: beta_n prod_{k<=n} (q^(k+1) - 1) is a p-adic integer, so
+        the embedded value's precision v + K is at least this bound (LTE:
+        nu_p(q^m - 1) = nu_p(q - 1) + nu_p(m) for odd p, q = 1 mod p)."""
+        ctx = self.ctx
+        if ctx.is_symbolic:
             raise DomainError("the precision ledger applies to the padic backend")
-        # the digits left only decrease, so the least is the last
-        return min(_ledger(self.ctx, 1, n), default=self.ctx.pctx.precision)
+        e = ctx.q_minus_one_valuation
+        return ctx.pctx.precision - sum(e + int_valuation(k + 1, ctx.prime)
+                                        for k in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

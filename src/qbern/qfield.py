@@ -454,29 +454,34 @@ class QContext(Record):
     """Backend tag plus the value of q.
 
     Symbolic contexts carry q as the indeterminate or, after inversion, its
-    reciprocal 1/q.  Padic contexts require q to be a unit with
-    nu_p(q - 1) >= 1, carried to exactly the working precision K.
+    reciprocal 1/q.  Padic contexts carry the rational q they were built
+    from, which must be a unit with nu_p(q - 1) >= 1, and its embedding
+    with K unit digits.
     """
 
-    def __init__(self, backend: str, q: Scalar, pctx: PadicContext | None = None):
+    def __init__(self, backend: str, q: Scalar, pctx: PadicContext | None = None,
+                 rational: Fraction | None = None):
         if backend == "symbolic":
             x = RationalFunction.indeterminate()
-            if not isinstance(q, RationalFunction) or q not in (x, x.reciprocal()):
+            if (rational is not None or not isinstance(q, RationalFunction)
+                    or q not in (x, x.reciprocal())):
                 raise DomainError("a symbolic q is the indeterminate q or its reciprocal 1/q")
         elif backend == "padic":
-            if pctx is None or not isinstance(q, PadicNumber):
-                raise DomainError("padic context needs a PadicContext and a padic q")
+            if pctx is None or not isinstance(rational, Fraction):
+                raise DomainError("padic context needs a PadicContext and a rational q")
+            if q != PadicNumber.from_fraction(rational, pctx):
+                raise DomainError("q must be the embedding of its rational")
             if q.valuation != 0:
                 raise DomainError("q must be a p-adic unit")
-            if q.prec != pctx.precision:
-                raise DomainError("q must carry exactly the working precision")
             if (q - 1)._effective_valuation() < 1:
                 raise DomainError("q must satisfy nu_p(q - 1) >= 1")
             if (q - 1).is_zero():
-                raise DomainError("q = 1 is not an admissible padic q")
+                raise DomainError("q = 1 is not an admissible padic q" if rational == 1 else
+                                  f"q - 1 vanishes to the working precision: q = {rational} "
+                                  f"is congruent to 1 mod {pctx.prime}^{pctx.precision}")
         else:
             raise DomainError(f"unknown backend {backend!r}")
-        self.backend, self.q, self.pctx = backend, q, pctx
+        self.backend, self.q, self.pctx, self.rational = backend, q, pctx, rational
 
     # -- constructors ---------------------------------------------------
 
@@ -489,16 +494,10 @@ class QContext(Record):
         pctx = PadicContext(prime, precision)
         if isinstance(q, str):
             q = Fraction(1 + prime) if q.strip() == "1+p" else rational_literal(q)
-        if isinstance(q, (int, Fraction)):
-            qval = PadicNumber.from_fraction(Fraction(q), pctx)
-            if q != 1 and (qval - 1).is_zero():
-                raise DomainError(
-                    f"q - 1 vanishes to the working precision: q = {q} is "
-                    f"congruent to 1 mod {prime}^{precision}"
-                )
-        else:
+        if not isinstance(q, (int, Fraction)):
             raise DomainError(f"cannot interpret q specification {q!r}")
-        return cls("padic", qval, pctx)
+        q = Fraction(q)
+        return cls("padic", PadicNumber.from_fraction(q, pctx), pctx, q)
 
     # -- helpers ------------------------------------------------------------
 
@@ -588,7 +587,7 @@ def invert_q(ctx: QContext) -> QContext:
     """The context with q replaced by 1/q (same backend)."""
     if ctx.is_symbolic:
         return QContext("symbolic", ctx.q.reciprocal())
-    return QContext("padic", ctx.one() / ctx.q, ctx.pctx)
+    return QContext("padic", ctx.one() / ctx.q, ctx.pctx, 1 / ctx.rational)
 
 
 # unreached by the CLI, kept: the acceptance test imports it

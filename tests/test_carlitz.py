@@ -1,7 +1,7 @@
 """Carlitz recurrences, the classical degeneration, and precision ledgers."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 import pytest
 
@@ -162,12 +162,45 @@ def test_xi_pole_at_one(sym_table, k):
 
 
 def test_eager_precision_exhausted():
+    # the values are exact at the rational q and embedded once, so even 4
+    # working digits reach beta_5, with 4 unit digits
     ctx = QContext.padic(3, 4)
-    tbl = CarlitzTable(ctx)
-    with pytest.raises(PrecisionExhausted, match="step 3"):
-        tbl.beta(5)
-    # nothing was partially filled beyond the existing entries
-    assert len(tbl._memo["beta"]) == 1
+    value = CarlitzTable(ctx).beta(5)
+    assert value.prec == value.valuation + 4
+
+
+def _padic_recurrence(ctx, kind):
+    # the scalar step run on PadicNumbers, each step losing digits, up to
+    # the first division that raises or value that certifies no digit
+    from qbern.carlitz import _KINDS, _scalar_step
+
+    shift, lead = _KINDS[kind]
+    values = [ctx.one()]
+    while True:
+        try:
+            value = _scalar_step(ctx.q, values, len(values), shift, lead)
+        except PrecisionExhausted:
+            return values
+        if value.prec <= 0:
+            return values
+        values.append(value)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_exact_table_extends_the_padic_recurrence(p):
+    from qbern.qfield import invert_q
+
+    base = QContext.padic(p, 24)
+    for ctx, kind in ((base, "beta"), (base, "xi"), (invert_q(base), "beta")):
+        reference = _padic_recurrence(ctx, kind)
+        assert len(reference) > 20, (p, kind)
+        for n, want in enumerate(reference):
+            got = getattr(table_for(ctx), kind)(n)
+            assert scalars_equal(got, want, ctx), (p, kind, n)
+            # a zero of the reference certifies only a lower bound on the valuation
+            if not want.is_zero():
+                assert got.valuation == want.valuation, (p, kind, n)
+            assert got.prec == got.valuation + 24 or got.prec == got.valuation == inf
 
 
 def test_precision_ledger_bound(padic_contexts):
@@ -216,6 +249,6 @@ def test_inverse_table_is_the_substituted_table():
     for kind, (shift, lead) in _KINDS.items():
         values = [ictx.one()]
         for k in range(1, 17):
-            values.append(_scalar_step(ictx, values, k, shift, lead))
+            values.append(_scalar_step(ictx.q, values, k, shift, lead))
         for n in range(17):
             assert getattr(tbl, kind)(n) == values[n], (kind, n)

@@ -41,10 +41,12 @@ def test_beta_padic_payload(capsys):
 
 
 def test_beta_precision_exhausted_exit(capsys):
-    code, _, err = run(capsys, "beta", "--n", "5", "--backend", "padic",
+    # the exact value at q = 1+p, embedded once, carries all 4 unit digits
+    code, out, _ = run(capsys, "beta", "--n", "5", "--backend", "padic",
                        "--p", "3", "--q", "1+p", "--precision", "4")
-    assert code == 2
-    assert "step" in err
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["certified_precision"] == payload["value"]["valuation"] + 4 == 4
 
 
 def test_xi_command(capsys):
@@ -325,15 +327,19 @@ def test_verify_malformed_grid(name, capsys, tmp_path):
 
 
 def test_verify_precision_short_row_does_not_abort_the_grid(capsys, tmp_path):
+    # at q = 1 + 3^12, 2 nu(q - 1) = K = 24, so the Riemann side of EQ6
+    # keeps no digit and is skipped; the rows around it still run
     path = tmp_path / "grid.json"
-    path.write_text(_grid(("PROP2", {"n": 2}), ("THM6", {"nm": [[4, 2], [5, 2]], "k": 1}),
-                          backend="padic", prime=3, precision=24))
+    path.write_text(_grid(("PROP2", {"n": 2}), ("EQ6", {"n": 2}),
+                          ("THM6", {"nm": [[4, 2], [5, 2]], "k": 1}),
+                          backend="padic", prime=3, precision=24, q="531442"))
     code, out, err = run(capsys, "verify", "--grid", str(path))
     assert (code, err) == (0, "")
-    prop2, thm6, summary = map(json.loads, out.splitlines())
+    prop2, eq6, thm6, summary = map(json.loads, out.splitlines())
     assert prop2["identity"] == "PROP2" and prop2["verdict"]["kind"] in ("exact", "valuation")
-    assert thm6["identity"] == "THM6" and not thm6["domain_ok"]
-    assert thm6["notes"].startswith("certified precision vanishes at recurrence step 17")
+    assert eq6["identity"] == "EQ6" and not eq6["domain_ok"]
+    assert eq6["notes"] == "division result would be certified only modulo p^0"
+    assert thm6["identity"] == "THM6" and thm6["verdict"]["kind"] == "exact"
     assert summary["summary"]["skipped_out_of_domain"] == 1
 
 
@@ -409,12 +415,17 @@ def test_selftest_corrupt(capsys):
     assert summary["failed"] >= 1
 
 
-@pytest.mark.parametrize("argv", [[], ["--corrupt"]], ids=["plain", "corrupt"])
-def test_selftest_with_no_row_run_exits_2(capsys, argv):
-    # at 2 digits every row is skipped for precision, so nothing was checked
-    code, out, err = run(capsys, "selftest", "--precision", "2", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: no self-test row ran: ") and err.count("\n") == 1
+def test_selftest_target_above_the_precision_fails(capsys):
+    # at 2 digits PROP2 still runs, but the target valuation is past what it
+    # certifies, so it fails with the achieved valuation; the rest skip
+    code, out, _ = run(capsys, "selftest", "--precision", "2")
+    assert code == 1
+    *reports, summary = map(json.loads, out.splitlines())
+    assert [r["identity"] for r in reports if r["domain_ok"]] == ["PROP2"]
+    verdict = reports[1]["verdict"]
+    assert (verdict["kind"], verdict["valuation"]) == ("fail", 1)
+    assert summary["summary"] == {"failed": 1, "passed": 0, "quarantined_failures": 0,
+                                  "skipped_out_of_domain": 3, "total": 4}
 
 
 def test_selftest_corrupt_flips_the_first_row_that_ran(capsys):

@@ -43,6 +43,8 @@ CASES = {
     "bernstein_symbolic": ["bernstein", "--k", "1", "--n", "3", "--x", "2"],
     "table_beta_padic_p5": ["table", "--kind", "beta", "--range", "0:6", "--backend", "padic",
                             "--p", "5", "--format", "csv"],
+    "table_beta_padic_p3_deep": ["table", "--kind", "beta", "--range", "0:24", "--backend",
+                                 "padic", "--p", "3", "--format", "csv"],
 }
 
 

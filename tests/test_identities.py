@@ -182,11 +182,13 @@ def test_domain_skip_notes(name, params, backend, note):
 
 
 def test_precision_short_row_is_skipped_with_the_error():
-    # THM6 needs beta_17, past what 24 digits at p = 3 certify; PROP2 still runs
-    ctx = QContext.padic(3, 24, "1+p")
-    report = verify("THM6", {"nm": [[4, 2], [5, 2]], "k": 1}, ctx)
+    # at q = 1 + 3^12, 2 nu(q - 1) = K, so the Riemann side of EQ6 runs out
+    # of digits; PROP2 and THM6, whose Carlitz values are exact, still run
+    ctx = QContext.padic(3, 24, "531442")
+    report = verify("EQ6", {"n": 2}, ctx)
     assert not report.domain_ok and report.verdict is None
-    assert report.notes.startswith("certified precision vanishes at recurrence step 17")
+    assert report.notes == "division result would be certified only modulo p^0"
+    assert verify("THM6", {"nm": [[4, 2], [5, 2]], "k": 1}, ctx).verdict.kind == "exact"
     assert verify("PROP2", {"n": 2}, ctx).passed
 
 

@@ -244,8 +244,9 @@ def test_invert_q_symbolic():
 def test_invert_q_padic(padic_ctx3):
     ictx = invert_q(padic_ctx3)
     assert (ictx.q - 1).valuation == 1
-    back = invert_q(ictx)
-    assert scalars_equal(back.q, padic_ctx3.q, padic_ctx3)
+    assert ictx.rational == Fraction(1, 4)
+    assert ictx.q == PadicNumber.from_fraction(Fraction(1, 4), padic_ctx3.pctx)
+    assert invert_q(ictx) == padic_ctx3
 
 
 def test_context_validation():
@@ -262,13 +263,19 @@ def test_context_validation():
     for other in (2 * q, q + 1, q ** 2):
         with pytest.raises(DomainError):
             QContext("symbolic", other)
-    # a padic q is carried to exactly the working precision K = 8 digits,
+    # a padic q is the embedding of its rational, with K = 8 unit digits,
     # and enters QContext.padic only as a rational
     pctx = PadicContext(3, 8)
-    assert QContext("padic", PadicNumber(pctx, 0, 4, 8), pctx).q.prec == 8
-    for digits in (5, 12):
+    four = Fraction(4)
+    assert QContext("padic", PadicNumber(pctx, 0, 4, 8), pctx, four).q.prec == 8
+    with pytest.raises(DomainError):
+        QContext("padic", PadicNumber(pctx, 0, 4, 8), pctx)  # no rational
+    for q in (PadicNumber(pctx, 0, 4, 5), PadicNumber(pctx, 0, 4, 12),
+              PadicNumber(pctx, 0, 7, 8), Q):
         with pytest.raises(DomainError):
-            QContext("padic", PadicNumber(pctx, 0, 4, digits), pctx)
+            QContext("padic", q, pctx, four)
+    with pytest.raises(DomainError):
+        QContext("symbolic", Q, rational=four)
     with pytest.raises(DomainError):
         QContext.padic(3, 8, PadicNumber(pctx, 0, 4, 8))
 

@@ -5,7 +5,7 @@ import pytest
 from qbern.carlitz import table_for
 from qbern.errors import DomainError
 from qbern.integral import BracketPower, ReflectedPower, integrate
-from qbern.qfield import QContext
+from qbern.qfield import QContext, invert_q
 
 
 def test_equality_respects_the_class():
@@ -20,6 +20,15 @@ def test_equal_contexts_hash_equal_and_share_one_table():
     assert a is not b
     assert a == b and hash(a) == hash(b)
     assert table_for(a) is table_for(b)
+
+
+@pytest.mark.parametrize("ctx", [QContext.symbolic(), QContext.padic(5, 24),
+                                 QContext.padic(3, 8, "-1/2")], ids=["symbolic", "p5", "p3"])
+def test_contexts_replace_and_invert_back_to_themselves(ctx):
+    # every field of a context is an __init__ parameter, 1/q included
+    assert ctx.replace() == ctx
+    assert invert_q(invert_q(ctx)) == ctx
+    assert invert_q(ctx).replace() == invert_q(ctx)
 
 
 def test_replace_keeps_every_other_field():
