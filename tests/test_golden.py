@@ -27,6 +27,8 @@ CASES = {
     "selftest_corrupt": ["selftest", "--corrupt"],
     "table_beta_at_one": ["table", "--kind", "beta", "--range", "0:20", "--at-one",
                           "--format", "csv"],
+    "table_beta_at_one_deep": ["table", "--kind", "beta", "--range", "0:30", "--at-one",
+                               "--format", "csv"],
     "table_integral_k1": ["table", "--kind", "integral", "--range", "0:8", "--k", "1"],
     "integrate_bernstein_p3": [
         "integrate", "--backend", "padic", "--p", "3", "--integrand",
@@ -38,6 +40,7 @@ CASES = {
     ],
     "xi_padic_p5": ["xi", "--n", "12", "--backend", "padic", "--p", "5"],
     "xi_symbolic": ["xi", "--n", "16"],
+    "xi_symbolic_deep": ["xi", "--n", "24"],
     "beta_poly_padic_p5": ["beta-poly", "--n", "3", "--x", "-1/2", "--backend", "padic",
                            "--p", "5"],
     "bernstein_symbolic": ["bernstein", "--k", "1", "--n", "3", "--x", "2"],
