@@ -11,8 +11,8 @@ degenerate to the ordinary Bernoulli numbers.
 
 One :class:`CarlitzTable` per context memoizes both, filled by the step its
 context picks.  At the indeterminate q the recurrence runs on raw
-numerators in Z[q] over the known denominators ``prod_j (q^j - 1)``, with
-the Kronecker product of :mod:`qbern.qfield`; only the memoized value is
+numerators in Z[q] over the known denominators ``prod_j (q^j - 1)``, by
+Horner's rule over those divisors; only the memoized value is
 canonicalized, by the certified heuristic gcd.  At 1/q, the only other
 symbolic q, the values are those at q with q -> 1/q substituted.  A padic
 q is rational, so on the padic backend the scalar step runs over Fraction
@@ -24,11 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb
+from operator import sub
 
 from .errors import DivisionByZero, DomainError, PoleAtOne
 from .padic import int_valuation
 from .qfield import QContext, RationalFunction, Scalar, invert_q, q_bracket, q_pow
-from .qfield import _zmul  # the Z[q] product
 
 __all__ = ["CarlitzTable", "classical_bernoulli", "eval_at_one", "table_for"]
 
@@ -55,36 +55,33 @@ def _scalar_step(q, values: list, k: int, shift: int, lead: int):
     return -s / (q ** (k + shift) - 1)
 
 
+def _times_binomial(a: list, m: int) -> list:
+    # a (q^m - 1) in Z[q]: a shifted by m, minus a
+    out = [0] * m + a
+    out[:len(a)] = map(sub, out[:len(a)], a)
+    return out
+
+
 def _zq_step(nums: list, dens: list, k: int, shift: int, lead: int) -> RationalFunction:
     """Entry k at the indeterminate q, from entries i = nums[i] / dens[i] with
-    dens[i] the product of the divisors ``q^{shift+j} - 1`` for j = 1..i.
+    dens[i] = prod_{j=1..i} (q^{j+shift} - 1); appends the raw pair of entry k.
 
-    Appends the raw pair of entry k; both are int lists in Z[q], so no gcd
-    work happens until the value is exported as a RationalFunction.
+    Over dens[k-1] the numerator is Horner's rule over those divisors: acc =
+    delta_{k,1} - q^lead nums[0], then acc (q^{i+shift} - 1) - C(k,i) q^{i+lead} nums[i]
+    for i = 1..k-1; multiplying by q^m - 1 is a shift and a subtraction.
     """
-    # dens[i] | dens[k-1]
-    prev_den = dens[k - 1]
-    total = []  # minus the q-weighted sum, the numerator for k > 1
-    ratio = [1]
-    # iterate i downward carrying dens[k-1]/dens[i]
-    for i in range(k - 1, -1, -1):
-        c = comb(k, i)
-        term = _zmul(nums[i], ratio)
-        power = i + lead  # multiply by q^i, and by q for beta
-        total.extend([0] * (power + len(term) - len(total)))
-        for j, t in enumerate(term, power):
-            total[j] -= c * t
-        if i > 0:
-            ratio = _zmul(ratio, [-1] + [0] * (i + shift - 1) + [1])  # q^(i+shift) - 1
-    if k == 1:
-        for j, t in enumerate(prev_den):
-            total[j] += t
-    while total and not total[-1]:
-        total.pop()
-    new_den = _zmul(prev_den, [-1] + [0] * (k + shift - 1) + [1])
-    nums.append(total)
-    dens.append(new_den)
-    return RationalFunction(total, new_den)
+    acc = [1] if k == 1 else []  # delta_{k,1} dens[0]
+    for i in range(k):
+        if i:
+            acc = _times_binomial(acc, i + shift)
+        c, num, power = comb(k, i), nums[i], i + lead  # q^i, and q for beta
+        acc.extend([0] * (power + len(num) - len(acc)))
+        acc[power:power + len(num)] = [a - c * t for a, t in zip(acc[power:], num)]
+    while acc and not acc[-1]:
+        acc.pop()
+    nums.append(acc)
+    dens.append(_times_binomial(dens[k - 1], k + shift))
+    return RationalFunction(acc, dens[k])
 
 
 class CarlitzTable:
@@ -115,9 +112,8 @@ class CarlitzTable:
             return values
         shift, lead = _KINDS[kind]
         if self._raw is not None:
-            nums, dens = self._raw[kind]
             for k in range(len(values), n + 1):
-                values.append(_zq_step(nums, dens, k, shift, lead))
+                values.append(_zq_step(*self._raw[kind], k, shift, lead))
         elif self._source is not None:
             source = self._source._filled(kind, n)
             values.extend(v.substitute_reciprocal() for v in source[len(values):n + 1])

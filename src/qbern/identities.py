@@ -458,6 +458,8 @@ class SuiteConfig(Record):
     def __init__(self, backend: str = "symbolic", prime: int = 3, precision: int = 24,
                  q: str = "1+p", target_valuation: int = ORACLE_TARGET,
                  level_cap: int | None = None, identities: list | None = None):
+        if target_valuation < 1:  # a comparison at valuation <= 0 certifies no digit
+            raise DomainError(f"target valuation must be at least 1, not {target_valuation}")
         self.backend, self.prime, self.precision, self.q = backend, prime, precision, q
         self.target_valuation, self.level_cap = target_valuation, level_cap
         self.identities = identities  # [(identity_name, params_dict), ...]

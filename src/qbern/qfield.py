@@ -56,7 +56,6 @@ __all__ = [
     "rational_literal",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # ---------------------------------------------------------------------------
@@ -131,10 +130,11 @@ def _zcomb(s, x, t, y):
     return out
 
 
-def _peval(a, x: Fraction) -> Fraction:
-    acc = _ZERO
+def _homeval(a, r, s, top):
+    # s^top a(r/s) = sum_i a_i r^i s^(top - i) in Z, for len(a) <= top + 1
+    acc, sp = 0, s ** (top + 1 - len(a))
     for c in reversed(a):
-        acc = acc * x + c
+        acc, sp = acc * r + c * sp, sp * s
     return acc
 
 
@@ -264,7 +264,7 @@ class RationalFunction:
         if not den:
             raise DivisionByZero("rational function with zero denominator")
         if not num:
-            self._c, self._n, self._d = _ZERO, (), (1,)
+            self._c, self._n, self._d = Fraction(0), (), (1,)
             return
         x, dx = _clear_denominators(num)
         y, dy = _clear_denominators(den)
@@ -397,11 +397,12 @@ class RationalFunction:
         return _rf(c, n, d)
 
     def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        dv = _peval(self._d, x)
+        # s^D n(x) / s^D d(x) at x = r/s: two integers for the larger degree D
+        x, top = Fraction(x), max(len(self._n), len(self._d)) - 1
+        nv, dv = (_homeval(a, x.numerator, x.denominator, top) for a in (self._n, self._d))
         if dv == 0:
             raise DivisionByZero(f"denominator vanishes at q = {x}")
-        return self._c * _peval(self._n, x) / dv
+        return Fraction(self._c.numerator * nv, self._c.denominator * dv)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

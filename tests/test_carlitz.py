@@ -5,6 +5,7 @@ from math import comb, inf
 
 import pytest
 
+from qbern import carlitz, qfield
 from qbern.carlitz import CarlitzTable, classical_bernoulli, eval_at_one, table_for
 from qbern.errors import DomainError, PoleAtOne, PrecisionExhausted
 from qbern.padic import PadicNumber
@@ -68,6 +69,45 @@ def test_xi_defining_relation_residual(sym_table, k):
         qi = qi * q
     residual = total - sym_table.xi(k)
     assert residual == (rf((1,)) if k == 1 else rf((0,)))
+
+
+# The independent reference for the Z[q] step: each term C(k,i) q^{i+lead} N_i
+# times its cofactor dens[k-1]/dens[i], both formed by Kronecker products.
+
+
+def _kronecker_step(nums, dens, k, shift, lead):
+    prev_den = dens[k - 1]
+    total = []
+    ratio = [1]
+    for i in range(k - 1, -1, -1):
+        c = comb(k, i)
+        term = qfield._zmul(nums[i], ratio)
+        power = i + lead
+        total.extend([0] * (power + len(term) - len(total)))
+        for j, t in enumerate(term, power):
+            total[j] -= c * t
+        if i > 0:
+            ratio = qfield._zmul(ratio, [-1] + [0] * (i + shift - 1) + [1])
+    if k == 1:
+        for j, t in enumerate(prev_den):
+            total[j] += t
+    while total and not total[-1]:
+        total.pop()
+    new_den = qfield._zmul(prev_den, [-1] + [0] * (k + shift - 1) + [1])
+    nums.append(total)
+    dens.append(new_den)
+    return RationalFunction(total, new_den)
+
+
+@pytest.mark.parametrize("kind", ["beta", "xi"])
+def test_horner_step_matches_kronecker_reference(kind):
+    shift, lead = carlitz._KINDS[kind]
+    got_raw, want_raw = ([[1]], [[1]]), ([[1]], [[1]])
+    for k in range(1, 31):
+        got = carlitz._zq_step(*got_raw, k, shift, lead)
+        want = _kronecker_step(*want_raw, k, shift, lead)
+        assert got_raw == want_raw  # the raw numerators and denominators
+        assert (got._c, got._n, got._d) == (want._c, want._n, want._d)
 
 
 # -- the polynomials -------------------------------------------------------------

@@ -428,6 +428,30 @@ def test_selftest_target_above_the_precision_fails(capsys):
                                   "skipped_out_of_domain": 3, "total": 4}
 
 
+TARGETS_BELOW_ONE = {
+    "verify": ["verify", "--backend", "padic", "--target-valuation", "-1"],
+    "selftest": ["selftest", "--target-valuation", "0"],
+    "integrate": ["integrate", "--backend", "padic", "--p", "3", "--target-valuation", "0",
+                  "--integrand", '{"type":"bernstein_product","factors":[[1,3,1]]}'],
+    "grid": ["verify", "--grid", _grid(("PROP2", {"n": 2}), backend="padic",
+                                       target_valuation=0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS_BELOW_ONE))
+def test_target_valuation_below_one_exits_2(name, capsys, tmp_path):
+    # a comparison at valuation <= 0 certifies no digit, so no row may pass by it
+    argv = list(TARGETS_BELOW_ONE[name])
+    if name == "grid":
+        path = tmp_path / "grid.json"
+        path.write_text(argv[2])
+        argv[2] = str(path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "target valuation must be at least 1" in err
+
+
 def test_selftest_corrupt_flips_the_first_row_that_ran(capsys):
     code, out, _ = run(capsys, "selftest", "--corrupt", "--precision", "3")
     assert code == 1

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbern.errors import (
     DivisionByZero,
@@ -129,6 +129,46 @@ def test_add_neg_cancels(a):
     assert (a + (-a)).is_zero()
     if not a.is_zero():
         assert a / a == rf((1,))
+
+
+def _fraction_horner_evaluate(f, x):
+    # the reference: Horner's rule over Fraction on the stored form
+    def peval(a):
+        acc = Fraction(0)
+        for c in reversed(a):
+            acc = acc * x + c
+        return acc
+
+    dv = peval(f._d)
+    if dv == 0:
+        raise DivisionByZero(f"denominator vanishes at q = {x}")
+    return f._c * peval(f._n) / dv
+
+
+eval_points = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)]),
+    st.integers(-40, 40).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=30),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals_of_q(), rationals_of_q(), eval_points, st.booleans())
+@example(rf((1, 1)), rf((1,)), Fraction(-1, 2), True)
+@example(rf((0, 3), (2, 0, 1)), rf((1,)), Fraction(0), True)
+@example(rf((2, 1), (1, 1, 1)), rf((5,)), Fraction(1), True)
+def test_evaluate_matches_fraction_horner(a, b, x, pole):
+    f = a * b  # degrees up to 8 on either side
+    if pole:  # x a root of the denominator, unless the numerator cancels it
+        f = f / RF((-x.numerator, x.denominator))
+    try:
+        want = _fraction_horner_evaluate(f, x)
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            f.evaluate(x)
+    else:
+        got = f.evaluate(x)
+        assert type(got) is Fraction and got == want
 
 
 # -- brackets ------------------------------------------------------------------
