@@ -17,12 +17,15 @@ import pytest
 from qbern.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+GRIDS = Path(__file__).parent / "grids"
 
 CASES = {
     "verify_symbolic": ["verify"],
     "verify_padic_p3": ["verify", "--backend", "padic", "--p", "3"],
     "verify_padic_p5": ["verify", "--backend", "padic", "--p", "5"],
     "verify_padic_p7": ["verify", "--backend", "padic", "--p", "7"],
+    # PROP2, THM3, EQ7, Q_TO_1, EQ9_EQ11 and EQ10_SYMMETRY at x = 2, n <= 20
+    "verify_deep_n20": ["verify", "--grid", str(GRIDS / "deep_n20.json")],
     "selftest": ["selftest"],
     "selftest_corrupt": ["selftest", "--corrupt"],
     "table_beta_at_one": ["table", "--kind", "beta", "--range", "0:20", "--at-one",
