@@ -17,6 +17,14 @@ canonicalized, by the certified heuristic gcd.  At 1/q, the only other
 symbolic q, the values are those at q with q -> 1/q substituted.  A padic
 q is rational, so on the padic backend the scalar step runs over Fraction
 at that rational and each value is embedded once, with K unit digits.
+
+The table also memoizes the differences S(a, b) = sum_{l<=b} (-1)^l C(b,l)
+beta_{a+l}, the integral of [x]_q^a (1 - [x]_q)^b that every Bernstein
+route sum reads.  At q a cell is one subtraction of two cells below it,
+S(a, b) = S(a, b-1) - S(a+1, b-1); at 1/q it is the cell at q with
+q -> 1/q substituted.  On the padic backend it is the termwise sum: a term
+C(b,l) beta_{a+l} with p dividing C(b,l) carries one more absolute digit
+than beta_{a+l}, which a difference of differences would not keep.
 """
 
 from __future__ import annotations
@@ -84,10 +92,20 @@ def _zq_step(nums: list, dens: list, k: int, shift: int, lead: int) -> RationalF
     return RationalFunction(acc, dens[k])
 
 
-class CarlitzTable:
-    """Memoized beta_k and xi_k values for one context.
+def _zq_differences(cells: dict, beta: list, a: int, b: int) -> None:
+    """Fill cells[a, b] at the indeterminate q with the triangle below it:
+    S(i, 0) = beta_i and S(i, j) = S(i, j-1) - S(i+1, j-1)."""
+    for j in range(b + 1):
+        for i in range(a, a + b - j + 1):
+            if (i, j) not in cells:
+                cells[i, j] = beta[i] if j == 0 else cells[i, j - 1] - cells[i + 1, j - 1]
 
-    The memo lists grow monotonically and entries are never invalidated;
+
+class CarlitzTable:
+    """Memoized beta_k and xi_k values, and differences of the beta_k, for
+    one context.
+
+    The memos grow monotonically and entries are never invalidated;
     recomputation is bit-identical, so concurrent idempotent fills are
     harmless.
     """
@@ -102,6 +120,8 @@ class CarlitzTable:
         self._source = table_for(invert_q(ctx)) if ctx.is_symbolic and not at_q else None
         # padic: the exact values at the rational q, which _memo embeds
         self._exact = None if ctx.is_symbolic else {kind: [_ONE] for kind in _KINDS}
+        # (a, b) -> the difference S(a, b) of the beta_k
+        self._differences = {}
 
     def _filled(self, kind: str, n: int) -> list:
         """The memo of ``kind``, extended to index n by the step of the context."""
@@ -131,6 +151,25 @@ class CarlitzTable:
 
     def xi(self, n: int) -> Scalar:
         return self._filled("xi", n)[n]
+
+    def beta_difference(self, a: int, b: int) -> Scalar:
+        """S(a, b) = sum_{l<=b} (-1)^l C(b,l) beta_{a+l}, the b-th difference
+        of the beta_k at a: the integral of [x]_q^a (1 - [x]_q)^b."""
+        if a < 0 or b < 0:
+            raise DomainError("index must be nonnegative")
+        cells = self._differences
+        if (a, b) not in cells:
+            if self._raw is not None:
+                _zq_differences(cells, self._filled("beta", a + b), a, b)
+            elif self._source is not None:
+                cells[a, b] = self._source.beta_difference(a, b).substitute_reciprocal()
+            else:
+                acc = self.ctx.zero()
+                for l in range(b + 1):
+                    term = comb(b, l) * self.beta(a + l)
+                    acc = acc + (term if l % 2 == 0 else -term)
+                cells[a, b] = acc
+        return cells[a, b]
 
     # -- the polynomials --------------------------------------------------
 

@@ -425,17 +425,15 @@ def closed_one_minus_x_power(n: int, ctx: QContext, tbl: CarlitzTable | None = N
 # Both integral routes for a product integrand reduce to the integral of
 # [x]_q^a [1-x]_{1/q}^b:
 #   direct    expands [1-x]_{1/q}^b = (1 - [x]_q)^b termwise over beta_{a+l,q},
+#             which is the table's difference S(a, b) at q;
 #   reflected expands [x]_q^a = (1 - [1-x]_{1/q})^a and applies the
-#             one-minus-x closed form (needs b > 1 so each exponent is > 1).
+#             one-minus-x closed form (needs b > 1 so each exponent is > 1),
+#             whose beta part is the difference S(b, a) at 1/q.
+# The two routes still read different values: B_{k,n}(x, q) = B_{n-k,n}(1-x, 1/q).
 
 # kept as named entry points: the acceptance test imports both route sums
-@cache
 def _power_integral_direct(a: int, b: int, tbl: CarlitzTable) -> Scalar:
-    acc = tbl.ctx.zero()
-    for l in range(b + 1):
-        term = comb(b, l) * tbl.beta(a + l)
-        acc = acc + (term if l % 2 == 0 else -term)
-    return acc
+    return tbl.beta_difference(a, b)
 
 
 @cache
@@ -450,9 +448,19 @@ def _reflected_sum(a: int, total: int, top: int, tbl: CarlitzTable) -> Scalar:
 
     With top = total this is the reflected expansion; the index of the
     inverted-q values is the only place the reflected-route readings differ.
+    On the symbolic backend the sum is c_a + q^2 S(top - a, a) with S the
+    difference at 1/q, where sum_l (-1)^(a+l) C(a,l) (total - l + 1 - q) is
+    c_0 = total + 1 - q, c_1 = -1 and c_a = 0 beyond.  On the padic backend
+    the sum stays termwise: the rearranged form certifies a different
+    precision in some cells, which would move the padic reports.
     """
     ctx, inverse = tbl.ctx, tbl.inverse_table()
     q2 = ctx.q ** 2
+    if ctx.is_symbolic:
+        acc = q2 * inverse.beta_difference(top - a, a)
+        if a == 0:
+            return ctx.embed(total + 1) - ctx.q + acc
+        return acc - 1 if a == 1 else acc
     acc = ctx.zero()
     for l in range(a + 1):
         inner = ctx.embed(total - l + 1) - ctx.q + q2 * inverse.beta(top - l)

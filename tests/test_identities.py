@@ -381,10 +381,21 @@ MUTATIONS = {
         lambda f: lambda factors: (lambda c, a, b: (c, b, a))(*f(factors)),
         (integral, identities)),
     "carlitz_lead_dropped": lambda m: m.setitem(carlitz._KINDS, "beta", (1, 0)),
+    "difference_operands_swapped": lambda m: m.setattr(
+        carlitz, "_zq_differences", _swapped_differences),
 }
 
-# the memos a mutated value could live on in
-_CACHED = (table_for, integral._power_integral_direct, integral._power_integral_reflected)
+
+def _swapped_differences(cells, beta, a, b):
+    # the at-q difference step with its operands swapped: (-1)^b S(a, b)
+    for j in range(b + 1):
+        for i in range(a, a + b - j + 1):
+            if (i, j) not in cells:
+                cells[i, j] = beta[i] if j == 0 else cells[i + 1, j - 1] - cells[i, j - 1]
+
+
+# the memos a mutated value could live on in; the table holds the differences
+_CACHED = (table_for, integral._power_integral_reflected)
 
 
 def _grid_fails(backend: str, prime: int) -> bool:

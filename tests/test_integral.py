@@ -1,11 +1,12 @@
 """Riemann evaluator, adaptive controller, and the closed-form routes."""
 
+import random
 from fractions import Fraction
 from math import comb, inf
 
 import pytest
 
-from qbern.carlitz import table_for
+from qbern.carlitz import CarlitzTable, table_for
 from qbern.errors import (
     BudgetExceeded,
     DivisionByZero,
@@ -18,6 +19,8 @@ from qbern.integral import (
     BracketPower,
     ReflectedPower,
     _bracket_form,
+    _power_integral_direct,
+    _reflected_sum,
     _shape,
     bernstein_power_product_integral,
     closed_bracket_power,
@@ -703,6 +706,82 @@ def test_powered_product_oracle_padic(padic_ctx3):
         closed = bpi(factors, padic_ctx3, route)
         s = riemann_sum(BernsteinProduct(factors), padic_ctx3, 8)
         assert agreement(s, closed) >= 8
+
+
+# -- the termwise reference for the route sums ---------------------------------------
+#
+# The route sums read the table's differences of the beta_k.  These are the
+# termwise sums they replace, kept as the reference: equal canonical values
+# on the symbolic backend, equal digits on the padic backend.
+
+
+def _termwise_direct(a, b, tbl):
+    acc = tbl.ctx.zero()
+    for l in range(b + 1):
+        term = comb(b, l) * tbl.beta(a + l)
+        acc = acc + (term if l % 2 == 0 else -term)
+    return acc
+
+
+def _termwise_reflected(a, total, top, tbl):
+    ctx, inverse = tbl.ctx, tbl.inverse_table()
+    q2 = ctx.q ** 2
+    acc = ctx.zero()
+    for l in range(a + 1):
+        inner = ctx.embed(total - l + 1) - ctx.q + q2 * inverse.beta(top - l)
+        term = comb(a, l) * inner
+        acc = acc + (term if (a + l) % 2 == 0 else -term)
+    return acc
+
+
+def _reflected_outcome(reflected, a, total, top, tbl):
+    try:
+        return reflected(a, total, top, tbl)
+    except DomainError:
+        return "DomainError"
+
+
+@pytest.mark.parametrize("ctx", [SYM, invert_q(SYM)], ids=["q", "1/q"])
+def test_beta_difference_equals_termwise_sum(ctx):
+    # a fresh table, read in shuffled order, so that cells fill from partial
+    # triangles as well as from an empty one
+    tbl = CarlitzTable(ctx)
+    cells = [(a, n - a) for n in range(21) for a in range(n + 1)]
+    random.Random(20).shuffle(cells)
+    for a, b in cells:
+        assert tbl.beta_difference(a, b) == _termwise_direct(a, b, tbl), (a, b)
+    assert _power_integral_direct(3, 4, tbl) == tbl.beta_difference(3, 4)
+    with pytest.raises(DomainError):
+        tbl.beta_difference(2, -1)
+
+
+@pytest.mark.parametrize("ctx", [SYM, invert_q(SYM)], ids=["q", "1/q"])
+def test_reflected_sum_equals_termwise_sum(ctx):
+    # every total next to top covers THM6's literal index; a > top runs out
+    # of inverted-q values on both sides
+    tbl = table_for(ctx)
+    for a in range(11):
+        for top in range(21):
+            for total in (top - 1, top, top + 1):
+                got = _reflected_outcome(_reflected_sum, a, total, top, tbl)
+                want = _reflected_outcome(_termwise_reflected, a, total, top, tbl)
+                assert got == want, (a, total, top)
+
+
+@pytest.mark.parametrize("p", sorted(KERNEL_QS))
+def test_padic_route_sums_equal_termwise_digits(p):
+    for spec in KERNEL_QS[p]:
+        base = QContext.padic(p, 24, spec)
+        for ctx in (base, invert_q(base)):
+            tbl = table_for(ctx)
+            for n in range(13):
+                for a in range(n + 1):
+                    got = _power_integral_direct(a, n - a, tbl)
+                    assert got.to_json() == _termwise_direct(a, n - a, tbl).to_json()
+                    for total in (n - 1, n, n + 1):
+                        got = _reflected_sum(a, total, n, tbl)
+                        want = _termwise_reflected(a, total, n, tbl)
+                        assert got.to_json() == want.to_json(), (p, spec, a, total, n)
 
 
 # -- serialization -------------------------------------------------------------------
