@@ -36,6 +36,7 @@ beta_{.,1/q}) and direct (route II, over beta_{.,q}).
 from __future__ import annotations
 
 import json
+from functools import cache
 from itertools import product
 from math import isinf
 
@@ -167,10 +168,16 @@ class _Run(Record):
 
     def integrate(self, f, ctx: QContext | None = None):
         """Adaptive integration that falls back to the capped value on a miss."""
-        try:
-            return integrate(f, ctx or self.ctx, self.target, self.level_cap).value, ""
-        except MaxLevelExceeded as exc:
-            return exc.result.value, str(exc)
+        return _oracle(f, ctx or self.ctx, self.target, self.level_cap)
+
+
+@cache
+def _oracle(f, ctx: QContext, target: int, level_cap: int | None):
+    # one run per integrand and setting: EQ6 and THM3 share ReflectedPower(1, n)
+    try:
+        return integrate(f, ctx, target, level_cap).value, ""
+    except MaxLevelExceeded as exc:
+        return exc.result.value, str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +321,8 @@ def _theorem6(run: _Run, nm, k: int, reading: str):
         # the reflected route with the index printed as n_1 m_1 + n_s m_s - l:
         # only the first and last factor products enter the inverted-q index
         top = nm[0][0] * nm[0][1] + nm[-1][0] * nm[-1][1]
-        lhs = coeff * _reflected_sum(a, a + b, top, run.tbl)
+        # a zero coefficient is the zero integral, whatever the index
+        lhs = coeff * _reflected_sum(a, a + b, top, run.tbl) if coeff else run.ctx.zero()
         return lhs, rhs, "probing the literal printed index n_1 m_1 + n_s m_s - l", True
     raise DomainError(f"unknown reading {reading!r}")
 

@@ -22,6 +22,11 @@ closed form is consulted, and the value is truncated to the bound, so it
 never carries an unproven digit.  Agreement of two consecutive sums proves
 nothing (they can agree by accident), so no stop rule reads it.
 
+Each level's sum goes on from the running sums of the level before (its
+residues are a prefix), the tableau gains one diagonal per level and each
+gap 1 - t_N is memoized: bit for bit the results of restarting at x = 0 and
+rebuilding the tableau every level, which the tests keep as the reference.
+
 The Riemann evaluator is the ground-truth oracle here: the closed forms
 below are validated against it (by the identities module for the bracket
 powers, by the tests for the Bernstein routes) rather than trusted.  Every
@@ -198,7 +203,7 @@ def _bracket_form(c: int, reflected: bool, ctx: QContext):
     return q_pow(c, ctx), ctx.q
 
 
-def riemann_sum(f: Integrand, ctx: QContext, level: int) -> Scalar:
+def riemann_sum(f: Integrand, ctx: QContext, level: int, carry: list | None = None) -> Scalar:
     """The level-N q-Riemann sum (1/[p^N]_q) sum_{x<p^N} q^x f(x), summed
     in plain ints.
 
@@ -206,7 +211,10 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int) -> Scalar:
     affinely with x: ``[x+c+1]_q = 1 + q[x+c]_q`` or
     ``[c-x-1]_{1/q} = q([c-x]_{1/q} - 1)``.  With q = ctx.q.unit (q carried
     to exactly K digits) the terms are p-adic integers and are summed modulo
-    p^(K + nu_p(scale)).
+    p^(K + nu_p(scale)) at every level.  A lower level's residues are a
+    prefix: a nonempty ``carry`` from the previous level's call for f and
+    ctx holds (terms summed, weighted sum, weight sum, q^x, y) after it, the
+    sum goes on from there, and the list is updated in place.
 
     The result, or the exception, is that of the same sum taken term by
     term in ``PadicNumber`` arithmetic with y = (1 - r q^x) (1/(1 - s)).
@@ -240,17 +248,21 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int) -> Scalar:
     shift = int_valuation(scale, p)
     mod = p ** (digits + shift)
     u = ctx.q.unit
-    if reflected:
-        y, step = _int_bracket(c, pow(u, -1, mod), p, mod), -u
+    step = -u if reflected else 1
+    if carry:
+        count, weighted, weights, qx, y = carry
     else:
-        y, step = _int_bracket(c, u, p, mod), 1
-    weighted = weights = 0
-    qx = 1
-    for _ in range(total):
-        weighted += qx * pow(y, a, mod) * pow(1 - y, b, mod)
+        count, weighted, weights, qx = 0, 0, 0, 1
+        y = _int_bracket(c, pow(u, -1, mod) if reflected else u, p, mod)
+    for _ in range(count, total):
+        term = qx * y ** a
+        weighted += term * (1 - y) ** b if b else term
         weights += qx
         qx = qx * u % mod
         y = (u * y + step) % mod
+    weighted, weights = weighted % mod, weights % mod
+    if carry is not None:
+        carry[:] = total, weighted, weights, qx, y
     return (PadicNumber(pctx, 0, scale * weighted, shift + digits - e)
             / PadicNumber(pctx, 0, weights, digits))
 
@@ -294,26 +306,28 @@ def integrate(
     if cap < 1:
         raise DomainError("level cap must be >= 1")
     valuations = _u_coefficient_valuations(f, ctx)
-    sums, history = [], []
+    carry, diagonal, history = [], [], []
     stop = f"within level cap {cap}"
     for level in range(1, cap + 1):
         try:
-            sums.append(riemann_sum(f, ctx, level))
+            s = riemann_sum(f, ctx, level, carry)
         except (BudgetExceeded, DivisionByZero, PrecisionExhausted) as exc:
             if level == 1:
                 raise
             stop = f"before level {level} ({exc})"
             break
         if level > 1:
-            diff = sums[-1] - sums[-2]
-            history.append(diff._effective_valuation())
-        value, bound, kind = sums[-1], 0, "none"
-        try:
-            value, bound = _extrapolate(valuations, sums, ctx)
-        except (DivisionByZero, PrecisionExhausted):
-            pass  # 1 - t_N vanishes to the working precision
-        else:
-            kind = "exact-degree" if level >= len(valuations) else "a-priori-bound"
+            history.append((s - last)._effective_valuation())
+        last, value, bound, kind = s, s, 0, "none"
+        if diagonal is not None:
+            try:
+                diagonal = _neville_step(diagonal, s, ctx)
+            except (DivisionByZero, PrecisionExhausted):
+                diagonal = None  # 1 - t_N vanishes to the working precision, and
+                # every later tableau holds the entry that could not be formed
+            else:
+                value, bound = diagonal[-1], _certificate(valuations, diagonal[-1], level, ctx)
+                kind = "exact-degree" if level >= len(valuations) else "a-priori-bound"
         res = RiemannResult(value.truncated(bound), level, bound if bound > 0 else -inf,
                             kind if bound > 0 else "none", tuple(history))
         if level == 1 or res.stabilization_valuation >= best.stabilization_valuation:
@@ -348,30 +362,41 @@ def _u_coefficient_valuations(f: Integrand, ctx: QContext) -> list:
     return [shift + g._effective_valuation() for g in poly]
 
 
-def _extrapolate(valuations: list, sums: list, ctx: QContext):
-    """(P(1), proven valuation of its error) from the level-1.. sums
-    S_N = P(t_N); ``valuations`` bound those of the integrand's
-    coefficients, so P has degree len(valuations) - 1."""
-    one = ctx.one()
-    q = ctx.q
-    p = ctx.prime
-    gaps = [one - q ** (p ** level) for level in range(1, len(sums) + 1)]
-    column = list(sums)
-    for width in range(1, len(sums)):
-        column = [
-            (gaps[i + width] * column[i] - gaps[i] * column[i + 1])
-            / (gaps[i + width] - gaps[i])
-            for i in range(len(column) - 1)
-        ]
-    value = column[0]
-    if len(sums) >= len(valuations):
-        return value, value.prec
+def _neville_step(diagonal: list, s: Scalar, ctx: QContext) -> list:
+    """The next diagonal of the Neville tableau at t = 1.
+
+    S_i is the level-(i+1) sum and g_i = 1 - t_(i+1) its gap; T[i][w] is
+    the value at t = 1 of the polynomial through S_i..S_(i+w).  ``diagonal``
+    holds T[m-1-w][w] for w < m, s is S_m, and the new diagonal is
+    T[m-w][w] = (g_m T[m-w][w-1] - g_(m-w) T[m-w+1][w-1]) / (g_m - g_(m-w)):
+    the same operations on the same operands as the full tableau.  Its last
+    entry is the extrapolation over all m + 1 levels.
+    """
+    m = len(diagonal)
+    new = [s]
+    for w in range(1, m + 1):
+        gm, gi = _gap(ctx, m + 1), _gap(ctx, m - w + 1)
+        new.append((gm * diagonal[w - 1] - gi * new[w - 1]) / (gm - gi))
+    return new
+
+
+@cache
+def _gap(ctx: QContext, level: int) -> Scalar:
+    """1 - t_N = 1 - q^(p^N)."""
+    return ctx.one() - ctx.q ** (ctx.prime ** level)
+
+
+def _certificate(valuations: list, value: Scalar, level: int, ctx: QContext):
+    """The proven valuation of the error of ``value``, the extrapolation over
+    levels 1..``level``; ``valuations`` bound P's coefficients."""
+    if level >= len(valuations):
+        return value.prec
     # The coefficients of P are sums of g_j (1-q)/(1-q^(j+1)) over j at or
     # above their index; nu(1 - q^(j+1)) = nu(1-q) + nu_p(j+1) and
     # nu(1 - t_N) = nu(1-q) + N by lifting the exponent.
-    e = ctx.q_minus_one_valuation
+    e, p = ctx.q_minus_one_valuation, ctx.prime
     mu = min(v - int_valuation(j + 1, p) for j, v in enumerate(valuations))
-    return value, min(value.prec, mu + sum(e + level for level in range(1, len(sums) + 1)))
+    return min(value.prec, mu + sum(e + n for n in range(1, level + 1)))
 
 
 # ---------------------------------------------------------------------------

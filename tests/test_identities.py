@@ -20,6 +20,7 @@ from qbern.identities import (
     _corrupted,
 )
 from qbern import carlitz, identities, integral
+from qbern.cli import main
 from qbern.carlitz import table_for
 from qbern.errors import DomainError, QbernError
 from qbern.integral import closed_reflected_power, integrand_from_json
@@ -123,6 +124,19 @@ def test_theorem6_readings():
     assert probe.quarantined
     assert not probe.verdict.ok
     assert probe.passed  # quarantined failures do not fail a suite
+
+
+def test_theorem6_literal_zero_coefficient(tmp_path, capsys):
+    # comb(0, 1) = 0: the row is the zero integral on both routes, although
+    # its literal index 0 + 0 - l is below a = 3 and has no beta value
+    row = {"nm": [[0, 1], [5, 1], [0, 1]], "k": 1, "reading": "literal"}
+    report = verify("THM6", row, SYM)
+    assert (report.lhs, report.rhs) == (SYM.zero(), SYM.zero())
+    assert report.quarantined and report.verdict.kind == "exact"
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"identities": [{"identity": "THM6", "params": row}]}))
+    assert main(["verify", "--grid", str(grid)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["verdict"] == {"kind": "exact"}
 
 
 def test_theorem6_bad_reading():
@@ -383,7 +397,19 @@ MUTATIONS = {
     "carlitz_lead_dropped": lambda m: m.setitem(carlitz._KINDS, "beta", (1, 0)),
     "difference_operands_swapped": lambda m: m.setattr(
         carlitz, "_zq_differences", _swapped_differences),
+    # a carry defect: q^x restarts at 1 each level while the bracket y is
+    # still carried from the previous level
+    "carry_qx_restarted": lambda m: _patch(m, "riemann_sum", _qx_restarted),
 }
+
+
+def _qx_restarted(riemann_sum):
+    def restarted(f, ctx, level, carry=None):
+        if carry:
+            carry[3] = 1  # (terms, weighted, weights, q^x, y)
+        return riemann_sum(f, ctx, level, carry)
+
+    return restarted
 
 
 def _swapped_differences(cells, beta, a, b):
@@ -395,7 +421,7 @@ def _swapped_differences(cells, beta, a, b):
 
 
 # the memos a mutated value could live on in; the table holds the differences
-_CACHED = (table_for, integral._power_integral_reflected)
+_CACHED = (table_for, integral._power_integral_reflected, integral._gap, identities._oracle)
 
 
 def _grid_fails(backend: str, prime: int) -> bool:

@@ -18,10 +18,13 @@ from qbern.integral import (
     BernsteinProduct,
     BracketPower,
     ReflectedPower,
+    RiemannResult,
     _bracket_form,
+    _int_bracket,
     _power_integral_direct,
     _reflected_sum,
     _shape,
+    _u_coefficient_valuations,
     bernstein_power_product_integral,
     closed_bracket_power,
     closed_one_minus_x_power,
@@ -317,19 +320,26 @@ def test_cap_extrapolation_history_is_raw(padic_ctx5):
 
 
 def test_cap_extrapolation_sums_each_level_once(padic_ctx5, monkeypatch):
+    # each level is one call, and it goes on from the previous level's
+    # p^(N-1) terms: the run sums each of the p^level residues once
     import qbern.integral as integral
 
-    levels = []
+    levels, summed = [], []
     original = integral.riemann_sum
 
-    def counting(f, ctx, level, *args, **kwargs):
+    def counting(f, ctx, level, carry=None):
         levels.append(level)
-        return original(f, ctx, level, *args, **kwargs)
+        before = carry[0] if carry else 0
+        assert before == (5 ** (level - 1) if level > 1 else 0)
+        result = original(f, ctx, level, carry)
+        summed.append(carry[0] - before)
+        return result
 
     monkeypatch.setattr(integral, "riemann_sum", counting)
     res = integrate(BracketPower(2, 4), padic_ctx5, 8, level_cap=5)
     assert res.level == 4
     assert levels == list(range(1, res.level + 1))
+    assert sum(summed) == 5 ** res.level
 
 
 def test_certificate_kinds(padic_ctx3, padic_ctx7):
@@ -539,6 +549,139 @@ def test_level_over_budget_ends_the_run(padic_ctx3, monkeypatch):
     with pytest.raises(BudgetExceeded) as first:
         integrate(f, padic_ctx3, 30, level_cap=5)
     assert not isinstance(first.value, MaxLevelExceeded)
+
+
+# -- the restart-from-zero reference for the integrator ---------------------------
+#
+# ``integrate`` carries each level's running sums into the next and adds one
+# diagonal to the Neville tableau per level.  These are the paths it
+# replaces, kept as the reference: each level summed from x = 0 with two
+# modular powers per term, and the whole tableau rebuilt after each level.
+
+
+def _restart_sum(f, ctx, level):
+    total = ctx.prime ** level  # no level that these tests reach is over the budget
+    pctx = ctx.pctx
+    p, digits = pctx.prime, pctx.precision
+    scale, a, b, c, reflected = _shape(f)
+    e = ctx.q_minus_one_valuation if a + b else 0
+    if 2 * e >= digits:
+        raise PrecisionExhausted(
+            f"division result would be certified only modulo p^{digits - 2 * e}")
+    shift = int_valuation(scale, p)
+    mod = p ** (digits + shift)
+    u = ctx.q.unit
+    if reflected:
+        y, step = _int_bracket(c, pow(u, -1, mod), p, mod), -u
+    else:
+        y, step = _int_bracket(c, u, p, mod), 1
+    weighted = weights = 0
+    qx = 1
+    for _ in range(total):
+        weighted += qx * pow(y, a, mod) * pow(1 - y, b, mod)
+        weights += qx
+        qx = qx * u % mod
+        y = (u * y + step) % mod
+    return (PadicNumber(pctx, 0, scale * weighted, shift + digits - e)
+            / PadicNumber(pctx, 0, weights, digits))
+
+
+def _full_tableau(valuations, sums, ctx):
+    one = ctx.one()
+    q = ctx.q
+    p = ctx.prime
+    gaps = [one - q ** (p ** level) for level in range(1, len(sums) + 1)]
+    column = list(sums)
+    for width in range(1, len(sums)):
+        column = [
+            (gaps[i + width] * column[i] - gaps[i] * column[i + 1])
+            / (gaps[i + width] - gaps[i])
+            for i in range(len(column) - 1)
+        ]
+    value = column[0]
+    if len(sums) >= len(valuations):
+        return value, value.prec
+    e = ctx.q_minus_one_valuation
+    mu = min(v - int_valuation(j + 1, p) for j, v in enumerate(valuations))
+    return value, min(value.prec, mu + sum(e + level for level in range(1, len(sums) + 1)))
+
+
+def _reference_integrate(f, ctx, target, level_cap=None):
+    cap = default_level_cap(ctx.prime) if level_cap is None else level_cap
+    valuations = _u_coefficient_valuations(f, ctx)
+    sums, history = [], []
+    stop = f"within level cap {cap}"
+    for level in range(1, cap + 1):
+        try:
+            sums.append(_restart_sum(f, ctx, level))
+        except (BudgetExceeded, DivisionByZero, PrecisionExhausted) as exc:
+            if level == 1:
+                raise
+            stop = f"before level {level} ({exc})"
+            break
+        if level > 1:
+            history.append((sums[-1] - sums[-2])._effective_valuation())
+        value, bound, kind = sums[-1], 0, "none"
+        try:
+            value, bound = _full_tableau(valuations, sums, ctx)
+        except (DivisionByZero, PrecisionExhausted):
+            pass
+        else:
+            kind = "exact-degree" if level >= len(valuations) else "a-priori-bound"
+        res = RiemannResult(value.truncated(bound), level, bound if bound > 0 else -inf,
+                            kind if bound > 0 else "none", tuple(history))
+        if level == 1 or res.stabilization_valuation >= best.stabilization_valuation:
+            best = res
+        if best.stabilization_valuation >= target:
+            return best
+    raise MaxLevelExceeded(
+        f"no certificate reaches valuation {target} {stop}; "
+        f"best achieved valuation {best.stabilization_valuation}",
+        result=best.replace(history=tuple(history)),
+    )
+
+
+def _run_outcome(run):
+    """("done", result), ("missed", result, message), or the error that
+    escaped level 1 as (its name, message)."""
+    try:
+        return "done", run()
+    except MaxLevelExceeded as exc:
+        return "missed", exc.result, str(exc)
+    except (DivisionByZero, PrecisionExhausted) as exc:
+        return type(exc).__name__, str(exc)
+
+
+REFERENCE_INTEGRANDS = (
+    BracketPower(0, 0), BracketPower(0, 2), BracketPower(2, 4), BracketPower(-2, 3),
+    BracketPower(2, 6), ReflectedPower(1, 2), ReflectedPower(1, 5), ReflectedPower(-2, 3),
+    BernsteinProduct(((1, 3, 2),)), BernsteinProduct(((1, 2, 1), (1, 3, 1))),
+    BernsteinProduct(((0, 3, 2),)),
+)
+
+
+@pytest.mark.parametrize("p", sorted(KERNEL_QS))
+def test_integrate_bit_identical_to_restart_reference(p):
+    # the same RiemannResult (value, level, certificate, history), or the
+    # same cap miss and its result, or the same escaping error; at K = 5 and
+    # 6 levels stop forming sums or tableau entries partway through a run, and
+    # at K = 2 level 1 keeps no digit
+    seen = set()
+    for digits in (2, 5, 6, 24):
+        for spec in KERNEL_QS[p]:
+            try:
+                base = QContext.padic(p, digits, spec)
+            except DomainError:
+                continue  # q = 1 to K digits
+            for ctx in (base, invert_q(base)):
+                for f in REFERENCE_INTEGRANDS:
+                    for target, cap in ((4, None), (8, None), (40, 4 if p < 7 else 3)):
+                        got = _run_outcome(lambda: integrate(f, ctx, target, cap))
+                        want = _run_outcome(lambda: _reference_integrate(f, ctx, target, cap))
+                        assert got == want, (digits, spec, ctx.q, f, target)
+                        seen.add(got[0] if got[0] != "missed" else
+                                 "missed " + got[2].split()[5])
+    assert seen == {"done", "missed within", "missed before", "PrecisionExhausted"}
 
 
 def test_default_level_caps():
