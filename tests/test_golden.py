@@ -47,6 +47,9 @@ CASES = {
     "beta_poly_padic_p5": ["beta-poly", "--n", "3", "--x", "-1/2", "--backend", "padic",
                            "--p", "5"],
     "bernstein_symbolic": ["bernstein", "--k", "1", "--n", "3", "--x", "2"],
+    # the symbolic values at a negative integer x, and a table of the basis there
+    "beta_poly_symbolic_neg": ["beta-poly", "--n", "12", "--x", "-3"],
+    "table_bernstein_symbolic": ["table", "--kind", "bernstein", "--range", "0:8", "--x", "-2"],
     "table_beta_padic_p5": ["table", "--kind", "beta", "--range", "0:6", "--backend", "padic",
                             "--p", "5", "--format", "csv"],
     "table_beta_padic_p3_deep": ["table", "--kind", "beta", "--range", "0:24", "--backend",
