@@ -2,6 +2,12 @@
 
 B_{k,n}(x, q) = C(n,k) [x]_q^k (1 - [x]_q)^{n-k}; the second factor is the
 reflected bracket [1-x]_{1/q}^{n-k}.  Their integrals live in ``integral``.
+
+At the indeterminate q and an integer x, with [x]_q = P/q^s, the value is
+C(n,k) P^k (q^s - P)^{n-k} / q^{sn}: the powers are taken on raw Z[q] lists
+and the value is canonicalized once.  At 1/q it is the value at q with
+q -> 1/q substituted.  Padic contexts and rational x take the products of
+the backend's scalars.
 """
 
 from __future__ import annotations
@@ -9,10 +15,20 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DomainError
-from .qfield import QContext, Scalar, q_bracket
+from .qfield import (
+    QContext,
+    RationalFunction,
+    Scalar,
+    _zcomb,
+    _zmul,
+    q_bracket,
+    zq_bracket,
+)
 from .record import Record
 
 __all__ = ["BernsteinSpec", "bernstein_eval"]
+
+_Q = RationalFunction.indeterminate()
 
 
 class BernsteinSpec(Record):
@@ -24,9 +40,21 @@ class BernsteinSpec(Record):
         self.k, self.n = k, n
 
 
+def _zpow(a: list, e: int) -> list:
+    out = [1]
+    for _ in range(e):
+        out = _zmul(out, a)
+    return out
+
+
 def bernstein_eval(spec: BernsteinSpec, x, ctx: QContext) -> Scalar:
     """C(n,k) [x]_q^k (1 - [x]_q)^(n-k)."""
     k, n = spec.k, spec.n
-    bx = q_bracket(x, ctx)
-    return comb(n, k) * bx ** k * (ctx.one() - bx) ** (n - k)
-
+    if not (ctx.is_symbolic and isinstance(x, int)):
+        bx = q_bracket(x, ctx)
+        return comb(n, k) * bx ** k * (ctx.one() - bx) ** (n - k)
+    p, s = zq_bracket(x)
+    rest = _zcomb(1, [0] * s + [1], -1, p)  # q^s (1 - [x]_q)
+    num = _zmul(_zpow(p, k), _zpow(rest, n - k))
+    value = RationalFunction([comb(n, k) * c for c in num], [0] * (s * n) + [1])
+    return value if ctx.q == _Q else value.substitute_reciprocal()

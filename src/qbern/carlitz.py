@@ -25,6 +25,13 @@ S(a, b) = S(a, b-1) - S(a+1, b-1); at 1/q it is the cell at q with
 q -> 1/q substituted.  On the padic backend it is the termwise sum: a term
 C(b,l) beta_{a+l} with p dividing C(b,l) carries one more absolute digit
 than beta_{a+l}, which a difference of differences would not keep.
+
+The polynomials beta_n(x) = sum_i C(n,i) beta_i q^{ix} [x]_q^{n-i} at an
+integer x are summed at q on the same raw numerators, over the common
+denominator q^{ns} prod_j (q^{j+1} - 1) with [x]_q = P/q^s, and only the
+sum is canonicalized; at 1/q they are the values at q with q -> 1/q
+substituted.  A padic context or a rational x sums the terms in the
+backend's scalars.
 """
 
 from __future__ import annotations
@@ -36,7 +43,16 @@ from operator import sub
 
 from .errors import DivisionByZero, DomainError, PoleAtOne
 from .padic import int_valuation
-from .qfield import QContext, RationalFunction, Scalar, invert_q, q_bracket, q_pow
+from .qfield import (
+    QContext,
+    RationalFunction,
+    Scalar,
+    _zmul,
+    invert_q,
+    q_bracket,
+    q_pow,
+    zq_bracket,
+)
 
 __all__ = ["CarlitzTable", "classical_bernoulli", "eval_at_one", "table_for"]
 
@@ -178,6 +194,10 @@ class CarlitzTable:
         if n < 0:
             raise DomainError("index must be nonnegative")
         ctx = self.ctx
+        if ctx.is_symbolic and isinstance(x, int):
+            if self._source is not None:
+                return self._source.beta_poly(n, x).substitute_reciprocal()
+            return self._zq_beta_poly(n, x)
         qx = q_pow(x, ctx)
         bx = q_bracket(x, ctx)
         qx_pows = [ctx.one()]
@@ -189,6 +209,30 @@ class CarlitzTable:
         for i in range(n + 1):
             acc = acc + comb(n, i) * self.beta(i) * qx_pows[i] * bx_pows[n - i]
         return acc
+
+    def _zq_beta_poly(self, n: int, x: int) -> RationalFunction:
+        """beta_n(x) at the indeterminate q for an integer x, summed on raw
+        Z[q] lists and canonicalized once.
+
+        With [x]_q = P/q^s and q^{ix} = q^{i max(x, 0)} / q^{is}, every term
+        has the denominator q^{ns} dens[i], so over q^{ns} dens[n] the
+        numerator is Horner's rule over the beta divisors: acc (q^{i+1} - 1)
+        + C(n,i) q^{i max(x, 0)} P^{n-i} nums[i] for i = 0..n.
+        """
+        self._filled("beta", n)
+        nums, dens = self._raw["beta"]
+        p, s = zq_bracket(x)
+        p_pows = [[1]]
+        for _ in range(n):
+            p_pows.append(_zmul(p_pows[-1], p))
+        acc = []
+        for i in range(n + 1):
+            if i:
+                acc = _times_binomial(acc, i + 1)
+            c, term, power = comb(n, i), _zmul(nums[i], p_pows[n - i]), i * max(x, 0)
+            acc.extend([0] * (power + len(term) - len(acc)))
+            acc[power:power + len(term)] = [a + c * t for a, t in zip(acc[power:], term)]
+        return RationalFunction(acc, [0] * (n * s) + dens[n])
 
     def inverse_table(self) -> "CarlitzTable":
         return table_for(invert_q(self.ctx))

@@ -125,14 +125,19 @@ class IdentityReport(Record):
         return not self.domain_ok or self.verdict.ok or self.quarantined
 
     def to_json(self) -> dict:
+        lhs = None if self.lhs is None else self.lhs.to_json()
+        if self.backend == "symbolic" and self.rhs == self.lhs:
+            rhs = lhs  # the form is unique, so an equal right side prints the same
+        else:
+            rhs = None if self.rhs is None else self.rhs.to_json()
         return {
             "identity": self.identity,
             "parameters": self.parameters,
             "backend": self.backend,
             "domain_ok": self.domain_ok,
             "verdict": None if self.verdict is None else self.verdict.to_json(),
-            "lhs": None if self.lhs is None else self.lhs.to_json(),
-            "rhs": None if self.rhs is None else self.rhs.to_json(),
+            "lhs": lhs,
+            "rhs": rhs,
             "quarantined": self.quarantined,
             "notes": self.notes,
         }
@@ -145,9 +150,10 @@ def _compare(lhs: Scalar, rhs: Scalar, ctx: QContext, target: int) -> Verdict:
     A padic target above the shared certified precision shows up as a Fail
     with the achieved valuation attached, never as a silently weakened check.
     """
-    diff = lhs - rhs
     if ctx.is_symbolic:
-        return Verdict.exact() if diff.is_zero() else Verdict.fail(diff)
+        # the canonical form is unique: only a failing row forms its difference
+        return Verdict.exact() if lhs == rhs else Verdict.fail(lhs - rhs)
+    diff = lhs - rhs
     achieved = diff._effective_valuation()
     if target > min(lhs.prec, rhs.prec):
         # cannot certify the requested agreement; report what is achieved

@@ -35,6 +35,7 @@ variants and contexts.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import ceil, gcd, inf, lcm
 
 from .errors import (
@@ -51,6 +52,7 @@ __all__ = [
     "Scalar",
     "q_pow",
     "q_bracket",
+    "zq_bracket",
     "invert_q",
     "scalars_equal",
     "rational_literal",
@@ -584,6 +586,14 @@ def q_bracket(x, ctx: QContext) -> Scalar:
     return (ctx.one() - qx) / (ctx.one() - ctx.q)
 
 
+def zq_bracket(x: int) -> tuple:
+    """[x]_q = P(q)/q^s for an integer x, as the int list P and the shift s:
+    P = [x]_q and s = 0 for x >= 0, and [x]_q = -[|x|]_q / q^|x| for x < 0."""
+    return ([1] * x, 0) if x >= 0 else ([-1] * -x, -x)
+
+
+# contexts are immutable records, so one inversion serves every caller
+@cache
 def invert_q(ctx: QContext) -> QContext:
     """The context with q replaced by 1/q (same backend)."""
     if ctx.is_symbolic:

@@ -1,5 +1,6 @@
 """Basis polynomials: endpoints, partition of unity, symmetry, degeneration."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbern.bernstein import BernsteinSpec, bernstein_eval
 from qbern.carlitz import eval_at_one
-from qbern.errors import DomainError
+from qbern.errors import DomainError, NonIntegerExponentInSymbolicMode
 from qbern.padic import PadicNumber
 from qbern.qfield import (
     QContext,
@@ -47,6 +48,28 @@ def test_two_term_expansion():
     for x in (2, 3, -1):
         bx = q_bracket(x, SYM)
         assert bernstein_eval(BernsteinSpec(1, 2), x, SYM) == 2 * bx * (SYM.one() - bx)
+
+
+def _termwise_bernstein(spec, x, ctx):
+    # the reference: the product of the backend's scalars, at q and at 1/q alike
+    bx = q_bracket(x, ctx)
+    return comb(spec.n, spec.k) * bx ** spec.k * (ctx.one() - bx) ** (spec.n - spec.k)
+
+
+def test_matches_termwise_reference():
+    cases = [(ctx, k, n, x) for ctx in (SYM, invert_q(SYM)) for n in range(13)
+             for k in range(n + 1) for x in range(-3, 4)]
+    random.Random(22).shuffle(cases)
+    for ctx, k, n, x in cases:
+        got = bernstein_eval(BernsteinSpec(k, n), x, ctx)
+        want = _termwise_bernstein(BernsteinSpec(k, n), x, ctx)
+        assert (got._c, got._n, got._d) == (want._c, want._n, want._d), (ctx.q, k, n, x)
+
+
+def test_rational_x_rejected_symbolically():
+    for ctx in (SYM, invert_q(SYM)):
+        with pytest.raises(NonIntegerExponentInSymbolicMode):
+            bernstein_eval(BernsteinSpec(1, 2), Fraction(1, 2), ctx)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

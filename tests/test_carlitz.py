@@ -1,5 +1,6 @@
 """Carlitz recurrences, the classical degeneration, and precision ledgers."""
 
+import random
 from fractions import Fraction
 from math import comb, inf
 
@@ -9,7 +10,7 @@ from qbern import carlitz, qfield
 from qbern.carlitz import CarlitzTable, classical_bernoulli, eval_at_one, table_for
 from qbern.errors import DomainError, PoleAtOne, PrecisionExhausted
 from qbern.padic import PadicNumber
-from qbern.qfield import QContext, RationalFunction, q_pow, scalars_equal
+from qbern.qfield import QContext, RationalFunction, q_bracket, q_pow, scalars_equal
 
 RF = RationalFunction
 
@@ -145,6 +146,47 @@ def test_beta_inverse_q(sym_table):
     assert inverse.beta(2) == rf((0, 0, 1), (1, 2, 2, 1))  # q^2/((q+1)(q^2+q+1))
 
 
+# The reference for the symbolic beta_poly at an integer x: the sum taken
+# term by term in RationalFunction arithmetic, at q and at 1/q alike.
+
+
+def _termwise_beta_poly(tbl, n, x):
+    ctx = tbl.ctx
+    qx, bx = q_pow(x, ctx), q_bracket(x, ctx)
+    qx_pows, bx_pows = [ctx.one()], [ctx.one()]
+    for _ in range(n):
+        qx_pows.append(qx_pows[-1] * qx)
+        bx_pows.append(bx_pows[-1] * bx)
+    acc = ctx.zero()
+    for i in range(n + 1):
+        acc = acc + comb(n, i) * tbl.beta(i) * qx_pows[i] * bx_pows[n - i]
+    return acc
+
+
+def test_beta_poly_matches_termwise_reference():
+    from qbern.qfield import invert_q
+
+    table_for.cache_clear()  # no table is filled yet, whatever ran before
+    contexts = (QContext.symbolic(), invert_q(QContext.symbolic()))
+    got = {ctx: CarlitzTable(ctx) for ctx in contexts}
+    want = {ctx: CarlitzTable(ctx) for ctx in contexts}
+    cases = [(ctx, n, x) for ctx in contexts for n in range(25) for x in range(-3, 4)]
+    random.Random(22).shuffle(cases)
+    for ctx, n, x in cases:
+        value, ref = got[ctx].beta_poly(n, x), _termwise_beta_poly(want[ctx], n, x)
+        assert (value._c, value._n, value._d) == (ref._c, ref._n, ref._d), (ctx.q, n, x)
+
+
+def test_beta_poly_domain(sym_table):
+    from qbern.errors import NonIntegerExponentInSymbolicMode
+
+    for tbl in (sym_table, sym_table.inverse_table()):
+        with pytest.raises(DomainError):
+            tbl.beta_poly(-1, 2)
+        with pytest.raises(NonIntegerExponentInSymbolicMode):
+            tbl.beta_poly(2, Fraction(1, 2))
+
+
 def test_beta_poly_padic_matches_symbolic(sym_table, padic_ctx3):
     ptbl = table_for(padic_ctx3)
     for n in (1, 2, 4):
@@ -159,8 +201,6 @@ def test_beta_poly_padic_argument(padic_ctx3):
     ptbl = table_for(padic_ctx3)
     x = Fraction(1, 2)
     qx = q_pow(x, padic_ctx3)
-    from qbern.qfield import q_bracket
-
     bx = q_bracket(x, padic_ctx3)
     expect = (
         ptbl.beta(0) * bx * bx

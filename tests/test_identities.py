@@ -19,13 +19,13 @@ from qbern.identities import (
     _compare,
     _corrupted,
 )
-from qbern import carlitz, identities, integral
+from qbern import carlitz, identities, integral, qfield
 from qbern.cli import main
 from qbern.carlitz import table_for
 from qbern.errors import DomainError, QbernError
 from qbern.integral import closed_reflected_power, integrand_from_json
 from qbern.padic import PadicNumber
-from qbern.qfield import QContext, q_pow
+from qbern.qfield import QContext, RationalFunction, invert_q, q_pow
 
 SYM = QContext.symbolic()
 
@@ -400,7 +400,22 @@ MUTATIONS = {
     # a carry defect: q^x restarts at 1 each level while the bracket y is
     # still carried from the previous level
     "carry_qx_restarted": lambda m: _patch(m, "riemann_sum", _qx_restarted),
+    # [x]_q = P/q^s read with P = [|x|]_q for x < 0: beta_n(x) drops its (-1)^(n-i)
+    "beta_poly_negative_x_sign": lambda m: m.setattr(
+        carlitz, "zq_bracket", lambda x: ([1] * abs(x), max(-x, 0))),
+    "bernstein_reciprocal_unsubstituted": lambda m: _patch(
+        m, "bernstein_eval", _unsubstituted, (identities,)),
 }
+
+
+def _unsubstituted(bernstein_eval):
+    # at 1/q, the symbolic value at q as it stands, with no q -> 1/q
+    def at_q(spec, x, ctx):
+        if ctx.is_symbolic and ctx.q != RationalFunction.indeterminate():
+            ctx = invert_q(ctx)
+        return bernstein_eval(spec, x, ctx)
+
+    return at_q
 
 
 def _qx_restarted(riemann_sum):
@@ -421,7 +436,8 @@ def _swapped_differences(cells, beta, a, b):
 
 
 # the memos a mutated value could live on in; the table holds the differences
-_CACHED = (table_for, integral._power_integral_reflected, integral._gap, identities._oracle)
+_CACHED = (table_for, integral._power_integral_reflected, integral._gap, identities._oracle,
+           qfield.invert_q)
 
 
 def _grid_fails(backend: str, prime: int) -> bool:
