@@ -21,6 +21,7 @@ from .qfield import (
     Scalar,
     _zcomb,
     _zmul,
+    _zpow,
     q_bracket,
     zq_bracket,
 )
@@ -38,13 +39,6 @@ class BernsteinSpec(Record):
         if not 0 <= k <= n:
             raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
         self.k, self.n = k, n
-
-
-def _zpow(a: list, e: int) -> list:
-    out = [1]
-    for _ in range(e):
-        out = _zmul(out, a)
-    return out
 
 
 def bernstein_eval(spec: BernsteinSpec, x, ctx: QContext) -> Scalar:

@@ -120,6 +120,14 @@ def _zmul(x, y):
     return _unpack(_pack(x, b) * _pack(y, b), b)
 
 
+def _zpow(x, e):
+    # x^e in Z[q] for e >= 0, by repeated products
+    out = [1]
+    for _ in range(e):
+        out = _zmul(out, x)
+    return out
+
+
 def _zcomb(s, x, t, y):
     # s x + t y in Z[q], no trailing zeros
     if len(x) < len(y):
@@ -374,13 +382,8 @@ class RationalFunction:
             return RationalFunction.from_fraction(1)
         base = self.reciprocal() if e < 0 else self
         e = abs(e)
-        num, den = base._n, base._d
-        rn, rd = num, den
-        for _ in range(e - 1):
-            rn = _zmul(rn, num)
-            rd = _zmul(rd, den)
         # powers of coprime primitive parts stay coprime and primitive
-        return _rf(base._c ** e, rn, rd)
+        return _rf(base._c ** e, _zpow(base._n, e), _zpow(base._d, e))
 
     # -- structure --------------------------------------------------------
 
