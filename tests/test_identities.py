@@ -1,6 +1,7 @@
 """Verifier verdicts, domain policy, suite determinism."""
 
 import json
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,11 +22,11 @@ from qbern.identities import (
 )
 from qbern import carlitz, identities, integral, qfield
 from qbern.cli import main
-from qbern.carlitz import table_for
+from qbern.carlitz import CarlitzTable, table_for
 from qbern.errors import DomainError, QbernError
 from qbern.integral import closed_reflected_power, integrand_from_json
 from qbern.padic import PadicNumber
-from qbern.qfield import QContext, RationalFunction, invert_q, q_pow
+from qbern.qfield import QContext, RationalFunction, invert_q, q_pow, scalars_equal
 
 SYM = QContext.symbolic()
 
@@ -447,19 +448,93 @@ def _grid_fails(backend: str, prime: int) -> bool:
         return True
 
 
-@pytest.mark.parametrize("mutation", MUTATIONS)
-def test_mutation_gate(mutation, monkeypatch):
+@contextmanager
+def _mutated(monkeypatch, mutate):
+    # the mutation planted with every memo empty, so no value computed
+    # before or under it outlives it
     for f in _CACHED:
         f.cache_clear()
     try:
         with monkeypatch.context() as m:
-            MUTATIONS[mutation](m)
-            caught = any(_grid_fails(backend, prime) for backend, prime in
-                         (("symbolic", 3), ("padic", 3), ("padic", 5)))
+            mutate(m)
+            yield
     finally:
         for f in _CACHED:
             f.cache_clear()
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_mutation_gate(mutation, monkeypatch):
+    with _mutated(monkeypatch, MUTATIONS[mutation]):
+        caught = any(_grid_fails(backend, prime) for backend, prime in
+                     (("symbolic", 3), ("padic", 3), ("padic", 5)))
     assert caught, f"no default grid detects the mutation {mutation}"
+
+
+# -- the cross-backend gate -----------------------------------------------------
+#
+# Every row of the symbolic default grid but Q_TO_1 runs on padic contexts as
+# well.  Each symbolic side, evaluated at the context's rational q and
+# embedded, must agree with the padic side to their shared precision.  The
+# padic closed forms have code of their own (the scalar Carlitz step, the
+# embedded route sums); each mutation below plants a padic-only defect there,
+# which the gate must catch in every context.
+
+CROSS_CONTEXTS = ((3, "1+p"), (5, "1+p"), (7, "1+p"), (3, "1/4"), (3, "10"), (5, "26"))
+
+
+def _padic_bump(ctx, hit):
+    # p^6: a defect well inside the 24 certified digits
+    return ctx.prime ** 6 if hit and not ctx.is_symbolic else 0
+
+
+PADIC_MUTATIONS = {
+    "reflected_sum_plus_p6": lambda m: _patch(
+        m, "_reflected_sum",
+        lambda f: lambda a, total, top, tbl: f(a, total, top, tbl) + _padic_bump(tbl.ctx, a >= 4),
+        (integral, identities)),
+    "scalar_step_plus_3_6": lambda m: _patch(
+        m, "_scalar_step",
+        lambda f: lambda q, values, k, shift, lead: (f(q, values, k, shift, lead)
+                                                     + (3 ** 6 if k >= 7 else 0)),
+        (carlitz,)),
+    "beta_difference_plus_p6": lambda m: _patch(
+        m, "beta_difference",
+        lambda f: lambda tbl, a, b: f(tbl, a, b) + _padic_bump(tbl.ctx, a + b >= 7),
+        (CarlitzTable,)),
+}
+
+
+@pytest.fixture(scope="module")
+def symbolic_sides():
+    return [(name, params, (report.lhs, report.rhs))
+            for name, params in default_grid("symbolic") if name != "Q_TO_1"
+            for report in [verify(name, params, SYM)]]
+
+
+def _cross_backend_mismatches(p, q, symbolic_sides):
+    ctx = QContext.padic(p, 24, q)
+    mismatches = []
+    for name, params, sides in symbolic_sides:
+        report = verify(name, params, ctx)
+        for side, sym, padic in zip(("lhs", "rhs"), sides, (report.lhs, report.rhs)):
+            if padic is None or not scalars_equal(ctx.embed(sym.evaluate(ctx.rational)),
+                                                  padic, ctx):
+                mismatches.append((name, params, side))
+    return mismatches
+
+
+@pytest.mark.parametrize("p, q", CROSS_CONTEXTS)
+def test_cross_backend_sides_agree(p, q, symbolic_sides):
+    assert _cross_backend_mismatches(p, q, symbolic_sides) == []
+
+
+@pytest.mark.parametrize("mutation", PADIC_MUTATIONS)
+def test_cross_backend_gate_catches_padic_mutations(mutation, monkeypatch, symbolic_sides):
+    with _mutated(monkeypatch, PADIC_MUTATIONS[mutation]):
+        missed = [(p, q) for p, q in CROSS_CONTEXTS
+                  if not _cross_backend_mismatches(p, q, symbolic_sides)]
+    assert not missed, f"the cross-backend gate misses {mutation} at (p, q) in {missed}"
 
 
 def test_theorem1_ruling_follows_the_agreements(padic_ctx3, monkeypatch):
