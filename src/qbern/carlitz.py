@@ -20,11 +20,12 @@ at that rational and each value is embedded once, with K unit digits.
 
 The table also memoizes the differences S(a, b) = sum_{l<=b} (-1)^l C(b,l)
 beta_{a+l}, the integral of [x]_q^a (1 - [x]_q)^b that every Bernstein
-route sum reads.  At q a cell is one subtraction of two cells below it,
-S(a, b) = S(a, b-1) - S(a+1, b-1); at 1/q it is the cell at q with
-q -> 1/q substituted.  On the padic backend it is the termwise sum: a term
-C(b,l) beta_{a+l} with p dividing C(b,l) carries one more absolute digit
-than beta_{a+l}, which a difference of differences would not keep.
+route sum reads.  A cell is one subtraction of two cells below it,
+S(a, b) = S(a, b-1) - S(a+1, b-1).  At q the triangle runs on the values at
+q; at 1/q a cell is the cell at q with q -> 1/q substituted.  On the padic
+backend the triangle runs over the exact Fractions at the rational q, and
+each cell read is embedded once, so no subtraction of embedded values drops
+a certified digit.
 
 The polynomials beta_n(x) = sum_i C(n,i) beta_i q^{ix} [x]_q^{n-i} at an
 integer x are summed at q on the same raw numerators, over the common
@@ -108,9 +109,9 @@ def _zq_step(nums: list, dens: list, k: int, shift: int, lead: int) -> RationalF
     return RationalFunction(acc, dens[k])
 
 
-def _zq_differences(cells: dict, beta: list, a: int, b: int) -> None:
-    """Fill cells[a, b] at the indeterminate q with the triangle below it:
-    S(i, 0) = beta_i and S(i, j) = S(i, j-1) - S(i+1, j-1)."""
+def _differences(cells: dict, beta: list, a: int, b: int) -> None:
+    """Fill cells[a, b] with the triangle below it: S(i, 0) = beta_i and
+    S(i, j) = S(i, j-1) - S(i+1, j-1), in any ring of the beta_i."""
     for j in range(b + 1):
         for i in range(a, a + b - j + 1):
             if (i, j) not in cells:
@@ -136,8 +137,10 @@ class CarlitzTable:
         self._source = table_for(invert_q(ctx)) if ctx.is_symbolic and not at_q else None
         # padic: the exact values at the rational q, which _memo embeds
         self._exact = None if ctx.is_symbolic else {kind: [_ONE] for kind in _KINDS}
-        # (a, b) -> the difference S(a, b) of the beta_k
-        self._differences = {}
+        # (a, b) -> the difference S(a, b) of the beta_k; on padic, the exact
+        # differences at the rational q, which _cells embeds
+        self._cells = {}
+        self._exact_cells = None if ctx.is_symbolic else {}
 
     def _filled(self, kind: str, n: int) -> list:
         """The memo of ``kind``, extended to index n by the step of the context."""
@@ -173,18 +176,16 @@ class CarlitzTable:
         of the beta_k at a: the integral of [x]_q^a (1 - [x]_q)^b."""
         if a < 0 or b < 0:
             raise DomainError("index must be nonnegative")
-        cells = self._differences
+        cells = self._cells
         if (a, b) not in cells:
             if self._raw is not None:
-                _zq_differences(cells, self._filled("beta", a + b), a, b)
+                _differences(cells, self._filled("beta", a + b), a, b)
             elif self._source is not None:
                 cells[a, b] = self._source.beta_difference(a, b).substitute_reciprocal()
             else:
-                acc = self.ctx.zero()
-                for l in range(b + 1):
-                    term = comb(b, l) * self.beta(a + l)
-                    acc = acc + (term if l % 2 == 0 else -term)
-                cells[a, b] = acc
+                self._filled("beta", a + b)  # extends the exact values too
+                _differences(self._exact_cells, self._exact["beta"], a, b)
+                cells[a, b] = self.ctx.embed(self._exact_cells[a, b])
         return cells[a, b]
 
     # -- the polynomials --------------------------------------------------

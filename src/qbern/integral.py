@@ -438,11 +438,11 @@ def closed_reflected_power(n: int, x, ctx: QContext) -> Scalar:
 
 
 def closed_one_minus_x_power(n: int, ctx: QContext, tbl: CarlitzTable | None = None) -> Scalar:
-    """Closed form of the integral of [1 - x]_{1/q}^n: q^2 beta_{n,1/q} + n + 1 - q."""
+    """Closed form of the integral of [1 - x]_{1/q}^n: q^2 beta_{n,1/q} + n + 1 - q,
+    the reflected sum with a = 0."""
     if n <= 1:
         raise DomainError("the closed form requires n > 1")
-    tbl = tbl or table_for(ctx)
-    return ctx.q ** 2 * tbl.inverse_table().beta(n) + ctx.embed(n + 1) - ctx.q
+    return _reflected_sum(0, n, n, tbl or table_for(ctx))
 
 
 # -- shared route sums -------------------------------------------------------
@@ -473,25 +473,16 @@ def _reflected_sum(a: int, total: int, top: int, tbl: CarlitzTable) -> Scalar:
 
     With top = total this is the reflected expansion; the index of the
     inverted-q values is the only place the reflected-route readings differ.
-    On the symbolic backend the sum is c_a + q^2 S(top - a, a) with S the
-    difference at 1/q, where sum_l (-1)^(a+l) C(a,l) (total - l + 1 - q) is
-    c_0 = total + 1 - q, c_1 = -1 and c_a = 0 beyond.  On the padic backend
-    the sum stays termwise: the rearranged form certifies a different
-    precision in some cells, which would move the padic reports.
+    The sum is c_a + q^2 S(top - a, a) with S the difference at 1/q, where
+    sum_l (-1)^(a+l) C(a,l) (total - l + 1 - q) is c_0 = total + 1 - q,
+    c_1 = -1 and c_a = 0 beyond.  On the padic backend S is the exact
+    difference at the rational 1/q, embedded once.
     """
-    ctx, inverse = tbl.ctx, tbl.inverse_table()
-    q2 = ctx.q ** 2
-    if ctx.is_symbolic:
-        acc = q2 * inverse.beta_difference(top - a, a)
-        if a == 0:
-            return ctx.embed(total + 1) - ctx.q + acc
-        return acc - 1 if a == 1 else acc
-    acc = ctx.zero()
-    for l in range(a + 1):
-        inner = ctx.embed(total - l + 1) - ctx.q + q2 * inverse.beta(top - l)
-        term = comb(a, l) * inner
-        acc = acc + (term if (a + l) % 2 == 0 else -term)
-    return acc
+    ctx = tbl.ctx
+    acc = ctx.q ** 2 * tbl.inverse_table().beta_difference(top - a, a)
+    if a == 0:
+        return ctx.embed(total + 1) - ctx.q + acc
+    return acc - 1 if a == 1 else acc
 
 
 def bernstein_power_product_integral(factors, ctx: QContext, route: str = "direct") -> Scalar:

@@ -397,7 +397,7 @@ MUTATIONS = {
         (integral, identities)),
     "carlitz_lead_dropped": lambda m: m.setitem(carlitz._KINDS, "beta", (1, 0)),
     "difference_operands_swapped": lambda m: m.setattr(
-        carlitz, "_zq_differences", _swapped_differences),
+        carlitz, "_differences", _swapped_differences),
     # a carry defect: q^x restarts at 1 each level while the bracket y is
     # still carried from the previous level
     "carry_qx_restarted": lambda m: _patch(m, "riemann_sum", _qx_restarted),
@@ -429,7 +429,7 @@ def _qx_restarted(riemann_sum):
 
 
 def _swapped_differences(cells, beta, a, b):
-    # the at-q difference step with its operands swapped: (-1)^b S(a, b)
+    # the difference step with its operands swapped: (-1)^b S(a, b)
     for j in range(b + 1):
         for i in range(a, a + b - j + 1):
             if (i, j) not in cells:
