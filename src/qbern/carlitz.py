@@ -9,30 +9,29 @@ and the unmodified xi_k solve the analogous relation without the leading q,
 with divisor ``q^k - 1``.  The xi_k have a pole at q = 1 while the beta_k
 degenerate to the ordinary Bernoulli numbers.
 
-One :class:`CarlitzTable` per context memoizes both, filled by the step its
-context picks.  At the indeterminate q the recurrence runs on raw
-numerators in Z[q] over the known denominators ``prod_j (q^j - 1)``, by
-Horner's rule over those divisors; only the memoized value is
-canonicalized, by the certified heuristic gcd.  At 1/q, the only other
-symbolic q, the values are those at q with q -> 1/q substituted.  A padic
-q is rational, so on the padic backend the scalar step runs over Fraction
-at that rational and each value is embedded once, with K unit digits.
+A :class:`CarlitzTable` holds exact values at one q and reads each of them
+through its context's map.  At the indeterminate q the recurrence runs on
+raw numerators in Z[q] over the known denominators ``prod_j (q^j - 1)``, by
+Horner's rule over those divisors, and only the memoized value is
+canonicalized, by the certified heuristic gcd; the map is the identity.
+The table at 1/q, the only other symbolic q, holds no state of its own: it
+shares the state of the table at q, and its map substitutes q -> 1/q.  A
+padic q is rational, so on the padic backend the scalar step runs over
+Fraction at that rational, and the map embeds a value with K unit digits.
+A read maps the exact value afresh; the map is deterministic, so every read
+is bit-identical.
 
 The table also memoizes the differences S(a, b) = sum_{l<=b} (-1)^l C(b,l)
 beta_{a+l}, the integral of [x]_q^a (1 - [x]_q)^b that every Bernstein
 route sum reads.  A cell is one subtraction of two cells below it,
-S(a, b) = S(a, b-1) - S(a+1, b-1).  At q the triangle runs on the values at
-q; at 1/q a cell is the cell at q with q -> 1/q substituted.  On the padic
-backend the triangle runs over the exact Fractions at the rational q, and
-each cell read is embedded once, so no subtraction of embedded values drops
-a certified digit.
+S(a, b) = S(a, b-1) - S(a+1, b-1), run on the exact values, so on padic no
+subtraction of embedded values drops a certified digit.
 
 The polynomials beta_n(x) = sum_i C(n,i) beta_i q^{ix} [x]_q^{n-i} at an
 integer x are summed at q on the same raw numerators, over the common
 denominator q^{ns} prod_j (q^{j+1} - 1) with [x]_q = P/q^s, and only the
-sum is canonicalized; at 1/q they are the values at q with q -> 1/q
-substituted.  A padic context or a rational x sums the terms in the
-backend's scalars.
+sum is canonicalized and memoized, once per (n, x) for q and 1/q together.
+A padic context or a rational x sums the terms in the backend's scalars.
 """
 
 from __future__ import annotations
@@ -118,9 +117,13 @@ def _differences(cells: dict, beta: list, a: int, b: int) -> None:
                 cells[i, j] = beta[i] if j == 0 else cells[i, j - 1] - cells[i + 1, j - 1]
 
 
+def _same(value):
+    return value
+
+
 class CarlitzTable:
-    """Memoized beta_k and xi_k values, and differences of the beta_k, for
-    one context.
+    """Exact beta_k and xi_k values at one q, differences of the beta_k and,
+    on symbolic, beta_n(x) at integer x, read through the context's map.
 
     The memos grow monotonically and entries are never invalidated;
     recomputation is bit-identical, so concurrent idempotent fills are
@@ -129,47 +132,40 @@ class CarlitzTable:
 
     def __init__(self, ctx: QContext):
         self.ctx = ctx
-        self._memo = {kind: [ctx.one()] for kind in _KINDS}
-        at_q = ctx.is_symbolic and ctx.q == _Q
+        if ctx.is_symbolic and ctx.q != _Q:
+            # at 1/q: the state of the table at q, read with q -> 1/q substituted
+            at_q = table_for(invert_q(ctx))
+            self._values, self._raw, self._cells, self._polys = (
+                at_q._values, at_q._raw, at_q._cells, at_q._polys)
+            self._out = RationalFunction.substitute_reciprocal
+            return
+        # per kind, the values at q; on padic, the Fractions at the rational q
+        self._values = {kind: [ctx.one() if ctx.is_symbolic else _ONE] for kind in _KINDS}
         # the Z[q] step's raw numerators and denominators, per kind
-        self._raw = {kind: ([[1]], [[1]]) for kind in _KINDS} if at_q else None
-        # at 1/q, the table whose values are substituted
-        self._source = table_for(invert_q(ctx)) if ctx.is_symbolic and not at_q else None
-        # padic: the exact values at the rational q, which _memo embeds
-        self._exact = None if ctx.is_symbolic else {kind: [_ONE] for kind in _KINDS}
-        # (a, b) -> the difference S(a, b) of the beta_k; on padic, the exact
-        # differences at the rational q, which _cells embeds
-        self._cells = {}
-        self._exact_cells = None if ctx.is_symbolic else {}
+        self._raw = {kind: ([[1]], [[1]]) for kind in _KINDS} if ctx.is_symbolic else None
+        self._cells = {}  # (a, b) -> the difference S(a, b) of the beta_k
+        self._polys = {}  # (n, x) -> beta_n(x) at an integer x, symbolic only
+        self._out = _same if ctx.is_symbolic else ctx.embed
 
     def _filled(self, kind: str, n: int) -> list:
-        """The memo of ``kind``, extended to index n by the step of the context."""
+        """The exact values of ``kind``, extended to index n by the step of
+        the context."""
         if n < 0:
             raise DomainError("index must be nonnegative")
-        values = self._memo[kind]
-        if n < len(values):
-            return values
+        values, raw = self._values[kind], self._raw
         shift, lead = _KINDS[kind]
-        if self._raw is not None:
-            for k in range(len(values), n + 1):
-                values.append(_zq_step(*self._raw[kind], k, shift, lead))
-        elif self._source is not None:
-            source = self._source._filled(kind, n)
-            values.extend(v.substitute_reciprocal() for v in source[len(values):n + 1])
-        else:
-            exact = self._exact[kind]
-            for k in range(len(values), n + 1):
-                exact.append(_scalar_step(self.ctx.rational, exact, k, shift, lead))
-                values.append(self.ctx.embed(exact[k]))
+        for k in range(len(values), n + 1):
+            values.append(_zq_step(*raw[kind], k, shift, lead) if raw is not None
+                          else _scalar_step(self.ctx.rational, values, k, shift, lead))
         return values
 
     # -- the numbers ------------------------------------------------------
 
     def beta(self, n: int) -> Scalar:
-        return self._filled("beta", n)[n]
+        return self._out(self._filled("beta", n)[n])
 
     def xi(self, n: int) -> Scalar:
-        return self._filled("xi", n)[n]
+        return self._out(self._filled("xi", n)[n])
 
     def beta_difference(self, a: int, b: int) -> Scalar:
         """S(a, b) = sum_{l<=b} (-1)^l C(b,l) beta_{a+l}, the b-th difference
@@ -178,15 +174,8 @@ class CarlitzTable:
             raise DomainError("index must be nonnegative")
         cells = self._cells
         if (a, b) not in cells:
-            if self._raw is not None:
-                _differences(cells, self._filled("beta", a + b), a, b)
-            elif self._source is not None:
-                cells[a, b] = self._source.beta_difference(a, b).substitute_reciprocal()
-            else:
-                self._filled("beta", a + b)  # extends the exact values too
-                _differences(self._exact_cells, self._exact["beta"], a, b)
-                cells[a, b] = self.ctx.embed(self._exact_cells[a, b])
-        return cells[a, b]
+            _differences(cells, self._filled("beta", a + b), a, b)
+        return self._out(cells[a, b])
 
     # -- the polynomials --------------------------------------------------
 
@@ -194,11 +183,12 @@ class CarlitzTable:
         """beta_n(x) = sum_i C(n,i) beta_i q^{ix} [x]_q^{n-i}."""
         if n < 0:
             raise DomainError("index must be nonnegative")
+        if self._raw is not None and isinstance(x, int):
+            polys = self._polys
+            if (n, x) not in polys:
+                polys[n, x] = self._zq_beta_poly(n, x)
+            return self._out(polys[n, x])
         ctx = self.ctx
-        if ctx.is_symbolic and isinstance(x, int):
-            if self._source is not None:
-                return self._source.beta_poly(n, x).substitute_reciprocal()
-            return self._zq_beta_poly(n, x)
         qx = q_pow(x, ctx)
         bx = q_bracket(x, ctx)
         qx_pows = [ctx.one()]

@@ -141,12 +141,14 @@ def _read_json(spec: str, what: str):
 
 
 def _parse_x(text: str):
-    """An integer x, else a rational one, which only the padic backend
-    evaluates (``q_pow`` refuses it on the symbolic backend)."""
+    """An integer x, also when written as a fraction ("2.0", "4/2"), else a
+    rational one, which only the padic backend evaluates (``q_pow`` refuses
+    it on the symbolic backend)."""
     try:
         return int(text)
     except ValueError:
-        return rational_literal(text.strip())
+        x = rational_literal(text.strip())
+        return x.numerator if x.denominator == 1 else x
 
 
 def _print_value(args, ctx, value, **index) -> int:

@@ -318,17 +318,67 @@ def test_general_rational_q_recurrence():
 
 
 def test_inverse_table_is_the_substituted_table():
-    # the table at 1/q reads its values off the table at q; the scalar step
-    # run on rational functions at 1/q gives the same values
+    # the table at 1/q holds the values of the table at q and substitutes
+    # them on read; the scalar step run on rational functions at 1/q gives
+    # the same values
     from qbern.carlitz import _KINDS, _scalar_step
     from qbern.qfield import invert_q
 
     ictx = invert_q(QContext.symbolic())
     tbl = table_for(ictx)
-    assert tbl._source is table_for(QContext.symbolic())
+    assert tbl._values is table_for(QContext.symbolic())._values
     for kind, (shift, lead) in _KINDS.items():
         values = [ictx.one()]
         for k in range(1, 17):
             values.append(_scalar_step(ictx.q, values, k, shift, lead))
         for n in range(17):
             assert getattr(tbl, kind)(n) == values[n], (kind, n)
+
+
+@pytest.mark.parametrize("grid, want", [(None, 18), ("deep_n20.json", 42)])
+def test_beta_poly_builds_each_n_x_once(monkeypatch, grid, want):
+    # the tables at q and at 1/q share one memo of the symbolic beta_n(x),
+    # so a suite run with every table built afresh builds each (n, x) once
+    import json
+    from pathlib import Path
+
+    from qbern.identities import SuiteConfig, run_suite
+
+    config = (SuiteConfig(backend="symbolic") if grid is None else SuiteConfig.from_json(
+        json.loads((Path(__file__).parent / "grids" / grid).read_text())))
+    builds = []
+    build = CarlitzTable._zq_beta_poly
+
+    def counted(tbl, n, x):
+        builds.append((n, x))
+        return build(tbl, n, x)
+
+    table_for.cache_clear()
+    qfield.invert_q.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(CarlitzTable, "_zq_beta_poly", counted)
+            run_suite(config)
+    finally:
+        table_for.cache_clear()
+        qfield.invert_q.cache_clear()
+    assert len(builds) == len(set(builds)) == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_padic_reads_embed_the_exact_values(p, sym_table):
+    # each read, repeated, is the exact value at the rational q embedded,
+    # bit for bit; the exact value is the symbolic one evaluated there
+    from qbern.qfield import invert_q
+
+    base = QContext.padic(p, 24)
+    for ctx in (base, invert_q(base)):
+        tbl = table_for(ctx)
+        for kind in ("beta", "xi"):
+            for n in range(13):
+                want = ctx.embed(getattr(sym_table, kind)(n).evaluate(ctx.rational))
+                assert getattr(tbl, kind)(n) == getattr(tbl, kind)(n) == want, (p, kind, n)
+        for a in range(9):
+            for b in range(9 - a):
+                want = ctx.embed(sym_table.beta_difference(a, b).evaluate(ctx.rational))
+                assert tbl.beta_difference(a, b) == tbl.beta_difference(a, b) == want, (p, a, b)

@@ -194,6 +194,19 @@ def test_symbolic_rational_x_exits_2(capsys, argv):
     assert err == "error: symbolic backend takes integer x only\n"
 
 
+@pytest.mark.parametrize("backend", ["symbolic", "padic"])
+@pytest.mark.parametrize("argv", [
+    ["beta-poly", "--n", "3"],
+    ["bernstein", "--k", "1", "--n", "3"],
+])
+def test_integer_written_as_a_fraction_is_an_integer_x(capsys, argv, backend):
+    # 2.0 and 4/2 are the integer 2: the same path and the same bytes
+    want = run(capsys, *argv, "--x", "2", "--backend", backend, "--p", "3")
+    assert want[0] == 0
+    for literal in ("2.0", "4/2"):
+        assert run(capsys, *argv, "--x", literal, "--backend", backend, "--p", "3") == want
+
+
 def test_integrate_requires_padic(capsys):
     code, _, err = run(capsys, "integrate",
                        "--integrand", '{"type":"bracket_power","offset":0,"power":1}')

@@ -406,7 +406,43 @@ MUTATIONS = {
         carlitz, "zq_bracket", lambda x: ([1] * abs(x), max(-x, 0))),
     "bernstein_reciprocal_unsubstituted": lambda m: _patch(
         m, "bernstein_eval", _unsubstituted, (identities,)),
+    # the table at 1/q reads the values at q as they stand, with no q -> 1/q
+    "inverse_table_unsubstituted": lambda m: _patch(
+        m, "__init__", _read_unsubstituted, (CarlitzTable,)),
+    "beta_poly_memo_ignores_x": lambda m: _patch(
+        m, "__init__", _polys_keyed_on_n, (CarlitzTable,)),
 }
+
+
+def _read_unsubstituted(init):
+    def unsubstituted(tbl, ctx):
+        init(tbl, ctx)
+        if ctx.is_symbolic and ctx.q != RationalFunction.indeterminate():
+            tbl._out = lambda value: value
+
+    return unsubstituted
+
+
+class _KeyedOnN(dict):
+    # a memo of beta_n(x) that drops x from its key: the first x built for
+    # n answers for every x
+    def __contains__(self, key):
+        return super().__contains__(key[0])
+
+    def __getitem__(self, key):
+        return super().__getitem__(key[0])
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key[0], value)
+
+
+def _polys_keyed_on_n(init):
+    def keyed(tbl, ctx):
+        init(tbl, ctx)
+        if type(tbl._polys) is dict:  # at 1/q the memo is the one at q, already keyed
+            tbl._polys = _KeyedOnN()
+
+    return keyed
 
 
 def _unsubstituted(bernstein_eval):
@@ -439,6 +475,26 @@ def _swapped_differences(cells, beta, a, b):
 # the memos a mutated value could live on in; the table holds the differences
 _CACHED = (table_for, integral._power_integral_reflected, integral._gap, identities._oracle,
            qfield.invert_q)
+
+
+def test_every_process_wide_memo_is_cleared_around_a_mutation():
+    # a memo missing from _CACHED would carry values across a planted mutation
+    import inspect
+    import pkgutil
+    from importlib import import_module
+
+    import qbern
+
+    found = set()
+    for info in pkgutil.iter_modules(qbern.__path__):
+        module = import_module(f"qbern.{info.name}")
+        for obj in vars(module).values():
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for candidate in (obj, *members):
+                candidate = getattr(candidate, "__func__", candidate)
+                if hasattr(candidate, "cache_clear"):
+                    found.add(candidate)
+    assert found == set(_CACHED)
 
 
 def _grid_fails(backend: str, prime: int) -> bool:
