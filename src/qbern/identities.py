@@ -317,6 +317,10 @@ def _theorem6(run: _Run, nm, k: int, reading: str):
     coeff, a, b = _bernstein_shape(factors)  # b = sum m_i n_i - k sum m_i
     if b <= 1:
         return "needs sum m_i n_i > k sum m_i + 1"
+    # the literal index n_1 m_1 + n_s m_s has no beta value to read below a
+    top = nm[0][0] * nm[0][1] + nm[-1][0] * nm[-1][1]
+    if reading == "literal" and coeff and top < a:
+        return f"the literal index n_1 m_1 + n_s m_s = {top} is below a = k sum m_i = {a}"
     rhs = bernstein_power_product_integral(factors, run.ctx, "direct")
     if reading == "sigma":
         lhs = bernstein_power_product_integral(factors, run.ctx, "reflected")
@@ -324,10 +328,8 @@ def _theorem6(run: _Run, nm, k: int, reading: str):
                 "sum reading; s >= 3 instances separate them") if len(nm) == 2 else ""
         return lhs, rhs, note, False
     if reading == "literal":
-        # the reflected route with the index printed as n_1 m_1 + n_s m_s - l:
-        # only the first and last factor products enter the inverted-q index
-        top = nm[0][0] * nm[0][1] + nm[-1][0] * nm[-1][1]
-        # a zero coefficient is the zero integral, whatever the index
+        # the reflected route with the inverted-q index top - l; a zero
+        # coefficient is the zero integral, whatever the index
         lhs = coeff * _reflected_sum(a, a + b, top, run.tbl) if coeff else run.ctx.zero()
         return lhs, rhs, "probing the literal printed index n_1 m_1 + n_s m_s - l", True
     raise DomainError(f"unknown reading {reading!r}")

@@ -44,11 +44,13 @@ duality), so the oracle's ruling on it rules on this prefactor.
 Each integrand has one shape (``_shape``): ``scale * y^a (1 - y)^b`` for
 y = [x + c]_q or [c - x]_{1/q}, which ``_bracket_form`` writes as
 (1 - r q^x)/(1 - s); no other integrand exists.  ``riemann_sum``, the one
-Riemann evaluator, and the coefficient valuations both read it, and a
-constant (a + b = 0) forms no 1/(1 - s).  Since ``QContext`` carries q to
-exactly K digits, ``riemann_sum`` sums in plain ints with no division, bit
-for bit as the same sum taken term by term in ``PadicNumber`` arithmetic,
-which the tests keep as its reference.
+Riemann evaluator, reads it, and a constant (a + b = 0) forms no 1/(1 - s).
+It has one expansion in u = q^x, ``_u_poly``: the certificate reads its
+coefficient valuations, and the bracket-power closed form integrates it
+term by term.  Since ``QContext`` carries q to exactly K digits,
+``riemann_sum`` sums in plain ints with no division, bit for bit as the
+same sum taken term by term in ``PadicNumber`` arithmetic, which the tests
+keep as its reference.
 """
 
 from __future__ import annotations
@@ -341,15 +343,11 @@ def integrate(
     )
 
 
-def _u_coefficient_valuations(f: Integrand, ctx: QContext) -> list:
-    """Lower bounds on nu(g_0), ..., nu(g_d) for f = sum_j g_j u^j in u = q^x.
-
-    With y = (1 - r u)/(1 - s) and 1 - y = (r u - s)/(1 - s) from
-    ``_bracket_form``, f is ``scale (1-s)^-(a+b) (1 - r u)^a (r u - s)^b``
-    with units r, s and nu(1 - s) = nu(q - 1), so nu(g_j) is
-    nu(scale) - (a + b) nu(q - 1) plus that of coefficient j of the product.
-    """
-    scale, a, b, c, reflected = _shape(f)
+def _u_poly(f: Integrand, ctx: QContext) -> list:
+    """g_0..g_d with (1 - r u)^a (r u - s)^b = sum_j g_j u^j in u = q^x, for
+    (r, s) of ``_bracket_form``: f is this times scale (1-s)^-(a+b), which
+    the callers keep, as dividing by it here would cost digits."""
+    _, a, b, c, reflected = _shape(f)
     one = ctx.one()
     r, s = _bracket_form(c, reflected, ctx)
     poly = [one]
@@ -358,8 +356,15 @@ def _u_coefficient_valuations(f: Integrand, ctx: QContext) -> list:
             poly = [c0 * poly[0]] + [
                 c0 * hi + c1 * lo for lo, hi in zip(poly, poly[1:])
             ] + [c1 * poly[-1]]
+    return poly
+
+
+def _u_coefficient_valuations(f: Integrand, ctx: QContext) -> list:
+    """Lower bounds on the valuations of f's coefficients in u: r and s are
+    units and nu(1 - s) = nu(q - 1), so those of ``_u_poly`` plus a shift."""
+    scale, a, b, _, _ = _shape(f)
     shift = int_valuation(scale, ctx.prime) - ctx.q_minus_one_valuation * (a + b)
-    return [shift + g._effective_valuation() for g in poly]
+    return [shift + g._effective_valuation() for g in _u_poly(f, ctx)]
 
 
 def _neville_step(diagonal: list, s: Scalar, ctx: QContext) -> list:
@@ -405,24 +410,16 @@ def _certificate(valuations: list, value: Scalar, level: int, ctx: QContext):
 
 
 def closed_bracket_power(m: int, x, ctx: QContext) -> Scalar:
-    """Closed form of the integral of [x + y]_q^m over y.
+    """Closed form of the integral of [x + y]_q^m over y, which is beta_poly(m, x).
 
-    Equals beta_poly(m, x); exponent 0 returns the exact total measure 1
-    rather than going through the formula (which would give -1 there).
+    With I_q(u^l) = (l+1)/[l+1]_q term by term over ``_u_poly``, it is
+    sum_l (l+1) g_l/(1 - q^(l+1)) / (1-q)^(m-1); exponent 0 returns the exact 1.
     """
-    if m < 0:
-        raise DomainError("exponent must be nonnegative")
     if m == 0:
         return ctx.one()
-    one = ctx.one()
-    qx = q_pow(x, ctx)
-    acc = ctx.zero()
-    ql = one  # q^{lx}
-    qp = ctx.q  # q^{l+1}
-    for l in range(m + 1):
-        term = comb(m, l) * (l + 1) * ql / (one - qp)
-        acc = acc + (term if l % 2 == 0 else -term)
-        ql = ql * qx
+    one, acc, qp = ctx.one(), ctx.zero(), ctx.q  # qp = q^(l+1)
+    for l, g in enumerate(_u_poly(BracketPower(x, m), ctx)):
+        acc = acc + (l + 1) * g / (one - qp)
         qp = qp * ctx.q
     return acc / (one - ctx.q) ** (m - 1)
 

@@ -4,7 +4,7 @@ import json
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbern.identities import (
     CATALOG,
@@ -138,6 +138,35 @@ def test_theorem6_literal_zero_coefficient(tmp_path, capsys):
     grid.write_text(json.dumps({"identities": [{"identity": "THM6", "params": row}]}))
     assert main(["verify", "--grid", str(grid)]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[0])["verdict"] == {"kind": "exact"}
+
+
+THM6_LITERAL_BELOW_A = (
+    # (nm, k, literal index n_1 m_1 + n_s m_s, a = k sum m_i)
+    ([[4, 1], [3, 3], [5, 2]], 3, 14, 18),
+    ([[3, 2], [5, 2], [3, 0]], 2, 6, 8),
+)
+
+
+@pytest.mark.parametrize("backend", ["symbolic", "padic"])
+@pytest.mark.parametrize("nm, k, top, a", THM6_LITERAL_BELOW_A)
+def test_theorem6_literal_index_below_a_is_a_domain_skip(nm, k, top, a, backend, tmp_path,
+                                                          capsys):
+    # every coefficient is nonzero, but the literal index is below a, where
+    # no beta difference exists: the row is skipped and the grid goes on
+    row = {"nm": nm, "k": k, "reading": "literal"}
+    ctx = SYM if backend == "symbolic" else QContext.padic(3, 24, "1+p")
+    report = verify("THM6", row, ctx)
+    assert not report.domain_ok and report.verdict is None
+    assert report.notes == (f"the literal index n_1 m_1 + n_s m_s = {top} "
+                            f"is below a = k sum m_i = {a}")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"backend": backend, "identities": [
+        {"identity": "THM6", "params": row}, {"identity": "PROP2", "params": {"n": 3}}]}))
+    assert main(["verify", "--grid", str(grid)]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r.get("identity"), r.get("domain_ok")) for r in rows[:2]] == [
+        ("THM6", False), ("PROP2", True)]
+    assert rows[2]["summary"]["passed"] == 1
 
 
 def test_theorem6_bad_reading():
@@ -411,6 +440,10 @@ MUTATIONS = {
         m, "__init__", _read_unsubstituted, (CarlitzTable,)),
     "beta_poly_memo_ignores_x": lambda m: _patch(
         m, "__init__", _polys_keyed_on_n, (CarlitzTable,)),
+    # the one expansion in u = q^x with its odd coefficients negated
+    "u_poly_odd_terms_negated": lambda m: _patch(
+        m, "_u_poly",
+        lambda f: lambda g, ctx: [-c if j % 2 else c for j, c in enumerate(f(g, ctx))]),
 }
 
 
@@ -568,16 +601,18 @@ def symbolic_sides():
             for report in [verify(name, params, SYM)]]
 
 
+def _mismatched_sides(ctx, sides, report):
+    # the sides of a padic report that miss the symbolic ``sides``, evaluated
+    # at the rational q and embedded, to their shared precision
+    return [side for side, sym, padic in zip(("lhs", "rhs"), sides, (report.lhs, report.rhs))
+            if padic is None
+            or not scalars_equal(ctx.embed(sym.evaluate(ctx.rational)), padic, ctx)]
+
+
 def _cross_backend_mismatches(p, q, symbolic_sides):
     ctx = QContext.padic(p, 24, q)
-    mismatches = []
-    for name, params, sides in symbolic_sides:
-        report = verify(name, params, ctx)
-        for side, sym, padic in zip(("lhs", "rhs"), sides, (report.lhs, report.rhs)):
-            if padic is None or not scalars_equal(ctx.embed(sym.evaluate(ctx.rational)),
-                                                  padic, ctx):
-                mismatches.append((name, params, side))
-    return mismatches
+    return [(name, params, side) for name, params, sides in symbolic_sides
+            for side in _mismatched_sides(ctx, sides, verify(name, params, ctx))]
 
 
 @pytest.mark.parametrize("p, q", CROSS_CONTEXTS)
@@ -591,6 +626,61 @@ def test_cross_backend_gate_catches_padic_mutations(mutation, monkeypatch, symbo
         missed = [(p, q) for p, q in CROSS_CONTEXTS
                   if not _cross_backend_mismatches(p, q, symbolic_sides)]
     assert not missed, f"the cross-backend gate misses {mutation} at (p, q) in {missed}"
+
+
+# -- the random-parameter catalog gate --------------------------------------------
+#
+# Entries beyond the default grid: n <= 16, products of at most 4 factors with
+# m_i <= 3 and sum n_i m_i <= 24, x in [-6, 6], with values below each domain.
+# Every entry must give a report on both backends, and the sides of a row
+# that has them on both must agree across the backends.
+
+RANDOM_CONTEXTS = tuple(QContext.padic(p, 24, q) for p, q in ((3, "1+p"), (5, "26"), (7, "1+p")))
+
+
+@st.composite
+def _nm(draw, powers, sizes=st.integers(0, 4)):
+    """[n, m] pairs with n <= 16 and sum n m <= 24."""
+    nm, left = [], 24
+    for _ in range(draw(sizes)):
+        m = draw(powers)
+        n = draw(st.integers(-1, min(16, left // m) if m else 16))
+        nm.append([n, m])
+        left -= max(n, 0) * m
+    return nm
+
+
+_N, _K, _X = st.integers(-1, 16), st.integers(-1, 4), st.integers(-6, 6)
+_ONE = st.just(1)
+_RANDOM_PARAMS = {
+    "THM1": st.fixed_dictionaries({"n": _N, "x": _X}),
+    **{name: st.fixed_dictionaries({"n": _N}) for name in ("PROP2", "EQ6", "EQ7", "THM3")},
+    "EQ9_EQ11": st.fixed_dictionaries({"n": _N, "k": _K}),
+    "EQ13_EQ14": st.tuples(_nm(_ONE, st.just(2)), _K).map(
+        lambda t: {"n": t[0][0][0], "m": t[0][1][0], "k": t[1]}),
+    "THM4_COR5": st.tuples(_nm(_ONE), _K).map(lambda t: {"n": [n for n, _ in t[0]], "k": t[1]}),
+    "THM6": st.fixed_dictionaries({"nm": _nm(st.integers(0, 3)), "k": _K,
+                                   "reading": st.sampled_from(["sigma", "literal"])}),
+    "EQ10_SYMMETRY": st.fixed_dictionaries({"k": _K, "n": _N, "x": _X}),
+    "Q_TO_1": st.fixed_dictionaries({"n": _N, "xi": st.booleans()}),
+}
+# one entry of every catalog identity per example (a KeyError here names an
+# identity the gate does not draw)
+_RANDOM_ENTRIES = st.tuples(*(_RANDOM_PARAMS[name].map(lambda p, name=name: (name, p))
+                              for name in CATALOG))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(_RANDOM_ENTRIES)
+@example((("THM6", {"nm": [[4, 1], [3, 3], [5, 2]], "k": 3, "reading": "literal"}),))
+@example((("THM6", {"nm": [[3, 2], [5, 2], [3, 0]], "k": 2, "reading": "literal"}),))
+def test_random_entries_report_and_agree_across_backends(entries):
+    for name, params in entries:
+        sym = verify(name, params, SYM)
+        for ctx in RANDOM_CONTEXTS:
+            report = verify(name, params, ctx)
+            if sym.domain_ok and report.domain_ok:
+                assert _mismatched_sides(ctx, (sym.lhs, sym.rhs), report) == [], (ctx, report)
 
 
 def test_theorem1_ruling_follows_the_agreements(padic_ctx3, monkeypatch):

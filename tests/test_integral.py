@@ -6,6 +6,7 @@ from math import comb, inf
 
 import pytest
 
+from qbern import integral
 from qbern.carlitz import CarlitzTable, table_for
 from qbern.errors import (
     BudgetExceeded,
@@ -19,6 +20,7 @@ from qbern.integral import (
     BracketPower,
     ReflectedPower,
     RiemannResult,
+    _bernstein_shape,
     _bracket_form,
     _int_bracket,
     _power_integral_direct,
@@ -34,6 +36,7 @@ from qbern.integral import (
     integrate,
     riemann_sum,
 )
+from qbern.identities import default_grid
 from qbern.padic import PadicNumber, int_valuation
 from qbern.qfield import QContext, RationalFunction, invert_q, q_bracket, q_pow, scalars_equal
 
@@ -491,6 +494,101 @@ def test_certificates_against_exact_rational_sums(p):
                         if res.stabilization_valuation > 0:
                             kinds.add(res.certificate)
     assert kinds == {"exact-degree", "a-priori-bound"}
+
+
+# -- the certificate soundness gate ---------------------------------------------
+#
+# At the rational q the integral is exactly sum_j g_j (j+1)/[j+1]_q, with the
+# g_j of ``_u_coefficients``, which shares no code with ``_u_poly``.  At every
+# level to the default cap, the extrapolation ``integrate`` forms, before it
+# is truncated, must agree with that limit to at least its certificate.  Each
+# mutation below plants a defect in the bound, which the gate must catch.
+
+
+def _grid_factors(name, params):
+    k = params.get("k")
+    if name == "EQ9_EQ11":
+        return [(k, params["n"], 1)]
+    if name == "EQ13_EQ14":
+        return [(k, params["n"], 1), (k, params["m"], 1)]
+    if name == "THM4_COR5":
+        return [(k, d, 1) for d in params["n"]]
+    if name == "THM6":
+        return [(k, n, m) for n, m in params["nm"]]
+    return None
+
+
+def _grid_products():
+    """The distinct nonzero Bernstein products of the symbolic default grid,
+    one per integrand (factor lists of one shape are one function)."""
+    products = {}
+    for name, params in default_grid("symbolic"):
+        factors = _grid_factors(name, params)
+        if factors and _bernstein_shape(factors)[0]:
+            f = BernsteinProduct(factors)
+            products.setdefault(_shape(f), f)
+    return tuple(products.values())
+
+
+SOUNDNESS_INTEGRANDS = (
+    *(BracketPower(c, m) for c in (-1, 0, 1, 2) for m in range(9)),
+    *(ReflectedPower(c, m) for c in (0, 1, 2) for m in range(9)),
+    *_grid_products(),
+)
+# the full sweep at p = 3, every fourth integrand at p = 5 and 7
+SOUNDNESS_SWEEPS = {3: SOUNDNESS_INTEGRANDS, 5: SOUNDNESS_INTEGRANDS[::4],
+                    7: SOUNDNESS_INTEGRANDS[::4]}
+
+
+def _certificate_violations(p, integrands, monkeypatch):
+    """(f, level, certificate, true agreement) for every level result whose
+    certificate exceeds its agreement with the exact limit, at q = 1 + p."""
+    ctx, q = QContext.padic(p, 24, "1+p"), Fraction(1 + p)
+    certificate, seen = integral._certificate, []
+
+    def recording(valuations, value, level, ctx):
+        bound = certificate(valuations, value, level, ctx)
+        seen.append((level, value, bound))
+        return bound
+
+    monkeypatch.setattr(integral, "_certificate", recording)
+    for f in integrands:
+        limit = sum(c * (j + 1) / _geometric(q, j + 1)
+                    for j, c in enumerate(_u_coefficients(f, q)))
+        seen.clear()
+        with pytest.raises(MaxLevelExceeded):
+            integrate(f, ctx, 10**6)
+        for level, value, bound in seen:
+            true = _true_agreement(value, limit, p)
+            if bound > true:
+                yield f, level, bound, true
+
+
+# each a wrapper of _certificate(valuations, value, level, ctx)
+CERTIFICATE_MUTATIONS = {
+    "mu_plus_1": lambda cert: lambda vals, value, level, ctx: cert(
+        [v + 1 for v in vals], value, level, ctx),
+    "nu_p_of_j_plus_1_dropped": lambda cert: lambda vals, value, level, ctx: cert(
+        [v + int_valuation(j + 1, ctx.prime) for j, v in enumerate(vals)], value, level, ctx),
+    "one_extra_digit_per_gap": lambda cert: lambda vals, value, level, ctx: cert(
+        [v + level for v in vals], value, level, ctx),
+    "exact_degree_at_every_level": lambda cert: lambda vals, value, level, ctx: value.prec,
+    "degree_boundary_one_level_early": lambda cert: lambda vals, value, level, ctx: (
+        value.prec if level >= len(vals) - 1 else cert(vals, value, level, ctx)),
+}
+
+
+@pytest.mark.parametrize("p", sorted(SOUNDNESS_SWEEPS))
+def test_certificates_are_sound_at_every_level(p, monkeypatch):
+    assert list(_certificate_violations(p, SOUNDNESS_SWEEPS[p], monkeypatch)) == []
+
+
+@pytest.mark.parametrize("mutation", CERTIFICATE_MUTATIONS)
+def test_soundness_gate_catches_certificate_mutations(mutation, monkeypatch):
+    monkeypatch.setattr(integral, "_certificate",
+                        CERTIFICATE_MUTATIONS[mutation](integral._certificate))
+    violations = _certificate_violations(3, SOUNDNESS_INTEGRANDS, monkeypatch)
+    assert next(violations, None) is not None, f"the soundness gate misses {mutation}"
 
 
 def test_cap_miss_carries_best_certificate():
