@@ -5,8 +5,8 @@ reflected bracket [1-x]_{1/q}^{n-k}.  Their integrals live in ``integral``.
 
 At the indeterminate q and an integer x, with [x]_q = P/q^s, the value is
 C(n,k) P^k (q^s - P)^{n-k} / q^{sn}: the powers are taken on raw Z[q] lists
-and the value is canonicalized once.  At 1/q it is the value at q with
-q -> 1/q substituted.  Padic contexts and rational x take the products of
+and the value is canonicalized once, then read at the context's q
+(``QContext.read``).  Padic contexts and rational x take the products of
 the backend's scalars.
 """
 
@@ -22,14 +22,13 @@ from .qfield import (
     _zcomb,
     _zmul,
     _zpow,
+    check_zq_budget,
     q_bracket,
     zq_bracket,
 )
 from .record import Record
 
 __all__ = ["BernsteinSpec", "bernstein_eval"]
-
-_Q = RationalFunction.indeterminate()
 
 
 class BernsteinSpec(Record):
@@ -47,8 +46,8 @@ def bernstein_eval(spec: BernsteinSpec, x, ctx: QContext) -> Scalar:
     if not (ctx.is_symbolic and isinstance(x, int)):
         bx = q_bracket(x, ctx)
         return comb(n, k) * bx ** k * (ctx.one() - bx) ** (n - k)
+    check_zq_budget(n, x)
     p, s = zq_bracket(x)
     rest = _zcomb(1, [0] * s + [1], -1, p)  # q^s (1 - [x]_q)
     num = _zmul(_zpow(p, k), _zpow(rest, n - k))
-    value = RationalFunction([comb(n, k) * c for c in num], [0] * (s * n) + [1])
-    return value if ctx.q == _Q else value.substitute_reciprocal()
+    return ctx.read(RationalFunction([comb(n, k) * c for c in num], [0] * (s * n) + [1]))

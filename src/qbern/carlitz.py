@@ -9,22 +9,21 @@ and the unmodified xi_k solve the analogous relation without the leading q,
 with divisor ``q^k - 1``.  The xi_k have a pole at q = 1 while the beta_k
 degenerate to the ordinary Bernoulli numbers.
 
-A :class:`CarlitzTable` holds exact values at one q and reads each of them
-through its context's map.  At the indeterminate q the recurrence runs on
-raw numerators in Z[q] over the known denominators ``prod_j (q^j - 1)``, by
-Horner's rule over those divisors, and only the memoized value is
-canonicalized, by the certified heuristic gcd; the map is the identity.
-The table at 1/q, the only other symbolic q, holds no state of its own: it
-shares the state of the table at q, and its map substitutes q -> 1/q.  A
-padic q is rational, so on the padic backend the scalar step runs over
-Fraction at that rational, and the map embeds a value with K unit digits.
-A read maps the exact value afresh; the map is deterministic, so every read
-is bit-identical.
+Each value is a rational function of q, so one state serves every q.  The
+:class:`CarlitzTable` at the indeterminate q holds it: the recurrence runs
+on raw numerators in Z[q] over the known denominators
+``prod_j (q^j - 1)``, by Horner's rule over those divisors, and only the
+memoized value is canonicalized, by the certified heuristic gcd.  Every
+other table, at 1/q or at a padic q, shares that state and reads a value
+through its context's map ``QContext.read``: the identity at q, q -> 1/q
+at 1/q, and on padic the value at the rational q embedded with K unit
+digits.  A read maps the exact value afresh; the map is deterministic, so
+every read is bit-identical.
 
 The table also memoizes the differences S(a, b) = sum_{l<=b} (-1)^l C(b,l)
 beta_{a+l}, the integral of [x]_q^a (1 - [x]_q)^b that every Bernstein
 route sum reads.  A cell is one subtraction of two cells below it,
-S(a, b) = S(a, b-1) - S(a+1, b-1), run on the exact values, so on padic no
+S(a, b) = S(a, b-1) - S(a+1, b-1), run on the values at q, so on padic no
 subtraction of embedded values drops a certified digit.
 
 The polynomials beta_n(x) = sum_i C(n,i) beta_i q^{ix} [x]_q^{n-i} at an
@@ -48,6 +47,7 @@ from .qfield import (
     RationalFunction,
     Scalar,
     _zmul,
+    check_zq_budget,
     invert_q,
     q_bracket,
     q_pow,
@@ -56,27 +56,10 @@ from .qfield import (
 
 __all__ = ["CarlitzTable", "classical_bernoulli", "eval_at_one", "table_for"]
 
-_ONE = Fraction(1)
-_Q = RationalFunction.indeterminate()
 
 # kind -> (shift, lead): entry k divides by q^(k + shift) - 1, and beta
 # carries the leading factor q of q(q beta + 1)^k
 _KINDS = {"beta": (1, 1), "xi": (0, 0)}
-
-
-def _scalar_step(q, values: list, k: int, shift: int, lead: int):
-    """Entry k, ``(delta_{k,1} - [q] sum_{i<k} C(k,i) q^i v_i) / (q^{k+shift} - 1)``
-    in the ring of q and the values, the bracketed q present for beta."""
-    s = 0
-    qi = 1
-    for i in range(k):
-        s = s + comb(k, i) * qi * values[i]
-        qi = qi * q
-    if lead:
-        s = q * s
-    if k == 1:
-        s = s - 1
-    return -s / (q ** (k + shift) - 1)
 
 
 def _times_binomial(a: list, m: int) -> list:
@@ -117,13 +100,10 @@ def _differences(cells: dict, beta: list, a: int, b: int) -> None:
                 cells[i, j] = beta[i] if j == 0 else cells[i, j - 1] - cells[i + 1, j - 1]
 
 
-def _same(value):
-    return value
-
-
 class CarlitzTable:
-    """Exact beta_k and xi_k values at one q, differences of the beta_k and,
-    on symbolic, beta_n(x) at integer x, read through the context's map.
+    """beta_k and xi_k at one q, differences of the beta_k and, on symbolic,
+    beta_n(x) at integer x: the exact values at the indeterminate q, held
+    once per process, read through the context's map.
 
     The memos grow monotonically and entries are never invalidated;
     recomputation is bit-identical, so concurrent idempotent fills are
@@ -131,32 +111,26 @@ class CarlitzTable:
     """
 
     def __init__(self, ctx: QContext):
-        self.ctx = ctx
-        if ctx.is_symbolic and ctx.q != _Q:
-            # at 1/q: the state of the table at q, read with q -> 1/q substituted
-            at_q = table_for(invert_q(ctx))
+        self.ctx, self._out = ctx, ctx.read
+        if ctx != QContext.symbolic():
+            # the state of the table at the indeterminate q, read at this q
+            at_q = table_for(QContext.symbolic())
             self._values, self._raw, self._cells, self._polys = (
                 at_q._values, at_q._raw, at_q._cells, at_q._polys)
-            self._out = RationalFunction.substitute_reciprocal
             return
-        # per kind, the values at q; on padic, the Fractions at the rational q
-        self._values = {kind: [ctx.one() if ctx.is_symbolic else _ONE] for kind in _KINDS}
+        self._values = {kind: [ctx.one()] for kind in _KINDS}  # per kind, the values
         # the Z[q] step's raw numerators and denominators, per kind
-        self._raw = {kind: ([[1]], [[1]]) for kind in _KINDS} if ctx.is_symbolic else None
+        self._raw = {kind: ([[1]], [[1]]) for kind in _KINDS}
         self._cells = {}  # (a, b) -> the difference S(a, b) of the beta_k
-        self._polys = {}  # (n, x) -> beta_n(x) at an integer x, symbolic only
-        self._out = _same if ctx.is_symbolic else ctx.embed
+        self._polys = {}  # (n, x) -> beta_n(x) at an integer x
 
     def _filled(self, kind: str, n: int) -> list:
-        """The exact values of ``kind``, extended to index n by the step of
-        the context."""
+        """The values of ``kind`` at the indeterminate q, extended to index n."""
         if n < 0:
             raise DomainError("index must be nonnegative")
-        values, raw = self._values[kind], self._raw
-        shift, lead = _KINDS[kind]
+        values, raw = self._values[kind], self._raw[kind]
         for k in range(len(values), n + 1):
-            values.append(_zq_step(*raw[kind], k, shift, lead) if raw is not None
-                          else _scalar_step(self.ctx.rational, values, k, shift, lead))
+            values.append(_zq_step(*raw, k, *_KINDS[kind]))
         return values
 
     # -- the numbers ------------------------------------------------------
@@ -183,7 +157,7 @@ class CarlitzTable:
         """beta_n(x) = sum_i C(n,i) beta_i q^{ix} [x]_q^{n-i}."""
         if n < 0:
             raise DomainError("index must be nonnegative")
-        if self._raw is not None and isinstance(x, int):
+        if self.ctx.is_symbolic and isinstance(x, int):
             polys = self._polys
             if (n, x) not in polys:
                 polys[n, x] = self._zq_beta_poly(n, x)
@@ -210,6 +184,7 @@ class CarlitzTable:
         numerator is Horner's rule over the beta divisors: acc (q^{i+1} - 1)
         + C(n,i) q^{i max(x, 0)} P^{n-i} nums[i] for i = 0..n.
         """
+        check_zq_budget(n, x)
         self._filled("beta", n)
         nums, dens = self._raw["beta"]
         p, s = zq_bracket(x)
@@ -267,7 +242,7 @@ def eval_at_one(f: RationalFunction) -> Fraction:
     """Substitute q = 1 after canonical cancellation; PoleAtOne if the
     reduced denominator vanishes there."""
     try:
-        return f.evaluate(_ONE)
+        return f.evaluate(1)
     except DivisionByZero:
         raise PoleAtOne("reduced denominator vanishes at q = 1") from None
 

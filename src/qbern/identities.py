@@ -42,7 +42,7 @@ from math import isinf
 
 from .bernstein import BernsteinSpec, bernstein_eval
 from .carlitz import CarlitzTable, classical_bernoulli, eval_at_one, table_for
-from .errors import DomainError, MaxLevelExceeded, PoleAtOne, PrecisionExhausted
+from .errors import BudgetExceeded, DomainError, MaxLevelExceeded, PoleAtOne, PrecisionExhausted
 from .integral import (
     INT,
     INTS,
@@ -352,6 +352,10 @@ def _q_to_1(run: _Run, n: int, xi: bool):
     function gives its Verdict in place of the left side."""
     if not run.ctx.is_symbolic:
         return "q -> 1 evaluation is symbolic"
+    if n < 0:
+        return "need n >= 0"
+    if xi and n < 2:  # xi_0 = 1 and xi_1 = 0
+        return "the pole of xi_n at q = 1 is stated for n >= 2"
     tbl = run.tbl
     if xi:
         try:
@@ -410,15 +414,15 @@ def verify(identity: str, params: dict, ctx: QContext, target: int = ORACLE_TARG
 
     ``target`` is the padic comparison valuation and the valuation a
     Riemann-oracle side integrates to; the symbolic comparison is exact.  A
-    side that runs out of certified digits skips the row with the error as
-    its note.
+    side that runs out of certified digits or over the work budget skips
+    the row with the error as its note.
     """
     entry = CATALOG[identity]
     params = {**entry.defaults, **params}
     shape = entry.shape(**params)
     try:
         sides = entry.sides(_Run(ctx, table_for(ctx), target, level_cap), **params)
-    except PrecisionExhausted as exc:
+    except (BudgetExceeded, PrecisionExhausted) as exc:
         sides = str(exc)
     if isinstance(sides, str):
         return IdentityReport(identity, shape, ctx.backend, domain_ok=False, notes=sides)

@@ -67,7 +67,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .padic import PadicNumber, int_valuation
-from .qfield import QContext, Scalar, invert_q, q_pow
+from .qfield import DEFAULT_TERM_BUDGET, QContext, Scalar, invert_q, q_pow
 from .record import Record
 
 __all__ = [
@@ -86,8 +86,6 @@ __all__ = [
     "integrand_from_json",
     "DEFAULT_TERM_BUDGET",
 ]
-
-DEFAULT_TERM_BUDGET = 2_000_000
 
 
 def default_level_cap(p: int) -> int:
@@ -409,19 +407,38 @@ def _certificate(valuations: list, value: Scalar, level: int, ctx: QContext):
 # ---------------------------------------------------------------------------
 
 
+# the largest m |x| whose bracket-power closed form is summed exactly: the
+# exact value has about m |x| log2(q) bits, and the expansion at the
+# indeterminate q costs about (m |x|)^2
+_EXACT_SPAN = 256
+
+
 def closed_bracket_power(m: int, x, ctx: QContext) -> Scalar:
     """Closed form of the integral of [x + y]_q^m over y, which is beta_poly(m, x).
 
     With I_q(u^l) = (l+1)/[l+1]_q term by term over ``_u_poly``, it is
     sum_l (l+1) g_l/(1 - q^(l+1)) / (1-q)^(m-1); exponent 0 returns the exact 1.
+    On padic at an integer x with m |x| <= _EXACT_SPAN the sum runs exactly
+    at the rational q, over the g_l of the indeterminate q evaluated there,
+    and is embedded once, as ``QContext.read`` embeds a value: in padic
+    scalars its divisions leave about K - (m+1) nu(q-1) digits.
     """
     if m == 0:
         return ctx.one()
-    one, acc, qp = ctx.one(), ctx.zero(), ctx.q  # qp = q^(l+1)
-    for l, g in enumerate(_u_poly(BracketPower(x, m), ctx)):
-        acc = acc + (l + 1) * g / (one - qp)
-        qp = qp * ctx.q
-    return acc / (one - ctx.q) ** (m - 1)
+    if ctx.is_symbolic or not isinstance(x, int) or m * abs(x) > _EXACT_SPAN:
+        return _integrated(_u_poly(BracketPower(x, m), ctx), ctx.q, ctx.one(), m)
+    q = ctx.rational
+    g = [c.evaluate(q) for c in _u_poly(BracketPower(x, m), QContext.symbolic())]
+    return ctx.embed(_integrated(g, q, 1, m))
+
+
+def _integrated(g: list, q, one, m: int):
+    """sum_l (l+1) g_l/(1 - q^(l+1)) / (1-q)^(m-1) in the ring of q and the g_l."""
+    acc, qp = 0, q  # qp = q^(l+1)
+    for l, c in enumerate(g):
+        acc = acc + (l + 1) * c / (one - qp)
+        qp = qp * q
+    return acc / (one - q) ** (m - 1)
 
 
 def closed_reflected_power(n: int, x, ctx: QContext) -> Scalar:

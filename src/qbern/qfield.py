@@ -39,6 +39,7 @@ from functools import cache
 from math import ceil, gcd, inf, lcm
 
 from .errors import (
+    BudgetExceeded,
     DivisionByZero,
     DomainError,
     NonIntegerExponentInSymbolicMode,
@@ -53,12 +54,17 @@ __all__ = [
     "q_pow",
     "q_bracket",
     "zq_bracket",
+    "check_zq_budget",
     "invert_q",
     "scalars_equal",
     "rational_literal",
 ]
 
 _ONE = Fraction(1)
+
+# the most terms a computation builds: Riemann-sum terms, or the Z[q]
+# coefficients of a symbolic value at an integer x
+DEFAULT_TERM_BUDGET = 2_000_000
 
 # ---------------------------------------------------------------------------
 # dense Z[q] helpers (ascending coefficients, no trailing zeros)
@@ -441,6 +447,8 @@ class RationalFunction:
 
 Scalar = PadicNumber | RationalFunction
 
+_Q = RationalFunction.indeterminate()
+
 
 def rational_literal(text: str) -> Fraction:
     """A rational literal such as "3", "-2/5" or "0.5"; a zero denominator
@@ -468,9 +476,8 @@ class QContext(Record):
     def __init__(self, backend: str, q: Scalar, pctx: PadicContext | None = None,
                  rational: Fraction | None = None):
         if backend == "symbolic":
-            x = RationalFunction.indeterminate()
             if (rational is not None or not isinstance(q, RationalFunction)
-                    or q not in (x, x.reciprocal())):
+                    or q not in (_Q, _Q.reciprocal())):
                 raise DomainError("a symbolic q is the indeterminate q or its reciprocal 1/q")
         elif backend == "padic":
             if pctx is None or not isinstance(rational, Fraction):
@@ -528,6 +535,14 @@ class QContext(Record):
         if self.is_symbolic:
             return RationalFunction.from_fraction(value)
         return PadicNumber.from_fraction(Fraction(value), self.pctx)
+
+    def read(self, value: RationalFunction) -> Scalar:
+        """A rational function of the indeterminate q, at this context's q:
+        the value itself, its q -> 1/q substitution, or on padic its value
+        at the rational q (1/q after ``invert_q``) embedded."""
+        if not self.is_symbolic:
+            return self.embed(value.evaluate(self.rational))
+        return value if self.q == _Q else value.substitute_reciprocal()
 
     @property
     def q_minus_one_valuation(self) -> int:
@@ -593,6 +608,15 @@ def zq_bracket(x: int) -> tuple:
     """[x]_q = P(q)/q^s for an integer x, as the int list P and the shift s:
     P = [x]_q and s = 0 for x >= 0, and [x]_q = -[|x|]_q / q^|x| for x < 0."""
     return ([1] * x, 0) if x >= 0 else ([-1] * -x, -x)
+
+
+def check_zq_budget(n: int, x: int) -> None:
+    """BudgetExceeded, before any list is built, when a degree-n value at
+    the integer x, about n |x| coefficients on Z[q] lists, is over
+    DEFAULT_TERM_BUDGET (P alone has |x| of them)."""
+    if max(n, 1) * abs(x) > DEFAULT_TERM_BUDGET:
+        raise BudgetExceeded(f"a symbolic value of degree {n} at this x needs more than "
+                             f"the term budget of {DEFAULT_TERM_BUDGET} terms")
 
 
 # contexts are immutable records, so one inversion serves every caller

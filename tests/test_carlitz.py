@@ -249,12 +249,28 @@ def test_eager_precision_exhausted():
     assert value.prec == value.valuation + 4
 
 
+# The reference step: the recurrence taken literally in the scalars of one
+# q, with no Z[q] lists and no shared state.
+
+
+def _scalar_step(q, values, k, shift, lead):
+    # entry k, (delta_{k,1} - [q] sum_{i<k} C(k,i) q^i v_i) / (q^{k+shift} - 1),
+    # the bracketed q present for beta
+    s, qi = 0, 1
+    for i in range(k):
+        s = s + comb(k, i) * qi * values[i]
+        qi = qi * q
+    if lead:
+        s = q * s
+    if k == 1:
+        s = s - 1
+    return -s / (q ** (k + shift) - 1)
+
+
 def _padic_recurrence(ctx, kind):
     # the scalar step run on PadicNumbers, each step losing digits, up to
     # the first division that raises or value that certifies no digit
-    from qbern.carlitz import _KINDS, _scalar_step
-
-    shift, lead = _KINDS[kind]
+    shift, lead = carlitz._KINDS[kind]
     values = [ctx.one()]
     while True:
         try:
@@ -321,18 +337,36 @@ def test_inverse_table_is_the_substituted_table():
     # the table at 1/q holds the values of the table at q and substitutes
     # them on read; the scalar step run on rational functions at 1/q gives
     # the same values
-    from qbern.carlitz import _KINDS, _scalar_step
     from qbern.qfield import invert_q
 
     ictx = invert_q(QContext.symbolic())
     tbl = table_for(ictx)
-    assert tbl._values is table_for(QContext.symbolic())._values
-    for kind, (shift, lead) in _KINDS.items():
+    for kind, (shift, lead) in carlitz._KINDS.items():
         values = [ictx.one()]
         for k in range(1, 17):
             values.append(_scalar_step(ictx.q, values, k, shift, lead))
         for n in range(17):
             assert getattr(tbl, kind)(n) == values[n], (kind, n)
+
+
+def test_every_table_shares_the_state_at_q():
+    # one exact state per process: the table at 1/q and every padic table,
+    # at q and at 1/q, hold the objects of the table at the indeterminate q
+    # and read them through their context's map
+    from qbern.qfield import invert_q
+
+    at_q = table_for(QContext.symbolic())
+    contexts = [QContext.symbolic(), invert_q(QContext.symbolic())]
+    for p, q in ((3, "1+p"), (5, "1+p"), (7, "1+p"), (3, "1/4"), (3, "10"), (5, "26")):
+        contexts += [QContext.padic(p, 24, q), invert_q(QContext.padic(p, 24, q))]
+    for ctx in contexts:
+        tbl = table_for(ctx)
+        tbl.beta_difference(2, 3)
+        for name in ("_values", "_raw", "_cells", "_polys"):
+            assert getattr(tbl, name) is getattr(at_q, name), (ctx, name)
+        assert tbl._out.__func__ is QContext.read and tbl._out.__self__ == ctx
+    # a fresh table, outside the cache, shares the state as well
+    assert CarlitzTable(QContext.padic(5, 8))._values is at_q._values
 
 
 @pytest.mark.parametrize("grid, want", [(None, 18), ("deep_n20.json", 42)])

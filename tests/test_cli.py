@@ -207,6 +207,40 @@ def test_integer_written_as_a_fraction_is_an_integer_x(capsys, argv, backend):
         assert run(capsys, *argv, "--x", literal, "--backend", backend, "--p", "3") == want
 
 
+_BUDGET_ERROR = ("error: a symbolic value of degree {} at this x needs more than "
+                 "the term budget of 2000000 terms\n")
+
+
+@pytest.mark.parametrize("argv, degree", [
+    (["bernstein", "--k", "0", "--n", "2"], 2),
+    (["beta-poly", "--n", "3"], 3),
+    (["beta-poly", "--n", "0"], 0),
+    (["table", "--kind", "bernstein", "--range", "0:2"], 0),
+])
+def test_huge_symbolic_integer_x_exits_3(capsys, argv, degree):
+    # refused before any Z[q] list is built, with one error line; a padic
+    # context takes the termwise path and prints the value
+    for x in ("1e400", "-1e400"):
+        assert run(capsys, *argv, "--x", x) == (3, "", _BUDGET_ERROR.format(degree))
+    code, out, err = run(capsys, *argv, "--x", "1e400", "--backend", "padic")
+    assert (code, err) == (0, "") and out
+
+
+def test_huge_symbolic_integer_x_skips_its_row(capsys, tmp_path):
+    row = {"identity": "EQ10_SYMMETRY", "params": {"k": 1, "n": 2, "x": 10 ** 400}}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"identities": [row, {"identity": "PROP2", "params": {"n": 3}}]}))
+    for backend, skipped in (("symbolic", 1), ("padic", 0)):
+        code, out, err = run(capsys, "verify", "--grid", str(path), "--backend", backend)
+        lines = [json.loads(line) for line in out.strip().split("\n")]
+        assert (code, err) == (0, "")
+        assert lines[-1]["summary"]["skipped_out_of_domain"] == skipped
+        assert lines[-1]["summary"]["passed"] == 2 - skipped
+    assert lines[0]["notes"] == ""
+    code, out, _ = run(capsys, "verify", "--grid", str(path))
+    assert json.loads(out.split("\n")[0])["notes"] == _BUDGET_ERROR.format(2)[7:-1]
+
+
 def test_integrate_requires_padic(capsys):
     code, _, err = run(capsys, "integrate",
                        "--integrand", '{"type":"bracket_power","offset":0,"power":1}')

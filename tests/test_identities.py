@@ -187,6 +187,16 @@ def test_q_to_1():
     assert verify("Q_TO_1", {"n": 3, "xi": True}, SYM).verdict.kind == "exact"
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_q_to_1_xi_rows_below_the_pole_are_domain_skips(n):
+    # xi_0 = 1 and xi_1 = 0 are finite at q = 1: the pole is stated for n >= 2
+    report = verify("Q_TO_1", {"n": n, "xi": True}, SYM)
+    assert (report.domain_ok, report.verdict) == (False, None)
+    assert report.passed
+    grid = {"identities": [["Q_TO_1", {"n": n, "xi": True}], ["Q_TO_1", {"n": 2, "xi": True}]]}
+    assert suite_exit_status(run_suite(SuiteConfig.from_json(grid))) == 0
+
+
 # -- the suite -------------------------------------------------------------------
 
 
@@ -218,6 +228,9 @@ def test_verify_defaults_to_the_suite_target():
     ("THM6", {"nm": [[1, 1]], "k": 1}, "symbolic", "needs sum m_i n_i > k sum m_i + 1"),
     ("EQ10_SYMMETRY", {"k": 3, "n": 2, "x": 0}, "symbolic", "need 0 <= k <= n"),
     ("Q_TO_1", {"n": 2}, "padic", "q -> 1 evaluation is symbolic"),
+    ("Q_TO_1", {"n": -1}, "symbolic", "need n >= 0"),
+    ("Q_TO_1", {"n": 1, "xi": True}, "symbolic",
+     "the pole of xi_n at q = 1 is stated for n >= 2"),
 ])
 def test_domain_skip_notes(name, params, backend, note):
     report = verify(name, params, SuiteConfig(backend=backend).context())
@@ -564,10 +577,11 @@ def test_mutation_gate(mutation, monkeypatch):
 #
 # Every row of the symbolic default grid but Q_TO_1 runs on padic contexts as
 # well.  Each symbolic side, evaluated at the context's rational q and
-# embedded, must agree with the padic side to their shared precision.  The
-# padic closed forms have code of their own (the scalar Carlitz step, the
-# embedded route sums); each mutation below plants a padic-only defect there,
-# which the gate must catch in every context.
+# embedded, must agree with the padic side to their shared precision.  Both
+# backends read the one Carlitz state at the indeterminate q, but the padic
+# sides pass through code of their own (the padic read of that state, the
+# route sums in padic scalars); each mutation below plants a padic-only
+# defect there, which the gate must catch in every context.
 
 CROSS_CONTEXTS = ((3, "1+p"), (5, "1+p"), (7, "1+p"), (3, "1/4"), (3, "10"), (5, "26"))
 
@@ -582,11 +596,11 @@ PADIC_MUTATIONS = {
         m, "_reflected_sum",
         lambda f: lambda a, total, top, tbl: f(a, total, top, tbl) + _padic_bump(tbl.ctx, a >= 4),
         (integral, identities)),
-    "scalar_step_plus_3_6": lambda m: _patch(
-        m, "_scalar_step",
-        lambda f: lambda q, values, k, shift, lead: (f(q, values, k, shift, lead)
-                                                     + (3 ** 6 if k >= 7 else 0)),
-        (carlitz,)),
+    # the padic read of an exact value whose denominator has more than 6 terms
+    "read_plus_p6": lambda m: _patch(
+        m, "read",
+        lambda f: lambda ctx, value: f(ctx, value) + _padic_bump(ctx, len(value._d) > 6),
+        (QContext,)),
     "beta_difference_plus_p6": lambda m: _patch(
         m, "beta_difference",
         lambda f: lambda tbl, a, b: f(tbl, a, b) + _padic_bump(tbl.ctx, a + b >= 7),
@@ -674,6 +688,7 @@ _RANDOM_ENTRIES = st.tuples(*(_RANDOM_PARAMS[name].map(lambda p, name=name: (nam
 @given(_RANDOM_ENTRIES)
 @example((("THM6", {"nm": [[4, 1], [3, 3], [5, 2]], "k": 3, "reading": "literal"}),))
 @example((("THM6", {"nm": [[3, 2], [5, 2], [3, 0]], "k": 2, "reading": "literal"}),))
+@example((("Q_TO_1", {"n": -1}),))
 def test_random_entries_report_and_agree_across_backends(entries):
     for name, params in entries:
         sym = verify(name, params, SYM)

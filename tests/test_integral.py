@@ -813,6 +813,37 @@ def test_closed_bracket_power_padic(padic_ctx3):
         assert scalars_equal(lhs, tbl.beta_poly(m, x), padic_ctx3)
 
 
+def test_padic_closed_form_at_an_integer_x_is_the_exact_value():
+    # at an integer x the padic closed form is the symbolic one read at the
+    # rational q, so it keeps K unit digits: summed in padic scalars it kept
+    # 13, 6, 2, -2 and -10 digits for n = 4, 8, 10, 12 and 16 at p = 5, q = 26
+    from qbern.identities import verify
+
+    ctx = QContext.padic(5, 24, "26")
+    values = [closed_reflected_power(n, 0, ctx) for n in (4, 8, 10, 12, 16)]
+    assert [v.prec for v in values] == [23, 23, 25, 23, 23]
+    assert all(v.prec == v.valuation + 24 for v in values)
+    for c in (ctx, invert_q(ctx), QContext.padic(3, 5), QContext.padic(7, 8)):
+        for m in range(1, 9):
+            for x in range(-3, 4):
+                assert closed_bracket_power(m, x, c) == c.read(closed_bracket_power(m, x, SYM))
+    # with its digits kept, the closed form is one the oracle can rule on
+    report = verify("THM1", {"n": 12, "x": 0}, ctx)
+    assert report.verdict.kind == "exact"
+    assert report.notes.startswith("oracle supports the reflected closed form as printed "
+                                   "(agreement 9 vs -1 for the sign-flipped reading)")
+
+
+def test_padic_closed_form_past_the_exact_span_sums_padic_scalars(padic_ctx3):
+    # past m |x| = 256 the exact value grows with x (q^(mx) has m x log2 q
+    # bits), so the sum stays in padic scalars, as at a rational x
+    assert integral._EXACT_SPAN == 256
+    for m, x in ((2, 129), (3, -86), (2, Fraction(-1, 2))):
+        u = integral._u_poly(BracketPower(x, m), padic_ctx3)
+        want = integral._integrated(u, padic_ctx3.q, padic_ctx3.one(), m)
+        assert closed_bracket_power(m, x, padic_ctx3) == want
+
+
 def test_closed_reflected_power_base(sym_table):
     assert closed_reflected_power(0, 0, SYM) == SYM.one()
     assert closed_reflected_power(1, 0, SYM) == rf((0, 1), (1, 1))    # q/(1+q)
