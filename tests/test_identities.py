@@ -191,7 +191,8 @@ def test_q_to_1():
 def test_q_to_1_xi_rows_below_the_pole_are_domain_skips(n):
     # xi_0 = 1 and xi_1 = 0 are finite at q = 1: the pole is stated for n >= 2
     report = verify("Q_TO_1", {"n": n, "xi": True}, SYM)
-    assert (report.domain_ok, report.verdict) == (False, None)
+    note = "need n >= 0" if n < 0 else "the pole of xi_n at q = 1 is stated for n >= 2"
+    assert (report.domain_ok, report.verdict, report.notes) == (False, None, note)
     assert report.passed
     grid = {"identities": [["Q_TO_1", {"n": n, "xi": True}], ["Q_TO_1", {"n": 2, "xi": True}]]}
     assert suite_exit_status(run_suite(SuiteConfig.from_json(grid))) == 0
@@ -229,8 +230,6 @@ def test_verify_defaults_to_the_suite_target():
     ("EQ10_SYMMETRY", {"k": 3, "n": 2, "x": 0}, "symbolic", "need 0 <= k <= n"),
     ("Q_TO_1", {"n": 2}, "padic", "q -> 1 evaluation is symbolic"),
     ("Q_TO_1", {"n": -1}, "symbolic", "need n >= 0"),
-    ("Q_TO_1", {"n": 1, "xi": True}, "symbolic",
-     "the pole of xi_n at q = 1 is stated for n >= 2"),
 ])
 def test_domain_skip_notes(name, params, backend, note):
     report = verify(name, params, SuiteConfig(backend=backend).context())
