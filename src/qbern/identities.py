@@ -613,8 +613,8 @@ def suite_exit_status(reports) -> int:
 
 
 def reports_to_jsonl(reports) -> str:
-    lines = [json.dumps(r.to_json(), sort_keys=True, separators=(",", ":"))
-             for r in reports]
-    lines.append(json.dumps({"summary": summarize(reports)}, sort_keys=True,
-                            separators=(",", ":")))
+    # one encoder for every line: json.dumps builds one per call
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    lines = [encode(r.to_json()) for r in reports]
+    lines.append(encode({"summary": summarize(reports)}))
     return "\n".join(lines) + "\n"

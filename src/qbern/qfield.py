@@ -11,7 +11,12 @@ a content to take.  Under it:
 
 * products by Kronecker substitution, one big-int product of the lists
   packed at 2^b, read back as signed digits (Harvey, J. Symb. Comput. 44,
-  2009);
+  2009); a list longer than 64 coefficients packs and unpacks as two
+  halves, recursively, so both stay near linear in its length;
+* a product with a unit c q^s of Q[q, 1/q] (an int or Fraction, or n and d
+  both powers of q) runs no gcd: the unit keeps n and d primitive and
+  coprime, so c scales and the lists shift, cancelling the power of q the
+  other side carries up to |s|;
 * gcds by GCDHEU (Char, Geddes, Gonnet, J. Symb. Comput. 7, 1989): the
   integer gcd of the values at xi = 2^b, read back as symmetric xi-adic
   digits.  With xi >= 2 min(|x|_inf, |y|_inf) + 2 a candidate that divides
@@ -87,8 +92,17 @@ def _clear_denominators(a):
     return [c.numerator * (den // c.denominator) for c in a], den
 
 
+# Lists longer than this pack and unpack as two halves, so that no loop step
+# shifts a big int of more than about _CUT digits: the loops below are
+# quadratic in the length, the halving near linear.
+_CUT = 64
+
+
 def _pack(x, b):
     # x(2^b): Kronecker substitution; signed coefficients carry into the top
+    if len(x) > _CUT:
+        h = len(x) // 2
+        return _pack(x[:h], b) + (_pack(x[h:], b) << (h * b))
     acc = 0
     for c in reversed(x):
         acc = (acc << b) + c
@@ -97,6 +111,18 @@ def _pack(x, b):
 
 def _unpack(n, b):
     # The 2^b-adic digits of n in [-2^(b-1), 2^(b-1)), lowest first; b >= 2.
+    h = n.bit_length() // b // 2
+    if h > _CUT // 2:
+        # the low h digits are the residue r of n mod 2^(hb) taken in
+        # [-m, 2^(hb) - m), m = 2^(b-1) (1 + 2^b + ... + 2^((h-1)b)); the
+        # rest are the digits of (n - r) / 2^(hb)
+        hb = h * b
+        mask = (1 << hb) - 1
+        m = mask // ((1 << b) - 1) << (b - 1)
+        t = (n & mask) + m
+        high = _unpack((n >> hb) + (t >> hb), b)
+        low = _unpack((t & mask) - m, b)
+        return low + [0] * (h - len(low)) + high if high else low
     full = 1 << b
     half = full >> 1
     mask = full - 1
@@ -215,6 +241,8 @@ def _zgcd(x, y):
 def _fmt_scaled(a, p, r):
     # The coefficients p * c / r of a in lowest terms, as str(Fraction) would
     # print them; r > 0.
+    if r == 1:
+        return [str(p * c) for c in a]
     out = []
     for c in a:
         c *= p
@@ -261,6 +289,19 @@ def _rf(c, n, d):
     f = object.__new__(RationalFunction)
     f._c, f._n, f._d = c, tuple(n), tuple(d)
     return f
+
+
+def _unit_times(f, c, s):
+    # f * c q^s for a nonzero canonical f, a nonzero int or Fraction c and an
+    # int s.  A unit of Q[q, 1/q] keeps n and d primitive and coprime, so c
+    # scales and the lists shift: q^|s| multiplies n (d for s < 0), and the
+    # power of q the other side carries cancels up to |s|.
+    up, down = (f._n, f._d) if s >= 0 else (f._d, f._n)
+    k, t = abs(s), 0
+    while t < k and not down[t]:
+        t += 1
+    up, down = (0,) * (k - t) + up, down[t:]
+    return _rf(f._c * c, up, down) if s >= 0 else _rf(f._c * c, down, up)
 
 
 class RationalFunction:
@@ -363,9 +404,20 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other or not self._n:
+                return RationalFunction.from_fraction(0)
+            return _unit_times(self, other, 0)
         other = self._coerce(other)
         if not self._n or not other._n:
             return RationalFunction.from_fraction(0)
+        # a unit c q^s: its n and d are each a power of q
+        n, d = other._n, other._d
+        if n.count(0) == len(n) - 1 and d.count(0) == len(d) - 1:
+            return _unit_times(self, other._c, len(n) - len(d))
+        n, d = self._n, self._d
+        if n.count(0) == len(n) - 1 and d.count(0) == len(d) - 1:
+            return _unit_times(other, self._c, len(n) - len(d))
         _, n1, d2 = _zgcd(self._n, other._d)
         _, n2, d1 = _zgcd(other._n, self._d)
         return _rf(self._c * other._c, _zmul(n1, n2), _zmul(d1, d2))
@@ -420,10 +472,11 @@ class RationalFunction:
             other = RationalFunction.from_fraction(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self._c == other._c and self._n == other._n and self._d == other._d
+        return self._n == other._n and self._d == other._d and self._c == other._c
 
     def __hash__(self):
-        return hash((self._c, self._n, self._d))
+        # the int parts of c: Fraction's own hash takes a modular inverse
+        return hash((self._c.numerator, self._c.denominator, self._n, self._d))
 
     # -- serialization ------------------------------------------------------
 

@@ -456,7 +456,16 @@ MUTATIONS = {
     "u_poly_odd_terms_negated": lambda m: _patch(
         m, "_u_poly",
         lambda f: lambda g, ctx: [-c if j % 2 else c for j, c in enumerate(f(g, ctx))]),
+    # a product with c q^s shifts by q^s with no regard to the power of q
+    # the other side carries, so n and d can share a factor q
+    "unit_shift_keeps_shared_q": lambda m: m.setattr(qfield, "_unit_times", _shift_uncancelled),
 }
+
+
+def _shift_uncancelled(f, c, s):
+    up, down = (f._n, f._d) if s >= 0 else (f._d, f._n)
+    up = (0,) * abs(s) + up
+    return qfield._rf(f._c * c, up, down) if s >= 0 else qfield._rf(f._c * c, down, up)
 
 
 def _read_unsubstituted(init):

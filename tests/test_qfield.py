@@ -1,5 +1,6 @@
 """Rational-function backend, brackets, q-powers, context inversion."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -462,6 +463,134 @@ def test_kronecker_product_edges():
     assert qfield._zmul([2 ** 300], [-(2 ** 300)]) == [-(2 ** 600)]
     assert qfield._zmul([1, -1], [1, 1]) == [1, 0, -1]
     assert qfield._zmul([], [1]) == []
+
+
+def _pack_loop(x, b):
+    # the reference: one shift per coefficient
+    acc = 0
+    for c in reversed(x):
+        acc = (acc << b) + c
+    return acc
+
+
+def _unpack_loop(n, b):
+    # the reference: one symmetric 2^b-adic digit per step
+    out = []
+    while n:
+        d = n & ((1 << b) - 1)
+        n >>= b
+        if d >= 1 << (b - 1):
+            d -= 1 << b
+            n += 1
+        out.append(d)
+    return out
+
+
+@st.composite
+def packed_lists(draw):
+    # signed lists of up to 5,000 coefficients, some with zero runs and
+    # trailing zeros, with coefficients inside the digit range at b or past it
+    b = draw(st.sampled_from([2, 3, 8, 17, 64, 130]))
+    size = draw(st.sampled_from([0, 1, 63, 64, 65, 66, 129, 1000, 5000]))
+    seed = draw(st.integers(0, 2 ** 32))
+    wide = draw(st.booleans())
+    rng = random.Random(seed)
+    top = 1 << (3 * b if wide else b - 1)
+    x = [rng.randrange(-top, top) if rng.random() < 0.8 else 0 for _ in range(size)]
+    return x + [0] * draw(st.integers(0, 3)), b
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_lists())
+def test_halved_pack_matches_the_loop(case):
+    x, b = case
+    v = qfield._pack(x, b)
+    assert v == _pack_loop(x, b)
+    assert qfield._unpack(v, b) == _unpack_loop(v, b)
+    if all(-(1 << (b - 1)) <= c < 1 << (b - 1) for c in x):  # the digits read back
+        assert qfield._unpack(v, b) == list(qfield._strip(x))
+
+
+# -- units of Q[q, 1/q] ---------------------------------------------------------
+#
+# A product with a unit c q^s scales c and shifts the lists; it must give the
+# very (c, n, d) the general product gives, which cancels by two gcds.
+
+
+def _general_mul(a, b):
+    # the reference: cancel n1 against d2 and n2 against d1, then multiply
+    if a.is_zero() or b.is_zero():
+        return RF.from_fraction(0)
+    _, n1, d2 = qfield._zgcd(a._n, b._d)
+    _, n2, d1 = qfield._zgcd(b._n, a._d)
+    return qfield._rf(a._c * b._c, qfield._zmul(n1, n2), qfield._zmul(d1, d2))
+
+
+def _parts(f):
+    return type(f._c), f._c, f._n, f._d
+
+
+small_ints = st.lists(st.integers(-9, 9), max_size=6)
+
+
+@st.composite
+def canonical_values(draw):
+    # built from random int lists, each side times a power of q, as the
+    # denominators at a negative x carry
+    num = [0] * draw(st.integers(0, 4)) + draw(small_ints)
+    den = [0] * draw(st.integers(0, 8)) + draw(small_ints.filter(any))
+    return RF(num, den)
+
+
+def _unit(c, s):
+    # c q^s, by the constructor
+    return RF([0] * s + [c]) if s >= 0 else RF([c], [0] * -s + [1])
+
+
+units = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(min_value=-50, max_value=50, max_denominator=40),
+    st.builds(_unit,
+              st.one_of(st.just(Fraction(1)), st.fractions(max_denominator=12).filter(bool)),
+              st.integers(-6, 6)),
+)
+
+
+def _as_rf(u):
+    return u if isinstance(u, RF) else RF.from_fraction(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_values(), units)
+@example(RF([1], [0, 0, 1, 1]), _unit(1, 3))         # cancels q^2 of the denominator
+@example(RF([0, 0, 0, 2, 1], [1, 1]), _unit(1, -6))  # cancels q^3 of the numerator
+@example(RF([0, 1], [5]), _unit(Fraction(-3, 7), -1))
+def test_unit_products_are_the_general_products(f, u):
+    ru = _as_rf(u)
+    want = _general_mul(f, ru)
+    assert _parts(f * u) == _parts(want)
+    assert _parts(u * f) == _parts(want)
+    if not ru.is_zero():
+        assert _parts(f / u) == _parts(_general_mul(f, ru.reciprocal()))
+    if isinstance(u, RF) and not f.is_zero():
+        assert _parts(u / f) == _parts(_general_mul(ru, f.reciprocal()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_values(), units.filter(bool), st.integers(-6, 6))
+def test_equal_values_by_other_routes_hash_equal(f, u, s):
+    g = f * u * Q ** s
+    routes = (
+        RF(g.num, g.den),                                      # the constructor
+        _general_mul(_general_mul(f, _as_rf(u)), _unit(1, s)),  # two gcds each
+        (f * Q ** s) / _as_rf(u).reciprocal(),                  # other unit arithmetic
+        g.substitute_reciprocal().substitute_reciprocal(),
+        f.substitute_reciprocal().substitute_reciprocal() * u * Q ** s,
+    )
+    for route in routes:
+        assert route == g and hash(route) == hash(g)
+        assert _parts(route) == _parts(g)
 
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(any)
