@@ -341,8 +341,7 @@ def _symmetry(run: _Run, k: int, n: int, x):
     if not 0 <= k <= n:
         return "need 0 <= k <= n"
     lhs = bernstein_eval(BernsteinSpec(k, n), x, ctx)
-    reflected = 1 - x if isinstance(x, int) else ctx.one() - x
-    rhs = bernstein_eval(BernsteinSpec(n - k, n), reflected, invert_q(ctx))
+    rhs = bernstein_eval(BernsteinSpec(n - k, n), 1 - x, invert_q(ctx))
     return lhs, rhs, "", False
 
 

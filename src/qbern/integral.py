@@ -67,7 +67,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .padic import PadicNumber, int_valuation
-from .qfield import DEFAULT_TERM_BUDGET, QContext, Scalar, invert_q, q_pow
+from .qfield import DEFAULT_TERM_BUDGET, QContext, Scalar, _int_bracket, invert_q, q_pow
 from .record import Record
 
 __all__ = [
@@ -267,18 +267,6 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int, carry: list | None = No
             / PadicNumber(pctx, 0, weights, digits))
 
 
-def _int_bracket(c: int, r: int, p: int, mod: int) -> int:
-    """[c]_r = (1 - r^c)/(1 - r) modulo ``mod``, a power of p, for a unit r
-    with r != 1 mod ``mod`` (``QContext`` rejects q = 1 to K digits).
-
-    1 - r = p^e w for a unit w and e below the digits of ``mod``, so the
-    numerator taken modulo ``mod * p^e`` divides exactly by p^e.
-    """
-    pe = p ** int_valuation(1 - r, p)
-    num = (1 - pow(r, c, mod * pe)) % (mod * pe)
-    return num // pe * pow((1 - r) // pe, -1, mod) % mod
-
-
 def integrate(
     f: Integrand,
     ctx: QContext,
@@ -456,7 +444,7 @@ def closed_one_minus_x_power(n: int, ctx: QContext, tbl: CarlitzTable | None = N
     the reflected sum with a = 0."""
     if n <= 1:
         raise DomainError("the closed form requires n > 1")
-    return _reflected_sum(0, n, n, tbl or table_for(ctx))
+    return _power_integral_reflected(0, n, tbl or table_for(ctx))
 
 
 # -- shared route sums -------------------------------------------------------

@@ -30,7 +30,9 @@ Fractions appear only at the edges: the public constructor clears the
 denominators of its coefficients, and ``num``/``den`` rebuild the canonical
 Fraction tuples (monic denominator) on demand.  The p-adic backend reuses
 :mod:`qbern.padic` with a fixed admissible q (a unit with
-nu_p(q - 1) >= 1, i.e. |1 - q|_p < 1).
+nu_p(q - 1) >= 1, i.e. |1 - q|_p < 1).  Its [x]_q at an integer x is one
+modular computation on the K digits of q, ``_int_bracket``, which the
+Riemann kernel in :mod:`qbern.integral` shares; it keeps all K digits.
 
 A ``Scalar`` is either a :class:`RationalFunction` or a
 :class:`~qbern.padic.PadicNumber`; binary operations require matching
@@ -49,7 +51,7 @@ from .errors import (
     DomainError,
     NonIntegerExponentInSymbolicMode,
 )
-from .padic import PadicContext, PadicNumber
+from .padic import PadicContext, PadicNumber, int_valuation
 from .record import Record
 
 __all__ = [
@@ -270,13 +272,8 @@ def _fmt_poly(a) -> str:
         parts.append(term)
     if not parts:
         return "0"
-    out = parts[0]
-    for term in parts[1:]:
-        if term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
-    return out
+    return parts[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+                              for t in parts[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -645,16 +642,31 @@ def q_pow(x, ctx: QContext) -> Scalar:
 
 
 def q_bracket(x, ctx: QContext) -> Scalar:
-    """[x]_q = (1 - q^x)/(1 - q); equals 1 + q + ... + q^(x-1) for x >= 0."""
-    if isinstance(x, int) and 0 <= x <= 256:
-        acc = ctx.zero()
-        term = ctx.one()
-        for _ in range(x):
-            acc = acc + term
-            term = term * ctx.q
-        return acc
+    """[x]_q = (1 - q^x)/(1 - q); equals 1 + q + ... + q^(x-1) for x >= 0.
+
+    On padic an integer x reads ``_int_bracket``, the Riemann kernel's own
+    bracket, to all K digits: dividing by 1 - q would cost nu_p(q - 1) of
+    them.  x = 0 is the exact zero."""
+    if isinstance(x, int) and not ctx.is_symbolic:
+        if not x:
+            return ctx.zero()
+        pctx = ctx.pctx
+        p, digits = pctx.prime, pctx.precision
+        return PadicNumber(pctx, 0, _int_bracket(x, ctx.q.unit, p, p ** digits), digits)
     qx = q_pow(x, ctx)
     return (ctx.one() - qx) / (ctx.one() - ctx.q)
+
+
+def _int_bracket(c: int, r: int, p: int, mod: int) -> int:
+    """[c]_r = (1 - r^c)/(1 - r) modulo ``mod``, a power of p, for a unit r
+    with r != 1 mod ``mod`` (``QContext`` rejects q = 1 to K digits).
+
+    1 - r = p^e w for a unit w and e below the digits of ``mod``, so the
+    numerator taken modulo ``mod * p^e`` divides exactly by p^e.
+    """
+    pe = p ** int_valuation(1 - r, p)
+    num = (1 - pow(r, c, mod * pe)) % (mod * pe)
+    return num // pe * pow((1 - r) // pe, -1, mod) % mod
 
 
 def zq_bracket(x: int) -> tuple:

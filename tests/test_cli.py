@@ -207,6 +207,18 @@ def test_integer_written_as_a_fraction_is_an_integer_x(capsys, argv, backend):
         assert run(capsys, *argv, "--x", literal, "--backend", backend, "--p", "3") == want
 
 
+@pytest.mark.parametrize("argv", [
+    ["bernstein", "--k", "1", "--n", "2", "--x", "-1", "--p", "3"],
+    ["beta-poly", "--n", "3", "--x", "-5", "--p", "5", "--q", "26"],
+    ["beta-poly", "--n", "3", "--x", "300", "--p", "5", "--q", "26"],
+])
+def test_padic_integer_x_certifies_every_digit(capsys, argv):
+    # [x]_q at an integer x keeps all K = 24 digits, as it does at x = 1
+    code, out, _ = run(capsys, *argv, "--backend", "padic")
+    assert code == 0
+    assert json.loads(out)["certified_precision"] == 24
+
+
 _BUDGET_ERROR = ("error: a symbolic value of degree {} at this x needs more than "
                  "the term budget of 2000000 terms\n")
 

@@ -459,6 +459,11 @@ MUTATIONS = {
     # a product with c q^s shifts by q^s with no regard to the power of q
     # the other side carries, so n and d can share a factor q
     "unit_shift_keeps_shared_q": lambda m: m.setattr(qfield, "_unit_times", _shift_uncancelled),
+    # the padic [x]_q at an integer x read as [x]_{1/q}; the Riemann kernel
+    # keeps its own binding of the bracket
+    "padic_bracket_at_inverse_q": lambda m: _patch(
+        m, "_int_bracket",
+        lambda f: lambda c, r, p, mod: f(c, pow(r, -1, mod), p, mod), (qfield,)),
 }
 
 

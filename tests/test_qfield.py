@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -100,6 +101,49 @@ def test_render_and_json():
     assert g.to_json() == {"num": ["1", "0", "3/2"], "den": ["1"]}
 
 
+def _fmt_poly_loop(a):
+    # the reference: the terms joined by repeated string concatenation
+    parts = []
+    for i, c in enumerate(a):
+        if c == "0":
+            continue
+        if i == 0:
+            term = c
+        else:
+            mon = "q" if i == 1 else f"q^{i}"
+            if c == "1":
+                term = mon
+            elif c == "-1":
+                term = f"-{mon}"
+            else:
+                term = f"{c}*{mon}"
+        parts.append(term)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for term in parts[1:]:
+        if term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out
+
+
+coefficient_strings = st.lists(st.one_of(
+    st.sampled_from(["0", "1", "-1"]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=20).map(str),
+), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_strings)
+@example([])
+@example(["0", "0"])
+@example(["-1", "-1", "1", "0", "-3/2"])
+def test_fmt_poly_matches_the_loop(a):
+    assert qfield._fmt_poly(a) == _fmt_poly_loop(a)
+
+
 coeffs = st.lists(
     st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20),
     min_size=0, max_size=5,
@@ -175,6 +219,15 @@ def test_evaluate_matches_fraction_horner(a, b, x, pole):
 # -- brackets ------------------------------------------------------------------
 
 
+def _bracket_loop(x, ctx):
+    # the reference: 1 + q + ... + q^(x-1) summed term by term, x >= 0
+    acc, term = ctx.zero(), ctx.one()
+    for _ in range(x):
+        acc = acc + term
+        term = term * ctx.q
+    return acc
+
+
 def test_bracket_examples():
     assert q_bracket(0, SYM).is_zero()
     assert q_bracket(3, SYM) == rf((1, 1, 1))
@@ -182,10 +235,12 @@ def test_bracket_examples():
 
 
 def test_bracket_geometric_fallback_consistent():
-    # the closed formula (1-q^x)/(1-q) agrees with the geometric sum
-    for x in (1, 5, 12):
-        closed = (SYM.one() - q_pow(x, SYM)) / (SYM.one() - Q)
-        assert q_bracket(x, SYM) == closed
+    # the closed formula (1-q^x)/(1-q) is the geometric sum's canonical value,
+    # at q and at 1/q
+    for ctx in (SYM, invert_q(SYM)):
+        for x in (*range(40), 100, 256):
+            got, want = q_bracket(x, ctx), _bracket_loop(x, ctx)
+            assert (got._c, got._n, got._d) == (want._c, want._n, want._d), x
 
 
 @settings(max_examples=30, deadline=None)
@@ -201,6 +256,49 @@ def test_bracket_addition_law_padic(padic_ctx3):
         lhs = q_bracket(Fraction(x) + Fraction(y), padic_ctx3)
         rhs = q_bracket(x, padic_ctx3) + q_pow(x, padic_ctx3) * q_bracket(y, padic_ctx3)
         assert scalars_equal(lhs, rhs, padic_ctx3)
+
+
+def _padic_key(a):
+    return a.v, a.unit, a.prec
+
+
+# a few primes, q with nu(q - 1) = 1 and 2 (q = 26 at p = 5), low and full K,
+# and inverted contexts
+_BRACKET_CONTEXTS = {
+    "p3-1+p-K24": QContext.padic(3, 24),
+    "p3-1/4-K5": QContext.padic(3, 5, "1/4"),
+    "p5-26-K24": QContext.padic(5, 24, "26"),
+    "p5-26-K3-inverted": invert_q(QContext.padic(5, 3, "26")),
+    "p7-1+p-K2-inverted": invert_q(QContext.padic(7, 2)),
+    "p11-1+p-K8": QContext.padic(11, 8),
+}
+_BRACKET_OTHER_X = [*range(-300, 0), 257, 1000, 10**9 + 7, -10**9]
+
+
+@pytest.mark.parametrize("name", _BRACKET_CONTEXTS)
+def test_padic_integer_bracket_is_the_loop(name):
+    ctx = _BRACKET_CONTEXTS[name]
+    for x in range(257):
+        assert _padic_key(q_bracket(x, ctx)) == _padic_key(_bracket_loop(x, ctx)), x
+
+
+@pytest.mark.parametrize("name", _BRACKET_CONTEXTS)
+def test_padic_integer_bracket_keeps_k_digits(name):
+    # the formula (1 - q^x)/(1 - q) loses nu(q - 1) digits to its division;
+    # the integer bracket keeps all K and agrees with every digit it certifies
+    ctx = _BRACKET_CONTEXTS[name]
+    one = ctx.one()
+    for x in _BRACKET_OTHER_X:
+        got = q_bracket(x, ctx)
+        formula = (one - q_pow(x, ctx)) / (one - ctx.q)
+        assert got.prec == ctx.pctx.precision, x
+        assert got.equals_to_precision(formula, formula.prec), x
+
+
+def test_bracket_at_zero_is_exact_zero():
+    for ctx in (SYM, *_BRACKET_CONTEXTS.values()):
+        assert q_bracket(0, ctx) == ctx.zero()
+    assert all(q_bracket(0, ctx).prec == inf for ctx in _BRACKET_CONTEXTS.values())
 
 
 # -- q powers -------------------------------------------------------------------
