@@ -22,10 +22,11 @@ closed form is consulted, and the value is truncated to the bound, so it
 never carries an unproven digit.  Agreement of two consecutive sums proves
 nothing (they can agree by accident), so no stop rule reads it.
 
-Each level's sum goes on from the running sums of the level before (its
-residues are a prefix), the tableau gains one diagonal per level and each
-gap 1 - t_N is memoized: bit for bit the results of restarting at x = 0 and
-rebuilding the tableau every level, which the tests keep as the reference.
+Each level's sum goes on from the power sums of the level before (its
+residues are a prefix) in one block step, the tableau gains one diagonal
+per level and each gap 1 - t_N is memoized: bit for bit the results of
+restarting at x = 0 and rebuilding the tableau every level, which the tests
+keep as the reference.
 
 The Riemann evaluator is the ground-truth oracle here: the closed forms
 below are validated against it (by the identities module for the bracket
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb, inf, isinf
+from operator import mul
 
 from .carlitz import CarlitzTable, table_for
 from .errors import (
@@ -205,16 +207,20 @@ def _bracket_form(c: int, reflected: bool, ctx: QContext):
 
 def riemann_sum(f: Integrand, ctx: QContext, level: int, carry: list | None = None) -> Scalar:
     """The level-N q-Riemann sum (1/[p^N]_q) sum_{x<p^N} q^x f(x), summed
-    in plain ints.
+    in plain ints, one block of residues at a time.
 
     Its bracket y starts at [c]_s (s = q, or 1/q when reflected) and steps
-    affinely with x: ``[x+c+1]_q = 1 + q[x+c]_q`` or
-    ``[c-x-1]_{1/q} = q([c-x]_{1/q} - 1)``.  With q = ctx.q.unit (q carried
-    to exactly K digits) the terms are p-adic integers and are summed modulo
-    p^(K + nu_p(scale)) at every level.  A lower level's residues are a
-    prefix: a nonempty ``carry`` from the previous level's call for f and
-    ctx holds (terms summed, weighted sum, weight sum, q^x, y) after it, the
-    sum goes on from there, and the list is updated in place.
+    affinely with x, ``y_(x+1) = u y_x + gamma``: ``[x+c+1]_q = 1 + q[x+c]_q``
+    (gamma = 1) or ``[c-x-1]_{1/q} = q([c-x]_{1/q} - 1)`` (gamma = -u), with
+    u = ctx.q.unit (q carried to exactly K digits).  The terms are p-adic
+    integers and are summed modulo p^(K + nu_p(scale)) as the power sums
+    S_k(m) = sum_{x<m} u^x y_x^k, k <= d = a + b: the weight sum is
+    S_0(p^N) and the weighted sum sum_{i<=b} C(b,i) (-1)^i S_(a+i)(p^N).
+    Level 1 sums its p terms; ``_block_step`` takes the sums from m to p m
+    residues.  A nonempty ``carry`` from the previous level's call for f and
+    ctx holds [m, [S_0(m), ..., S_d(m)]] with m = p^(N-1), the residues
+    summed, so a carried level is one block step; the list is updated in
+    place.
 
     The result, or the exception, is that of the same sum taken term by
     term in ``PadicNumber`` arithmetic with y = (1 - r q^x) (1/(1 - s)).
@@ -248,23 +254,56 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int, carry: list | None = No
     shift = int_valuation(scale, p)
     mod = p ** (digits + shift)
     u = ctx.q.unit
-    step = -u if reflected else 1
+    gamma = -u if reflected else 1
     if carry:
-        count, weighted, weights, qx, y = carry
+        count, sums = carry
     else:
-        count, weighted, weights, qx = 0, 0, 0, 1
         y = _int_bracket(c, pow(u, -1, mod) if reflected else u, p, mod)
-    for _ in range(count, total):
-        term = qx * y ** a
-        weighted += term * (1 - y) ** b if b else term
-        weights += qx
-        qx = qx * u % mod
-        y = (u * y + step) % mod
-    weighted, weights = weighted % mod, weights % mod
+        count, sums = p, _first_level(y, u, gamma, p, a + b, mod)
+    while count < total:
+        sums = _block_step(sums, u, gamma, p, mod)
+        count *= p
     if carry is not None:
-        carry[:] = total, weighted, weights, qx, y
+        carry[:] = count, sums
+    weighted = sum((-1) ** i * comb(b, i) * sums[a + i] for i in range(b + 1)) % mod
     return (PadicNumber(pctx, 0, scale * weighted, shift + digits - e)
-            / PadicNumber(pctx, 0, weights, digits))
+            / PadicNumber(pctx, 0, sums[0], digits))
+
+
+def _first_level(y: int, u: int, gamma: int, p: int, d: int, mod: int) -> list:
+    """S_0(p), ..., S_d(p) modulo ``mod``, summed term by term from y = y_0."""
+    sums = [0] * (d + 1)
+    qx = 1
+    for _ in range(p):
+        term = qx
+        for k in range(d + 1):
+            sums[k] += term
+            term = term * y % mod
+        qx = qx * u % mod
+        y = (u * y + gamma) % mod
+    return [s % mod for s in sums]
+
+
+def _block_step(sums: list, u: int, gamma: int, p: int, mod: int) -> list:
+    """S_k(p m) from S_k(m), k <= d, modulo ``mod``, for any block length m.
+
+    From the step, y_(x+m) = U y_x + G with U = u^m = 1 + (u - 1) S_0(m) and
+    G = gamma [m]_u = gamma S_0(m), so the residues m..2m-1 give
+    (L S)_k = sum_{i<=k} C(k,i) U^(i+1) G^(k-i) S_i(m), and the residues
+    j m..(j+1) m - 1 give L^j S, the affine steps composing.  Then
+    S(p m) = S + L(S + L(S + ...)), p - 1 products by L in Horner's scheme;
+    row k of L comes from row k - 1 by Pascal's rule.
+    """
+    s0 = sums[0]
+    big_u, g = (1 + (u - 1) * s0) % mod, gamma * s0 % mod
+    rows = [[big_u]]
+    for _ in sums[1:]:
+        row = rows[-1]
+        rows.append([(g * hi + big_u * lo) % mod for lo, hi in zip([0, *row], [*row, 0])])
+    acc = sums
+    for _ in range(p - 1):
+        acc = [(s + sum(map(mul, r, acc))) % mod for s, r in zip(sums, rows)]
+    return acc
 
 
 def integrate(

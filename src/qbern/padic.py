@@ -103,6 +103,14 @@ class PadicNumber:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of_unit(cls, ctx: PadicContext, v, unit: int, prec) -> "PadicNumber":
+        """p^v * unit for a unit already reduced modulo p^(prec - v), with
+        prec - v >= 1: that is the normal form, so no pass through ``__init__``."""
+        x = object.__new__(cls)
+        x.ctx, x.v, x.unit, x.prec = ctx, v, unit, prec
+        return x
+
+    @classmethod
     def zero(cls, ctx: PadicContext, prec=inf) -> "PadicNumber":
         return cls(ctx, inf, 0, prec)
 
@@ -157,7 +165,7 @@ class PadicNumber:
 
     def _coerce(self, other):
         if isinstance(other, PadicNumber):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatch(
                     f"operands use different contexts: {self.ctx} vs {other.ctx}"
                 )
@@ -198,9 +206,8 @@ class PadicNumber:
     def __neg__(self):
         if self.is_zero():
             return self
-        p = self.ctx.prime
-        mod = p ** (self.prec - self.v)
-        return PadicNumber(self.ctx, self.v, mod - self.unit, self.prec)
+        mod = self.ctx.prime ** (self.prec - self.v)
+        return PadicNumber._of_unit(self.ctx, self.v, mod - self.unit, self.prec)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -214,7 +221,12 @@ class PadicNumber:
         )
         if self.is_zero() or other.is_zero():
             return PadicNumber.zero(self.ctx, prec)
-        return PadicNumber(self.ctx, self.v + other.v, self.unit * other.unit, prec)
+        # a product of units is a unit; prec - v is the least relative precision
+        v = self.v + other.v
+        unit = self.unit * other.unit
+        if not isinf(prec):
+            unit %= self.ctx.prime ** (prec - v)
+        return PadicNumber._of_unit(self.ctx, v, unit, prec)
 
     __rmul__ = __mul__
 
@@ -231,10 +243,9 @@ class PadicNumber:
             raise PrecisionExhausted(
                 f"division result would be certified only modulo p^{prec}"
             )
-        p = self.ctx.prime
-        mod = p ** rel
-        unit = self.unit % mod * pow(other.unit % mod, -1, mod)
-        return PadicNumber(self.ctx, v, unit, prec)
+        mod = self.ctx.prime ** rel
+        unit = self.unit % mod * pow(other.unit % mod, -1, mod) % mod
+        return PadicNumber._of_unit(self.ctx, v, unit, prec)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):

@@ -596,10 +596,11 @@ class QContext(Record):
 
     @property
     def q_minus_one_valuation(self) -> int:
-        """nu_p(q - 1) for padic contexts."""
+        """nu_p(q - 1) for padic contexts: q = num/den is a unit, so it is
+        nu_p(num - den), which the constructor keeps below K."""
         if self.is_symbolic:
             raise DomainError("valuation data requires the padic backend")
-        return (self.q - 1).valuation
+        return int_valuation(self.rational.numerator - self.rational.denominator, self.prime)
 
 
 # ---------------------------------------------------------------------------

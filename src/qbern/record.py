@@ -8,6 +8,8 @@ the way ``dataclasses`` would, without importing it.
 
 class Record:
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return vars(self) == vars(other)

@@ -439,8 +439,8 @@ MUTATIONS = {
     "carlitz_lead_dropped": lambda m: m.setitem(carlitz._KINDS, "beta", (1, 0)),
     "difference_operands_swapped": lambda m: m.setattr(
         carlitz, "_differences", _swapped_differences),
-    # a carry defect: q^x restarts at 1 each level while the bracket y is
-    # still carried from the previous level
+    # a carry defect: the carried weight sum S_0 = sum_{x<m} q^x restarts at
+    # 1 each level while the block length m is still carried
     "carry_qx_restarted": lambda m: _patch(m, "riemann_sum", _qx_restarted),
     # [x]_q = P/q^s read with P = [|x|]_q for x < 0: beta_n(x) drops its (-1)^(n-i)
     "beta_poly_negative_x_sign": lambda m: m.setattr(
@@ -517,7 +517,7 @@ def _unsubstituted(bernstein_eval):
 def _qx_restarted(riemann_sum):
     def restarted(f, ctx, level, carry=None):
         if carry:
-            carry[3] = 1  # (terms, weighted, weights, q^x, y)
+            carry[1] = [1, *carry[1][1:]]  # [m, [S_0, ..., S_d]]
         return riemann_sum(f, ctx, level, carry)
 
     return restarted

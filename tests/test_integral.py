@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, inf
+from operator import mul
 
 import pytest
 
@@ -186,6 +188,135 @@ def test_kernel_bit_identical_to_object_loop(p):
                         assert got == want, (digits, spec, ctx.q, f, level)
                         seen.add(got if isinstance(got, str) else "value")
     assert seen == {"value", "DivisionByZero", "PrecisionExhausted"}
+
+
+# -- the block recurrence against the term loop --------------------------------
+#
+# ``riemann_sum`` takes a level from the one before in one block step.  The
+# term loop it replaced adds q^x y^a (1 - y)^b one residue at a time; here it
+# runs once per context and bracket up to the default cap, and every level is
+# read off its prefix sums, each term formed from y and 1 - y on their own.
+
+def _block_integrands():
+    # a function, since ``_grid_products`` comes with the soundness gate below
+    return (
+        *_grid_products(),
+        *(cls(c, m) for cls in (BracketPower, ReflectedPower)
+          for c in (*range(-3, 4), 10**9 + 7) for m in (0, 2)),
+        BracketPower(0, 24),
+    )
+
+
+def _term_loop_levels(fs, ctx, cap):
+    """{f: [the outcome of each level 1..cap]}, summed term by term.
+
+    The sums run modulo p^(K + the largest nu_p(scale)), which each f's own
+    modulus p^(K + nu_p(scale)) divides, with the same integers u and y_0.
+    A level whose weight sum vanishes modulo p^K raises DivisionByZero
+    whatever its weighted sum, so the terms run only to the last level whose
+    weight sum does not."""
+    pctx = ctx.pctx
+    p, digits = pctx.prime, pctx.precision
+    shapes = {f: _shape(f) for f in fs}
+    big = p ** (digits + max(int_valuation(s[0], p) for s in shapes.values()))
+    u = ctx.q.unit
+    bounds = [0] + [p**level for level in range(1, cap + 1)]
+    qx = list(accumulate(repeat(u, p**cap - 1), lambda w, _: w * u % big, initial=1))
+
+    def prefix_sums(count, *factors):
+        # sum_{x < p^level} of the product of the factors at x, for levels 1..count
+        def level_sum(lo, hi):
+            terms = factors[0][lo:hi]
+            for factor in factors[1:]:
+                terms = map(mul, terms, factor[lo:hi])
+            return sum(terms)
+        return list(accumulate(level_sum(lo, hi) for lo, hi in zip(bounds, bounds[1:count + 1])))
+
+    weights = prefix_sums(cap, qx)
+    live = sum(1 for w in weights if w % p**digits)
+    powers = {}
+
+    def power(c, reflected, k, complement):
+        # y^k or (1 - y)^k at every residue for the bracket of (c, reflected)
+        key = c, reflected, k, complement
+        if key not in powers:
+            if k > 1:
+                powers[key] = list(map(big.__rmod__, map(
+                    mul, power(c, reflected, k // 2, complement),
+                    power(c, reflected, k - k // 2, complement))))
+            elif complement:
+                powers[key] = [(1 - y) % big for y in power(c, reflected, 1, False)]
+            else:
+                step = -u if reflected else 1
+                y0 = _int_bracket(c, pow(u, -1, big) if reflected else u, p, big)
+                powers[key] = list(accumulate(repeat(None, bounds[live] - 1),
+                                              lambda y, _: (u * y + step) % big, initial=y0))
+        return powers[key]
+
+    sums, levels = {}, {}
+    for f, (scale, a, b, c, reflected) in shapes.items():
+        e = ctx.q_minus_one_valuation if a + b else 0
+        if 2 * e >= digits:
+            levels[f] = ["PrecisionExhausted"] * cap
+            continue
+        shift = int_valuation(scale, p)
+        mod = p ** (digits + shift)
+        if (a, b, c, reflected) not in sums:
+            sums[a, b, c, reflected] = prefix_sums(live, qx, *(
+                power(c, reflected, k, complement)
+                for k, complement in ((a, False), (b, True)) if k)) + [0] * (cap - live)
+        weighted = sums[a, b, c, reflected]
+        levels[f] = [_outcome(lambda: PadicNumber(pctx, 0, scale * (weighted[n] % mod),
+                                                  shift + digits - e)
+                              / PadicNumber(pctx, 0, weights[n] % mod, digits))
+                     for n in range(cap)]
+    return levels
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_block_sums_bit_identical_to_term_loop(p):
+    # fresh, carried and term-loop sums agree on every level to the default
+    # cap: the grid's Bernstein shapes, offsets -3..3 and 10^9 + 7 on both
+    # brackets, and a degree 24, at K = 2, 5 and 24 and at q and 1/q
+    cap = default_level_cap(p)
+    fs = _block_integrands()
+    seen = set()
+    for digits in (2, 5, 24):
+        base = QContext.padic(p, digits)
+        for ctx in (base, invert_q(base)):
+            want = _term_loop_levels(fs, ctx, cap)
+            for f in fs:
+                carry = []
+                for level in range(1, cap + 1):
+                    fresh = _outcome(lambda: riemann_sum(f, ctx, level))
+                    carried = _outcome(lambda: riemann_sum(f, ctx, level, carry))
+                    assert fresh == carried == want[f][level - 1], (digits, ctx.q, f, level)
+                    seen.add(fresh if isinstance(fresh, str) else "value")
+    assert seen == {"value", "DivisionByZero", "PrecisionExhausted"}
+
+
+def test_integrate_takes_one_block_step_per_level(padic_ctx5, monkeypatch):
+    # level 1 sums its p terms, and each later level is one block step from
+    # the carried sums: no level goes back over its p^N residues
+    calls = []
+
+    def counted(name):
+        original = getattr(integral, name)
+
+        def run(*args):
+            calls.append(name)
+            return original(*args)
+        return run
+
+    for name in ("_first_level", "_block_step"):
+        monkeypatch.setattr(integral, name, counted(name))
+    with pytest.raises(MaxLevelExceeded) as capped:
+        integrate(BernsteinProduct(((2, 5, 1),)), padic_ctx5, 40)
+    assert capped.value.result.level == 6 == default_level_cap(5)
+    assert calls == ["_first_level"] + ["_block_step"] * 5
+    calls.clear()
+    riemann_sum(BracketPower(1, 3), padic_ctx5, 4)
+    assert calls == ["_first_level"] + ["_block_step"] * 3
 
 
 # -- convergence against an independent rational oracle -----------------------
