@@ -2,7 +2,7 @@
 """Measure Riemann-sum convergence against the closed forms.
 
 For each prime and each structured integrand in the verification grid this
-prints, per level N up to the default cap:
+prints, per level N up to the acceptance test's level cap for that prime:
 
   * the valuation of S_N - closed_form (agreement with the limit),
   * the valuation of S_{N+1} - S_N (the raw level difference, no proof),
@@ -25,12 +25,14 @@ from qbern.integral import (
     BracketPower,
     ReflectedPower,
     closed_one_minus_x_power,
-    default_level_cap,
     integrate,
     riemann_sum,
 )
 from qbern.errors import MaxLevelExceeded
 from qbern.qfield import QContext
+
+# the level caps of acceptance criteria 3 and 4 (tests/test_acceptance.py)
+LEVEL_CAPS = {3: 8, 5: 6, 7: 5}
 
 
 def grid():
@@ -58,7 +60,8 @@ def certified(f, ctx, level):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--primes", type=int, nargs="+", default=[3, 5, 7])
+    ap.add_argument("--primes", type=int, nargs="+", choices=sorted(LEVEL_CAPS),
+                    default=sorted(LEVEL_CAPS))
     ap.add_argument("--precision", type=int, default=24)
     args = ap.parse_args(argv)
 
@@ -66,7 +69,7 @@ def main(argv=None):
     for p in args.primes:
         ctx = QContext.padic(p, args.precision, "1+p")
         tbl = table_for(ctx)
-        cap = default_level_cap(p)
+        cap = LEVEL_CAPS[p]
         print(f"\n=== p={p}, q=1+p, K={args.precision}, level cap {cap} ===")
         t0 = time.monotonic()
         worst_slack = None

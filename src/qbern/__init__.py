@@ -32,7 +32,6 @@ from .integral import (
     closed_bracket_power,
     closed_one_minus_x_power,
     closed_reflected_power,
-    default_level_cap,
     integrate,
     riemann_sum,
 )

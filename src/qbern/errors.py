@@ -38,7 +38,8 @@ class BudgetExceeded(QbernError):
 
 
 class MaxLevelExceeded(BudgetExceeded):
-    """The adaptive integrator hit its level cap before reaching the target.
+    """The adaptive integrator ended its run short of the target: at its
+    level cap, or at a level whose sum keeps no digit.
 
     Carries the best result achieved so far in ``result`` so callers can
     still inspect the value and its certificate.

@@ -173,7 +173,7 @@ class _Run(Record):
         self.ctx, self.tbl, self.target, self.level_cap = ctx, tbl, target, level_cap
 
     def integrate(self, f, ctx: QContext | None = None):
-        """Adaptive integration that falls back to the capped value on a miss."""
+        """Adaptive integration that falls back to the best value on a miss."""
         return _oracle(f, ctx or self.ctx, self.target, self.level_cap)
 
 
@@ -506,7 +506,7 @@ def default_grid(backend: str) -> list:
     pointwise symmetry, and the disputed-reading probes at s = 3).
     Padic: a sample of every oracle-backed identity at the default target,
     the same for every prime.  Each oracle integrand is a polynomial in q^x,
-    so at the level cap it is extrapolated from the sums already computed;
+    so its integral is extrapolated from the level sums computed;
     at the default precision and target every entry verifies at p = 3, 5
     and 7 alike.  Wider numeric sweeps live in the test suite.
     """

@@ -57,19 +57,14 @@ keep as its reference.
 from __future__ import annotations
 
 from functools import cache
+from itertools import count
 from math import comb, inf, isinf
 from operator import mul
 
 from .carlitz import CarlitzTable, table_for
-from .errors import (
-    BudgetExceeded,
-    DivisionByZero,
-    DomainError,
-    MaxLevelExceeded,
-    PrecisionExhausted,
-)
+from .errors import DivisionByZero, DomainError, MaxLevelExceeded, PrecisionExhausted
 from .padic import PadicNumber, int_valuation
-from .qfield import DEFAULT_TERM_BUDGET, QContext, Scalar, _int_bracket, invert_q, q_pow
+from .qfield import QContext, Scalar, _int_bracket, invert_q, q_pow
 from .record import Record
 
 __all__ = [
@@ -78,7 +73,6 @@ __all__ = [
     "BernsteinProduct",
     "Integrand",
     "RiemannResult",
-    "default_level_cap",
     "riemann_sum",
     "integrate",
     "closed_bracket_power",
@@ -86,16 +80,7 @@ __all__ = [
     "closed_one_minus_x_power",
     "bernstein_power_product_integral",
     "integrand_from_json",
-    "DEFAULT_TERM_BUDGET",
 ]
-
-
-def default_level_cap(p: int) -> int:
-    """The highest level whose p^N terms stay at desk scale (p^N <= ~17000)."""
-    cap = 1
-    while p ** (cap + 1) <= 17_000:
-        cap += 1
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +132,7 @@ class RiemannResult(Record):
     certified, and the certificate is -inf.  No other kind exists.  The
     value's precision never exceeds the certificate (nor 0 under ``none``).
     ``history[i]`` is the raw difference valuation between the sums at
-    levels i+1 and i+2, for every level summed: on a cap miss it runs past
+    levels i+1 and i+2, for every level summed: on a miss it runs past
     ``level``."""
 
     def __init__(self, value: Scalar, level: int, stabilization_valuation, certificate: str,
@@ -213,8 +198,8 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int, carry: list | None = No
     affinely with x, ``y_(x+1) = u y_x + gamma``: ``[x+c+1]_q = 1 + q[x+c]_q``
     (gamma = 1) or ``[c-x-1]_{1/q} = q([c-x]_{1/q} - 1)`` (gamma = -u), with
     u = ctx.q.unit (q carried to exactly K digits).  The terms are p-adic
-    integers and are summed modulo p^(K + nu_p(scale)) as the power sums
-    S_k(m) = sum_{x<m} u^x y_x^k, k <= d = a + b: the weight sum is
+    integers and are summed modulo p^K, all that the result reads, as the
+    power sums S_k(m) = sum_{x<m} u^x y_x^k, k <= d = a + b: the weight sum is
     S_0(p^N) and the weighted sum sum_{i<=b} C(b,i) (-1)^i S_(a+i)(p^N).
     Level 1 sums its p terms; ``_block_step`` takes the sums from m to p m
     residues.  A nonempty ``carry`` from the previous level's call for f and
@@ -239,10 +224,6 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int, carry: list | None = No
     if level < 1:
         raise DomainError("level must be >= 1")
     total = ctx.prime ** level
-    if total > DEFAULT_TERM_BUDGET:
-        raise BudgetExceeded(
-            f"level {level} needs {total} terms, over the budget of {DEFAULT_TERM_BUDGET}"
-        )
     pctx = ctx.pctx
     p, digits = pctx.prime, pctx.precision
     scale, a, b, c, reflected = _shape(f)
@@ -252,19 +233,19 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int, carry: list | None = No
             f"division result would be certified only modulo p^{digits - 2 * e}"
         )
     shift = int_valuation(scale, p)
-    mod = p ** (digits + shift)
+    mod = p ** digits
     u = ctx.q.unit
     gamma = -u if reflected else 1
     if carry:
-        count, sums = carry
+        m, sums = carry
     else:
         y = _int_bracket(c, pow(u, -1, mod) if reflected else u, p, mod)
-        count, sums = p, _first_level(y, u, gamma, p, a + b, mod)
-    while count < total:
+        m, sums = p, _first_level(y, u, gamma, p, a + b, mod)
+    while m < total:
         sums = _block_step(sums, u, gamma, p, mod)
-        count *= p
+        m *= p
     if carry is not None:
-        carry[:] = count, sums
+        carry[:] = m, sums
     weighted = sum((-1) ** i * comb(b, i) * sums[a + i] for i in range(b + 1)) % mod
     return (PadicNumber(pctx, 0, scale * weighted, shift + digits - e)
             / PadicNumber(pctx, 0, sums[0], digits))
@@ -319,26 +300,25 @@ def integrate(
     and the certificate its proven bound (``exact-degree`` or
     ``a-priori-bound``).  The value is truncated to its certificate, so it
     never carries a digit the certificate does not cover.  A certificate of no
-    digit (<= 0) is recorded as -inf with kind ``none``.  At the cap,
-    MaxLevelExceeded carries the best result, the latest level whose
-    certificate is the highest, with the history of every level summed.  A
-    level whose sum cannot be formed at the working precision (it raises
-    DivisionByZero or PrecisionExhausted), or whose p^N terms are over
-    DEFAULT_TERM_BUDGET (BudgetExceeded), ends the run the same way; at
-    level 1 the error escapes.
+    digit (<= 0) is recorded as -inf with kind ``none``.  The run ends short
+    of the target at an explicit ``level_cap`` or at the first level whose
+    sum cannot be formed at the working precision (it raises DivisionByZero
+    or PrecisionExhausted); MaxLevelExceeded then carries the best result,
+    the latest level whose certificate is the highest, with the history of
+    every level summed.  At level 1 the error escapes.
     """
     if ctx.is_symbolic:
         raise DomainError("the Riemann evaluator requires the padic backend")
-    cap = default_level_cap(ctx.prime) if level_cap is None else level_cap
-    if cap < 1:
+    if level_cap is not None and level_cap < 1:
         raise DomainError("level cap must be >= 1")
     valuations = _u_coefficient_valuations(f, ctx)
     carry, diagonal, history = [], [], []
-    stop = f"within level cap {cap}"
-    for level in range(1, cap + 1):
+    stop = f"within level cap {level_cap}"
+    # uncapped, the run ends by level K: [p^N]_q has valuation N, so the weight sum vanishes
+    for level in count(1) if level_cap is None else range(1, level_cap + 1):
         try:
             s = riemann_sum(f, ctx, level, carry)
-        except (BudgetExceeded, DivisionByZero, PrecisionExhausted) as exc:
+        except (DivisionByZero, PrecisionExhausted) as exc:
             if level == 1:
                 raise
             stop = f"before level {level} ({exc})"

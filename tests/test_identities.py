@@ -49,6 +49,15 @@ def test_theorem1_even_case_adjudicates(padic_ctx3):
     assert "1/(1-q)^(n-1)" in report.notes
 
 
+@pytest.mark.parametrize("p,q", [(5, "26"), (7, "8")])
+def test_theorem1_n16_reaches_the_target(p, q):
+    # a valid entry whose oracle runs need level 7 at p = 5 and level 6 at
+    # p = 7 to certify valuation 8: no run may stop short of its precision
+    report = verify("THM1", {"n": 16, "x": 0}, QContext.padic(p, 24, q))
+    assert report.verdict.ok, report.to_json()
+    assert "no certificate reaches" not in report.notes
+
+
 def test_theorem1_symbolic_skips():
     report = verify_theorem1(2, 0, SYM)
     assert not report.domain_ok

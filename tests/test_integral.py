@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from math import comb, inf
 from operator import mul
 
@@ -10,13 +10,7 @@ import pytest
 
 from qbern import integral
 from qbern.carlitz import CarlitzTable, table_for
-from qbern.errors import (
-    BudgetExceeded,
-    DivisionByZero,
-    DomainError,
-    MaxLevelExceeded,
-    PrecisionExhausted,
-)
+from qbern.errors import DivisionByZero, DomainError, MaxLevelExceeded, PrecisionExhausted
 from qbern.integral import (
     BernsteinProduct,
     BracketPower,
@@ -33,7 +27,6 @@ from qbern.integral import (
     closed_bracket_power,
     closed_one_minus_x_power,
     closed_reflected_power,
-    default_level_cap,
     integrand_from_json,
     integrate,
     riemann_sum,
@@ -79,11 +72,27 @@ def test_riemann_requires_padic():
         riemann_sum(BracketPower(0, 1), SYM, 2)
 
 
-def test_riemann_budget():
-    # 3^14 terms are over DEFAULT_TERM_BUDGET, so none is summed
-    ctx = QContext.padic(3, 8)
-    with pytest.raises(BudgetExceeded):
-        riemann_sum(BracketPower(0, 1), ctx, 14)
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+def test_precision_ends_an_uncapped_run(p):
+    # [p^N]_q has valuation N, so the level-K weight sum vanishes modulo p^K:
+    # the level-K sum cannot be formed, whatever p^K is, and an uncapped run
+    # of an unreachable target ends before level N <= K
+    fs = (BracketPower(0, 0), BracketPower(2, 3), ReflectedPower(1, 2),
+          BernsteinProduct(((1, 3, 2),)))
+    for digits in (8, 24):
+        for spec in ("1+p", str(1 + p * p)):
+            base = QContext.padic(p, digits, spec)
+            for ctx in (base, invert_q(base)):
+                for f in fs:
+                    with pytest.raises(DivisionByZero):
+                        riemann_sum(f, ctx, digits)
+                    with pytest.raises(MaxLevelExceeded) as missed:
+                        integrate(f, ctx, 10**6)
+                    message = str(missed.value)
+                    assert "before level " in message, message
+                    ended = int(message.split("before level ")[1].split()[0])
+                    assert ended <= digits, (p, digits, spec, ctx.q, f)
+                    assert len(missed.value.result.history) == ended - 2
 
 
 # -- the PadicNumber reference for the integer kernel -------------------------
@@ -194,7 +203,7 @@ def test_kernel_bit_identical_to_object_loop(p):
 #
 # ``riemann_sum`` takes a level from the one before in one block step.  The
 # term loop it replaced adds q^x y^a (1 - y)^b one residue at a time; here it
-# runs once per context and bracket up to the default cap, and every level is
+# runs once per context and bracket up to a small level, and every level is
 # read off its prefix sums, each term formed from y and 1 - y on their own.
 
 def _block_integrands():
@@ -275,10 +284,11 @@ def _term_loop_levels(fs, ctx, cap):
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
 def test_block_sums_bit_identical_to_term_loop(p):
-    # fresh, carried and term-loop sums agree on every level to the default
-    # cap: the grid's Bernstein shapes, offsets -3..3 and 10^9 + 7 on both
-    # brackets, and a degree 24, at K = 2, 5 and 24 and at q and 1/q
-    cap = default_level_cap(p)
+    # fresh, carried and term-loop sums agree on every level up to p^N <= 17000,
+    # which keeps the term loop cheap: the grid's Bernstein shapes, offsets
+    # -3..3 and 10^9 + 7 on both brackets, and a degree 24, at K = 2, 5 and 24
+    # and at q and 1/q
+    cap = {3: 8, 5: 6, 7: 5, 11: 4}[p]
     fs = _block_integrands()
     seen = set()
     for digits in (2, 5, 24):
@@ -311,8 +321,8 @@ def test_integrate_takes_one_block_step_per_level(padic_ctx5, monkeypatch):
     for name in ("_first_level", "_block_step"):
         monkeypatch.setattr(integral, name, counted(name))
     with pytest.raises(MaxLevelExceeded) as capped:
-        integrate(BernsteinProduct(((2, 5, 1),)), padic_ctx5, 40)
-    assert capped.value.result.level == 6 == default_level_cap(5)
+        integrate(BernsteinProduct(((2, 5, 1),)), padic_ctx5, 40, level_cap=6)
+    assert capped.value.result.level == 6
     assert calls == ["_first_level"] + ["_block_step"] * 5
     calls.clear()
     riemann_sum(BracketPower(1, 3), padic_ctx5, 4)
@@ -631,9 +641,10 @@ def test_certificates_against_exact_rational_sums(p):
 #
 # At the rational q the integral is exactly sum_j g_j (j+1)/[j+1]_q, with the
 # g_j of ``_u_coefficients``, which shares no code with ``_u_poly``.  At every
-# level to the default cap, the extrapolation ``integrate`` forms, before it
-# is truncated, must agree with that limit to at least its certificate.  Each
-# mutation below plants a defect in the bound, which the gate must catch.
+# level of an uncapped run, up to the level whose sum cannot be formed, the
+# extrapolation ``integrate`` forms, before it is truncated, must agree with
+# that limit to at least its certificate.  Each mutation below plants a
+# defect in the bound, which the gate must catch.
 
 
 def _grid_factors(name, params):
@@ -758,28 +769,6 @@ def test_unsummable_level_ends_the_run():
         integrate(BracketPower(0, 2), QContext.padic(3, 2, "1+p"), 30, level_cap=4)
 
 
-def test_level_over_budget_ends_the_run(padic_ctx3, monkeypatch):
-    # with a budget of 30 terms at p = 3, level 4 (81 terms) is over it: the
-    # run ends with the exact-degree result of level 3, as a cap of 3 gives
-    import qbern.integral as integral
-
-    f = BracketPower(0, 2)
-    with pytest.raises(MaxLevelExceeded) as capped:
-        integrate(f, padic_ctx3, 30, level_cap=3)
-    monkeypatch.setattr(integral, "DEFAULT_TERM_BUDGET", 30)
-    with pytest.raises(MaxLevelExceeded) as cut:
-        integrate(f, padic_ctx3, 30, level_cap=5)
-    best = cut.value.result
-    assert best == capped.value.result
-    assert (best.level, best.certificate) == (3, "exact-degree")
-    assert "before level 4 (level 4 needs 81 terms" in str(cut.value)
-    # at level 1 there is nothing to carry, so the error escapes
-    monkeypatch.setattr(integral, "DEFAULT_TERM_BUDGET", 2)
-    with pytest.raises(BudgetExceeded) as first:
-        integrate(f, padic_ctx3, 30, level_cap=5)
-    assert not isinstance(first.value, MaxLevelExceeded)
-
-
 # -- the restart-from-zero reference for the integrator ---------------------------
 #
 # ``integrate`` carries each level's running sums into the next and adds one
@@ -789,7 +778,7 @@ def test_level_over_budget_ends_the_run(padic_ctx3, monkeypatch):
 
 
 def _restart_sum(f, ctx, level):
-    total = ctx.prime ** level  # no level that these tests reach is over the budget
+    total = ctx.prime ** level  # the runs these tests make end by level 6
     pctx = ctx.pctx
     p, digits = pctx.prime, pctx.precision
     scale, a, b, c, reflected = _shape(f)
@@ -836,14 +825,13 @@ def _full_tableau(valuations, sums, ctx):
 
 
 def _reference_integrate(f, ctx, target, level_cap=None):
-    cap = default_level_cap(ctx.prime) if level_cap is None else level_cap
     valuations = _u_coefficient_valuations(f, ctx)
     sums, history = [], []
-    stop = f"within level cap {cap}"
-    for level in range(1, cap + 1):
+    stop = f"within level cap {level_cap}"
+    for level in count(1) if level_cap is None else range(1, level_cap + 1):
         try:
             sums.append(_restart_sum(f, ctx, level))
-        except (BudgetExceeded, DivisionByZero, PrecisionExhausted) as exc:
+        except (DivisionByZero, PrecisionExhausted) as exc:
             if level == 1:
                 raise
             stop = f"before level {level} ({exc})"
@@ -911,13 +899,6 @@ def test_integrate_bit_identical_to_restart_reference(p):
                         seen.add(got[0] if got[0] != "missed" else
                                  "missed " + got[2].split()[5])
     assert seen == {"done", "missed within", "missed before", "PrecisionExhausted"}
-
-
-def test_default_level_caps():
-    assert default_level_cap(3) == 8
-    assert default_level_cap(5) == 6
-    assert default_level_cap(7) == 5
-    assert default_level_cap(11) == 4
 
 
 # -- closed forms ----------------------------------------------------------------
