@@ -3,15 +3,20 @@
 Subcommands: beta, xi, beta-poly, bernstein, integrate, verify, table,
 selftest.  Exit codes: 0 success / all verified, 1 identity violation,
 2 usage or configuration error (including insufficient working precision,
-save in a verify or selftest row, which is skipped), 3 work budget exceeded.
+save in a verify or selftest row, which is skipped, and output that cannot
+be written, to an ``--out`` file or a closed stdout), 3 work budget exceeded.
+
+``console_main`` is the process entry point (``python -m qbern.cli`` and
+the ``qbern`` script); ``main`` is the in-process one.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import io
 import json
+import os
 import sys
 from math import isinf
 
@@ -269,6 +274,8 @@ def _cmd_table(args) -> int:
             rows.append({"n": n, "k": args.k, "route": "direct",
                          "value": _render_cell(value, ctx)})
     if args.format == "csv":
+        import csv  # only this branch needs it, and every process pays its imports
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
         writer.writeheader()
@@ -334,5 +341,29 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def console_main() -> int:
+    """``main`` as a process: its exit code, with stdout flushed.
+
+    A closed stdout is an output that cannot be written: one error line and
+    exit 2, with stdout pointed at os.devnull so that the interpreter's own
+    final flush stays silent.  Last, every object is frozen, so that the
+    interpreter's collections at shutdown skip them all; normal shutdown
+    (flushes, atexit handlers, the exit code) is otherwise unchanged.
+    ``main`` freezes nothing, since its callers go on running.
+    """
+    try:
+        try:
+            return main()
+        finally:
+            if sys.stdout is not None:  # None when fd 1 was closed at start
+                sys.stdout.flush()
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

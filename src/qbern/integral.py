@@ -353,8 +353,11 @@ def _u_poly(f: Integrand, ctx: QContext) -> list:
     (r, s) of ``_bracket_form``: f is this times scale (1-s)^-(a+b), which
     the callers keep, as dividing by it here would cost digits."""
     _, a, b, c, reflected = _shape(f)
-    one = ctx.one()
-    r, s = _bracket_form(c, reflected, ctx)
+    return _expand(a, b, *_bracket_form(c, reflected, ctx), ctx.one())
+
+
+def _expand(a: int, b: int, r, s, one) -> list:
+    """The coefficients of (1 - r u)^a (r u - s)^b in u, in the ring of r and s."""
     poly = [one]
     for (c0, c1), power in (((one, -r), a), ((-s, r), b)):
         for _ in range(power):
@@ -366,10 +369,18 @@ def _u_poly(f: Integrand, ctx: QContext) -> list:
 
 def _u_coefficient_valuations(f: Integrand, ctx: QContext) -> list:
     """Lower bounds on the valuations of f's coefficients in u: r and s are
-    units and nu(1 - s) = nu(q - 1), so those of ``_u_poly`` plus a shift."""
-    scale, a, b, _, _ = _shape(f)
-    shift = int_valuation(scale, ctx.prime) - ctx.q_minus_one_valuation * (a + b)
-    return [shift + g._effective_valuation() for g in _u_poly(f, ctx)]
+    units and nu(1 - s) = nu(q - 1), so those of ``_u_poly`` plus a shift.
+
+    The expansion of ``_u_poly`` is taken in ints and read modulo p^K, from
+    q carried to exactly K digits: r = s^c for s = q, or 1/q when reflected.
+    A zero residue reads as K, as the precision of the padic zero does."""
+    scale, a, b, c, reflected = _shape(f)
+    p, digits = ctx.prime, ctx.pctx.precision
+    mod = p ** digits
+    s = pow(ctx.q.unit, -1 if reflected else 1, mod)
+    shift = int_valuation(scale, p) - ctx.q_minus_one_valuation * (a + b)
+    return [shift + min(int_valuation(g % mod, p), digits)
+            for g in _expand(a, b, pow(s, c, mod), s, 1)]
 
 
 def _neville_step(diagonal: list, s: Scalar, ctx: QContext) -> list:

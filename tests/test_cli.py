@@ -1,6 +1,9 @@
 """Command-line surface: outputs, formats, exit codes."""
 
+import gc
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,8 @@ import pytest
 
 import qbern
 from qbern.cli import main
+
+SRC = str(Path(qbern.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -611,11 +616,89 @@ def test_symbolic_verify_rejects_q_literal(capsys):
     assert err == "error: a q literal only applies to the padic backend\n"
 
 
-def test_cli_import_path_loads_no_dataclasses_or_typing():
-    # every qbern process pays its imports; -S keeps site's own imports out
-    src = str(Path(qbern.__file__).resolve().parents[1])
-    probe = (f"import sys; sys.path.insert(0, {src!r}); import qbern.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+def test_cli_import_path_loads_no_optional_modules():
+    # every qbern process pays its imports; -S keeps site's own imports out,
+    # and csv is imported only by the branch that writes it
+    probe = (f"import sys; sys.path.insert(0, {SRC!r}); import qbern.cli; "
+             "print(sorted({'csv', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", probe],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+# -- the process entry point ----------------------------------------------------
+#
+# ``python -m qbern.cli`` and the ``qbern`` script run ``console_main``: the
+# same bytes and exit code as ``main`` in-process, a closed stdout as exit 2,
+# and every object frozen before the interpreter shuts down.  The children
+# run with default stdout buffering and an 80-column help layout.
+
+
+def _child_env():
+    env = {**os.environ, "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--backend", "padic"], 0),
+    (["selftest", "--corrupt"], 1),
+    (["beta", "--n"], 2),
+    (["integrate", "--backend", "padic", "--level-cap", "2", "--target-valuation", "6",
+      "--integrand", '{"type":"bracket_power","offset":0,"power":6}'], 3),
+    (["--help"], 0),
+], ids=["verify", "corrupt", "usage", "budget", "help"])
+def test_process_matches_main(argv, code, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse's --help and usage errors
+        status = exc.code
+    captured = capsys.readouterr()
+    done = subprocess.run([sys.executable, "-m", "qbern.cli", *argv], env=_child_env(),
+                          capture_output=True, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        status, captured.out.encode(), captured.err.encode())
+    assert status == code
+
+
+@pytest.mark.parametrize("read", [0, 100], ids=["closed-at-start", "closed-after-100-bytes"])
+def test_closed_stdout_exits_2(read):
+    # as an unwritable --out: one error line, no traceback, exit 2; the
+    # symbolic verify output (about 250 kB) overfills the pipe
+    child = subprocess.Popen([sys.executable, "-m", "qbern.cli", "verify"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    assert len(child.stdout.read(read)) == read
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 2
+    assert err == b"error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+_SCRIPT = re.search(r'^qbern = "qbern\.cli:(\w+)"$',
+                    (Path(SRC).parent / "pyproject.toml").read_text(), re.M).group(1)
+_LAUNCHERS = {
+    "module": "runpy.run_module('qbern.cli', run_name='__main__')",
+    "script": f"from qbern.cli import {_SCRIPT}; sys.exit({_SCRIPT}())",
+}
+
+
+@pytest.mark.parametrize("launcher", _LAUNCHERS)
+@pytest.mark.parametrize("argv, code", [(["beta", "--n", "2"], 0), (["--help"], 0),
+                                        (["beta"], 2)], ids=["return", "help", "usage"])
+def test_process_freezes_before_shutdown(launcher, argv, code):
+    # an atexit hook runs after the entry point has returned or raised SystemExit
+    probe = ("import atexit, gc, runpy, sys; "
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+             f"sys.argv = ['qbern', *{argv!r}]; {_LAUNCHERS[launcher]}")
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == code
+    assert done.stderr.endswith("frozen True\n")
+
+
+def test_main_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert main(["beta", "--n", "2"]) == 0
+    assert gc.get_freeze_count() == before

@@ -733,6 +733,32 @@ def test_soundness_gate_catches_certificate_mutations(mutation, monkeypatch):
     assert next(violations, None) is not None, f"the soundness gate misses {mutation}"
 
 
+# 311 integrands, 4,420 coefficients in u
+VALUATION_SWEEP = (
+    *(BracketPower(c, m) for c in (-2, -1, 0, 1, 2, 5) for m in range(25)),
+    *(ReflectedPower(c, m) for c in (0, 1, 2) for m in range(25)),
+    *(BernsteinProduct(((k, n, 1),)) for n in range(0, 25, 3) for k in range(0, n + 1, 2)),
+    *(BernsteinProduct(((k, n, 2), (1, 3, 1)))
+      for n in range(1, 11) for k in (0, 3, 6, 9) if k <= n),
+)
+
+
+@pytest.mark.parametrize("p, digits, spec", [
+    (3, 24, "4"), (5, 24, "26"), (7, 24, "8"), (3, 3, "4"), (3, 4, "10"),
+])
+def test_coefficient_valuations_match_the_padic_expansion(p, digits, spec):
+    # the ints modulo p^K give, bit for bit, the valuations of ``_u_poly``
+    # expanded in PadicNumbers, zeros included (137 and 17 of them at K = 3
+    # and 4), where the padic zero's precision K is read
+    base = QContext.padic(p, digits, spec)
+    for ctx in (base, invert_q(base)):
+        for f in VALUATION_SWEEP:
+            scale, a, b, _, _ = _shape(f)
+            shift = int_valuation(scale, p) - ctx.q_minus_one_valuation * (a + b)
+            want = [shift + g._effective_valuation() for g in integral._u_poly(f, ctx)]
+            assert _u_coefficient_valuations(f, ctx) == want, (ctx.rational, f)
+
+
 def test_cap_miss_carries_best_certificate():
     # dividing by [p^N]_q costs N digits: with K = 6 level 2 proves 2 digits
     # and level 3 only 1, so the cap miss carries level 2
