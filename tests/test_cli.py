@@ -536,6 +536,53 @@ def test_global_flags_before_the_subcommand(capsys, before, after):
     assert first == run(capsys, *after)
 
 
+# argv -> (exit code, a fragment of stderr): how the command line is read,
+# whatever reads it
+_Q1 = "q = 1 is not an admissible padic q"
+ARGV_OUTCOMES = {
+    "flag-equals-value": (["beta", "--n=1", "--backend=padic", "--q=1"], 2, _Q1),
+    "flags-before-command": (["--backend", "padic", "--q", "1", "beta", "--n", "1"], 2, _Q1),
+    "flags-after-command": (["beta", "--n", "1", "--backend", "padic", "--q", "1"], 2, _Q1),
+    "repeat-last-wins": (["beta", "--n", "1", "--backend", "padic", "--q", "1", "--q", "4"],
+                         0, ""),
+    "repeat-last-loses": (["beta", "--n", "1", "--backend", "padic", "--q", "4", "--q", "1"],
+                          2, _Q1),
+    "repeat-after-command-wins": (["--q", "4", "beta", "--n", "1", "--backend", "padic",
+                                   "--q", "1"], 2, _Q1),
+    "prefix-prec": (["beta", "--n", "1", "--backend", "padic", "--p", "3", "--prec", "2",
+                     "--q", "10"], 2, "q - 1 vanishes to the working precision"),
+    "prefix-target": (["selftest", "--target", "0"], 2, "target valuation must be at least 1"),
+    "prefix-target-8": (["selftest", "--target", "8"], 0, ""),
+    "invalid-int": (["beta", "--n", "x"], 2, "argument --n: invalid int value: 'x'"),
+    "invalid-choice": (["beta", "--n", "2", "--backend", "foo"], 2,
+                       "argument --backend: invalid choice: 'foo' (choose from 'symbolic', 'padic')"),
+    "invalid-command": (["nope"], 2, "invalid choice: 'nope'"),
+    "unrecognized": (["beta", "--n", "2", "--grid", "g"], 2, "unrecognized arguments: --grid g"),
+    "switch-with-value": (["table", "--kind", "beta", "--range", "0:2", "--at-one=1"], 2,
+                          "argument --at-one: ignored explicit argument '1'"),
+    "no-command": ([], 2, "the following arguments are required: command"),
+    "missing-required": (["beta"], 2, "the following arguments are required: --n"),
+    "missing-value": (["beta", "--n"], 2, "argument --n: expected one argument"),
+    "help": (["--help"], 0, ""),
+    "command-help": (["verify", "--help"], 0, ""),
+    "dash-value-out": (["beta", "--out", "-x"], 2, "argument --out: expected one argument"),
+    "dash-value-range": (["table", "--kind", "beta", "--range", "-2:3"], 2,
+                         "argument --range: expected one argument"),
+}
+
+
+@pytest.mark.parametrize("name", ARGV_OUTCOMES)
+def test_argv_outcome(name, capsys):
+    argv, code, fragment = ARGV_OUTCOMES[name]
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # usage errors and help
+        status = exc.code
+    err = capsys.readouterr().err
+    assert status == code
+    assert fragment in err if fragment else err == ""
+
+
 def test_table_beta_csv(capsys):
     code, out, _ = run(capsys, "table", "--kind", "beta", "--range", "0:2",
                        "--format", "csv", "--at-one")
