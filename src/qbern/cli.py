@@ -12,13 +12,13 @@ the ``qbern`` script); ``main`` is the in-process one.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import json
 import os
 import sys
 from math import isinf
+from types import SimpleNamespace
 
 from .bernstein import BernsteinSpec, bernstein_eval
 from .carlitz import eval_at_one, table_for
@@ -40,85 +40,26 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-# the output flags; the defaults of the others are SuiteConfig's
-_OUTPUT_DEFAULTS = {"format": "json", "out": None}
+# The command line is one table, which _parse reads and _help prints.  An
+# option is flag: (destination, converter, default, help); the converter is
+# int, str, a tuple of choices, or None for a switch, which takes no value.
+# A default of UNSET leaves the option out of args, so that a suite flag (named
+# after the SuiteConfig field it sets) not given leaves its grid field standing.
 
+REQUIRED, UNSET = object(), object()
 
-# options whose value is a rational literal, which may start with "-";
-# _add_literal declares them and _join_literals keeps their values attached
-_LITERAL_OPTIONS = set()
-
-
-def _add_literal(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
-    _LITERAL_OPTIONS.add(name)
-    parser.add_argument(name, **kwargs)
-
-
-def _global_flags() -> argparse.ArgumentParser:
-    # Shared flags, accepted both before and after the subcommand; defaults
-    # are suppressed here so the position of a flag never matters, and each
-    # flag not given is absent from the parsed namespace.  The suite flags
-    # are named after the SuiteConfig fields they set.
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--p", dest="prime", type=int, help="odd prime (padic backend)")
-    common.add_argument("--precision", type=int,
-                        help="working precision K in base-p digits")
-    _add_literal(common, "--q", help='q as a rational "a/b" or the token "1+p" (padic only)')
-    common.add_argument("--backend", choices=("symbolic", "padic"))
-    common.add_argument("--target-valuation", type=int)
-    common.add_argument("--level-cap", type=int)
-    common.add_argument("--format", choices=("json", "csv"))
-    common.add_argument("--out", help="output path (default stdout)")
-    return common
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = _global_flags()
-    parser = argparse.ArgumentParser(
-        prog="qbern",
-        description="Exact q-Bernoulli / q-Bernstein arithmetic and identity verification",
-        parents=[common],
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_beta = sub.add_parser("beta", parents=[common], help="Carlitz q-Bernoulli number")
-    p_beta.add_argument("--n", type=int, required=True)
-
-    p_xi = sub.add_parser("xi", parents=[common], help="unmodified Carlitz number")
-    p_xi.add_argument("--n", type=int, required=True)
-
-    p_poly = sub.add_parser("beta-poly", parents=[common],
-                            help="Carlitz q-Bernoulli polynomial value")
-    p_poly.add_argument("--n", type=int, required=True)
-    _add_literal(p_poly, "--x", required=True, help="integer or rational argument")
-
-    p_bern = sub.add_parser("bernstein", parents=[common], help="basis polynomial value")
-    p_bern.add_argument("--k", type=int, required=True)
-    p_bern.add_argument("--n", type=int, required=True)
-    _add_literal(p_bern, "--x", required=True)
-
-    p_int = sub.add_parser("integrate", parents=[common],
-                           help="adaptive p-adic q-integral")
-    p_int.add_argument("--integrand", required=True,
-                       help="integrand JSON (inline or @file)")
-
-    p_verify = sub.add_parser("verify", parents=[common], help="run the identity suite")
-    p_verify.add_argument("--grid", default=None, help="grid JSON file")
-
-    p_table = sub.add_parser("table", parents=[common], help="tabulate values")
-    p_table.add_argument("--kind", choices=("beta", "bernstein", "integral"),
-                         required=True)
-    p_table.add_argument("--range", required=True, help='index range "a:b" (inclusive)')
-    _add_literal(p_table, "--x", default="2", help="argument for bernstein tables")
-    p_table.add_argument("--k", type=int, default=0, help="lower index for integral tables")
-    p_table.add_argument("--at-one", action="store_true", default=False,
-                         help="add the q=1 column (symbolic tables)")
-
-    p_self = sub.add_parser("selftest", parents=[common], help="small grid self-check")
-    p_self.add_argument("--corrupt", action="store_true", default=False,
-                        help="flip one sign to prove failures are detected")
-
-    return parser
+_GLOBAL_OPTIONS = {
+    "--help": ("help", None, UNSET, "show this help and exit (also -h)"),
+    "--p": ("prime", int, UNSET, "odd prime (padic backend)"),
+    "--precision": ("precision", int, UNSET, "working precision K in base-p digits"),
+    "--q": ("q", str, UNSET, 'q as a rational "a/b" or the token "1+p" (padic only)'),
+    "--backend": ("backend", ("symbolic", "padic"), UNSET, "arithmetic backend"),
+    "--target-valuation": ("target_valuation", int, UNSET,
+                           "valuation a padic comparison must reach"),
+    "--level-cap": ("level_cap", int, UNSET, "deepest Riemann level"),
+    "--format": ("format", ("json", "csv"), "json", "table output format"),
+    "--out": ("out", str, None, "output path (default stdout)"),
+}
 
 
 def _config(args, grid=None) -> SuiteConfig:
@@ -179,7 +120,13 @@ def _emit(args, text: str):
         except OSError as exc:
             raise DomainError(f"cannot write output file: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
+
+
+def _write_stdout(text: str):
+    if sys.stdout is None:  # fd 1 was closed at start
+        raise DomainError("cannot write output: stdout is closed")
+    sys.stdout.write(text)
 
 
 def _render_cell(value, ctx) -> str:
@@ -301,38 +248,125 @@ def _cmd_selftest(args) -> int:
     return suite_exit_status(reports)
 
 
+_N = {"--n": ("n", int, REQUIRED, "index n")}
+_X = {"--x": ("x", str, REQUIRED, "integer or rational argument")}
 _COMMANDS = {
-    "beta": _cmd_number,
-    "xi": _cmd_number,
-    "beta-poly": _cmd_beta_poly,
-    "bernstein": _cmd_bernstein,
-    "integrate": _cmd_integrate,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
-    "selftest": _cmd_selftest,
+    "beta": (_cmd_number, "Carlitz q-Bernoulli number", _N),
+    "xi": (_cmd_number, "unmodified Carlitz number", _N),
+    "beta-poly": (_cmd_beta_poly, "Carlitz q-Bernoulli polynomial value", {**_N, **_X}),
+    "bernstein": (_cmd_bernstein, "basis polynomial value",
+                  {"--k": ("k", int, REQUIRED, "index k"), **_N, **_X}),
+    "integrate": (_cmd_integrate, "adaptive p-adic q-integral", {
+        "--integrand": ("integrand", str, REQUIRED, "integrand JSON (inline or @file)")}),
+    "verify": (_cmd_verify, "run the identity suite",
+               {"--grid": ("grid", str, None, "grid JSON file")}),
+    "table": (_cmd_table, "tabulate values", {
+        "--kind": ("kind", ("beta", "bernstein", "integral"), REQUIRED, "what to tabulate"),
+        "--range": ("range", str, REQUIRED, 'index range "a:b" (inclusive)'),
+        "--x": ("x", str, "2", "argument for bernstein tables"),
+        "--k": ("k", int, 0, "lower index for integral tables"),
+        "--at-one": ("at_one", None, False, "add the q=1 column (symbolic tables)"),
+    }),
+    "selftest": (_cmd_selftest, "small grid self-check", {
+        "--corrupt": ("corrupt", None, False, "flip one sign to prove failures are detected")}),
 }
 
 
-def _join_literals(argv: list) -> list:
-    """``--x -1/2`` as ``--x=-1/2``: argparse reads a value that starts with
-    "-" and is not a plain number as the next option."""
-    out = []
-    for token in argv:
-        if out and out[-1] in _LITERAL_OPTIONS and token[:1] == "-" and token[:2] != "--":
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
+def _parse(argv: list) -> SimpleNamespace:
+    """``argv`` read against the table.  The global options go before or
+    after the command.  A value follows its flag after "=", or is the next
+    token unless that starts with "--" (``--x -1/2``); a flag may be any
+    unique prefix of its name (``--prec``); the last of a repeated flag wins.
+    Help exits 0, and a usage error exits 2 with argparse's wording."""
+    command, options, values, extras = None, _GLOBAL_OPTIONS, {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=") if token != "-h" else ("--help", "", "")
+        if flag[:2] != "--":
+            if command is not None:
+                extras.append(token)
+            elif token in _COMMANDS:
+                command, options = token, {**_COMMANDS[token][2], **_GLOBAL_OPTIONS}
+            else:
+                _fail(None, f"argument command: invalid choice: {token!r} "
+                            f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            continue
+        names = [flag] if flag in options else [name for name in options if name.startswith(flag)]
+        if len(names) != 1:
+            if names:
+                _fail(command, f"ambiguous option: {flag} could match {', '.join(names)}")
+            extras.append(token)
+            continue
+        name = names[0]
+        dest, convert = options[name][:2]
+        if name == "--help":
+            _write_stdout(_help(command))
+            raise SystemExit(EXIT_OK)
+        if convert is None:
+            if eq:
+                _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, "--")
+            if value[:2] == "--":
+                _fail(command, f"argument {name}: expected one argument")
+        if isinstance(convert, tuple) and value not in convert:
+            _fail(command, f"argument {name}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, convert))})")
+        try:
+            values[dest] = value if isinstance(convert, tuple) else convert(value)
+        except ValueError:
+            _fail(command, f"argument {name}: invalid {convert.__name__} value: {value!r}")
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    missing = [name for name, (dest, _, default, _) in options.items()
+               if default is REQUIRED and dest not in values]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(command, f"unrecognized arguments: {' '.join(extras)}")
+    defaults = {dest: default for dest, _, default, _ in options.values()
+                if default is not REQUIRED and default is not UNSET}
+    return SimpleNamespace(command=command, **{**defaults, **values})
+
+
+def _fail(command, message: str):
+    prog = f"qbern {command}" if command else "qbern"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _usage(command) -> str:
+    return f"usage: qbern {command or '[options] COMMAND'} [options]"
+
+
+def _flag(name: str, option) -> str:
+    dest, convert = option[:2]
+    meta = "{" + ",".join(convert) + "}" if isinstance(convert, tuple) else dest.upper()
+    return name if convert is None else f"{name} {meta}"
+
+
+def _help(command) -> str:
+    if command is None:
+        lines = ["Exact q-Bernoulli / q-Bernstein arithmetic and identity verification", "",
+                 "commands:", *(f"  {name:<11}{spec[1]}" for name, spec in _COMMANDS.items()),
+                 "", "options, before or after the command:"]
+        options = _GLOBAL_OPTIONS
+    else:
+        lines = [_COMMANDS[command][1], "", "options:"]
+        options = {**_COMMANDS[command][2], **_GLOBAL_OPTIONS}
+    flags = {_flag(name, option): option[3] + " (required)" * (option[2] is REQUIRED)
+             for name, option in options.items()}
+    width = max(map(len, flags)) + 2
+    return "\n".join([_usage(command), "", *lines,
+                      *(f"  {flag:<{width}}{text}" for flag, text in flags.items())]) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_join_literals(sys.argv[1:] if argv is None else list(argv)))
-    for key, value in _OUTPUT_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
     try:
-        return _COMMANDS[args.command](args)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return _COMMANDS[args.command][0](args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -346,11 +380,16 @@ def console_main() -> int:
 
     A closed stdout is an output that cannot be written: one error line and
     exit 2, with stdout pointed at os.devnull so that the interpreter's own
-    final flush stays silent.  Last, every object is frozen, so that the
+    final flush stays silent.  Under ``python -u`` stdout gets back its
+    buffered layer, since its text layer would drop what a short write to
+    the raw file leaves.  Last, every object is frozen, so that the
     interpreter's collections at shutdown skip them all; normal shutdown
     (flushes, atexit handlers, the exit code) is otherwise unchanged.
     ``main`` freezes nothing, since its callers go on running.
     """
+    if isinstance(getattr(sys.stdout, "buffer", None), io.FileIO):
+        sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                          errors=sys.stdout.errors, closefd=False)
     try:
         try:
             return main()

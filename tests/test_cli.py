@@ -565,9 +565,11 @@ ARGV_OUTCOMES = {
     "missing-value": (["beta", "--n"], 2, "argument --n: expected one argument"),
     "help": (["--help"], 0, ""),
     "command-help": (["verify", "--help"], 0, ""),
-    "dash-value-out": (["beta", "--out", "-x"], 2, "argument --out: expected one argument"),
+    # a value starting with one "-" is a value: "-x" is the output path here,
+    # and "-2:3" a range whose first index is refused
+    "dash-value-out": (["beta", "--out", "-x"], 2, "the following arguments are required: --n"),
     "dash-value-range": (["table", "--kind", "beta", "--range", "-2:3"], 2,
-                         "argument --range: expected one argument"),
+                         "error: index must be nonnegative"),
 }
 
 
@@ -665,9 +667,11 @@ def test_symbolic_verify_rejects_q_literal(capsys):
 
 def test_cli_import_path_loads_no_optional_modules():
     # every qbern process pays its imports; -S keeps site's own imports out,
-    # and csv is imported only by the branch that writes it
+    # csv is imported only by the branch that writes it, and the command line
+    # is read without argparse and the gettext and locale it pulls in
     probe = (f"import sys; sys.path.insert(0, {SRC!r}); import qbern.cli; "
-             "print(sorted({'csv', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+             "print(sorted({'argparse', 'csv', 'dataclasses', 'gettext', 'inspect', 'locale',"
+             " 'typing'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", probe],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
@@ -695,12 +699,14 @@ def _child_env():
     (["integrate", "--backend", "padic", "--level-cap", "2", "--target-valuation", "6",
       "--integrand", '{"type":"bracket_power","offset":0,"power":6}'], 3),
     (["--help"], 0),
-], ids=["verify", "corrupt", "usage", "budget", "help"])
+    (["verify", "--help"], 0),
+    (["beta", "--n", "2", "--backend", "foo"], 2),
+], ids=["verify", "corrupt", "usage", "budget", "help", "command-help", "invalid-choice"])
 def test_process_matches_main(argv, code, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     try:
         status = main(argv)
-    except SystemExit as exc:  # argparse's --help and usage errors
+    except SystemExit as exc:  # --help and usage errors
         status = exc.code
     captured = capsys.readouterr()
     done = subprocess.run([sys.executable, "-m", "qbern.cli", *argv], env=_child_env(),
@@ -710,17 +716,36 @@ def test_process_matches_main(argv, code, capsys, monkeypatch):
     assert status == code
 
 
-@pytest.mark.parametrize("read", [0, 100], ids=["closed-at-start", "closed-after-100-bytes"])
-def test_closed_stdout_exits_2(read):
-    # as an unwritable --out: one error line, no traceback, exit 2; the
-    # symbolic verify output (about 250 kB) overfills the pipe
-    child = subprocess.Popen([sys.executable, "-m", "qbern.cli", "verify"],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
-    assert len(child.stdout.read(read)) == read
-    child.stdout.close()
-    err = child.stderr.read()
-    assert child.wait(timeout=60) == 2
-    assert err == b"error: cannot write output: [Errno 32] Broken pipe\n"
+_PIPE_ERROR = b"error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv, read, code, err", [
+    (["verify"], 0, 2, _PIPE_ERROR),
+    (["verify"], 100, 2, _PIPE_ERROR),
+    (["beta", "--n", "2"], None, 2, b"error: cannot write output: stdout is closed\n"),
+    (["beta", "--n", "2", "--out", "{tmp}/beta.json"], None, 0, b""),
+], ids=["closed-at-start", "closed-after-100-bytes", "fd-1-closed", "fd-1-closed-out-file"])
+def test_closed_stdout_exits_2(argv, read, code, err, tmp_path):
+    # as an unwritable --out: one error line, no traceback, exit 2, while an
+    # --out file is still written.  A pipe
+    # is closed after ``read`` bytes, which the symbolic verify output (about
+    # 250 kB) overfills; with ``read`` None fd 1 is closed before the child
+    # starts.  Both with default buffering and under PYTHONUNBUFFERED=1,
+    # whose raw stdout would otherwise drop a short write's remainder.
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    for unbuffered in (False, True):
+        env = {**_child_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+        child = subprocess.Popen([sys.executable, "-m", "qbern.cli", *argv],
+                                 stdout=subprocess.PIPE if read is not None else None,
+                                 stderr=subprocess.PIPE, env=env,
+                                 preexec_fn=None if read is not None else lambda: os.close(1))
+        if read is not None:
+            assert len(child.stdout.read(read)) == read
+            child.stdout.close()
+        assert (child.stderr.read(), child.wait(timeout=60)) == (err, code)
+        child.stderr.close()
+    if code == 0:
+        assert json.loads((tmp_path / "beta.json").read_text())["n"] == 2
 
 
 _SCRIPT = re.search(r'^qbern = "qbern\.cli:(\w+)"$',
