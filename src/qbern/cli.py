@@ -27,9 +27,12 @@ from .identities import (
     _GRID_FIELDS,
     SuiteConfig,
     _corrupted,
+    report_lines,
     reports_to_jsonl,
     run_suite,
     suite_exit_status,
+    summarize,
+    summary_line,
 )
 from .integral import bernstein_power_product_integral, integrand_from_json, integrate
 from .qfield import rational_literal
@@ -57,7 +60,6 @@ _GLOBAL_OPTIONS = {
     "--target-valuation": ("target_valuation", int, UNSET,
                            "valuation a padic comparison must reach"),
     "--level-cap": ("level_cap", int, UNSET, "deepest Riemann level"),
-    "--format": ("format", ("json", "csv"), "json", "table output format"),
     "--out": ("out", str, None, "output path (default stdout)"),
 }
 
@@ -172,9 +174,124 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_verify(args) -> int:
     grid = _read_json("@" + args.grid, "grid") if args.grid else None
-    reports = run_suite(_config(args, grid))
-    _emit(args, reports_to_jsonl(reports))
-    return suite_exit_status(reports)
+    config = _config(args, grid)
+    rows = config.grid()
+    workers = worker_count(len(rows), args.cpus)
+    bounds = [len(rows) * i // workers for i in range(workers + 1)]
+    chunks = [config.replace(identities=rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    counts, lines = zip(*_verify_chunks(chunks))
+    total = {key: sum(chunk[key] for chunk in counts) for key in counts[0]}
+    _emit(args, "".join(lines) + summary_line(total))
+    return EXIT_VIOLATION if total["failed"] else EXIT_OK
+
+
+# The rows of a grid are independent, so a process may verify them on every
+# CPU it can use: in contiguous chunks, each but the first in a forked worker.
+# A worker rebuilds the exact Carlitz tables its rows read, bit for bit, so the
+# lines it sends are those a serial run prints.  os.fork and a pipe, not
+# multiprocessing, whose import alone costs more than a small grid's rows.
+# ROWS_PER_WORKER is the fewest rows that repay a worker's fork and cold
+# tables: shuffled symbolic grids split in two gained nothing at 160 rows a
+# worker and won at 200 (fresh processes, 2-CPU x86_64).
+
+ROWS_PER_WORKER = 200
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def worker_count(rows: int, cpus: int) -> int:
+    """The chunks a grid of ``rows`` rows is verified in on ``cpus`` CPUs."""
+    return max(1, min(cpus, rows // ROWS_PER_WORKER))
+
+
+def _verify_chunk(config) -> tuple:
+    reports = run_suite(config)
+    return summarize(reports), report_lines(reports)
+
+
+def _verify_chunks(chunks) -> list:
+    """The (counts, report lines) of each chunk's config, in order.  The
+    first chunk is verified here, after a worker is forked for each other.
+    A worker that cannot start, exits nonzero or sends a short payload has
+    its chunk verified here again, so that an error is raised as a serial
+    run raises it.  However the run ends, no worker outlives it."""
+    workers = []  # (pid, read end of its pipe), or None, per chunk after the first
+    try:
+        for chunk in chunks[1:]:
+            workers.append(_fork(chunk))
+        results = [_verify_chunk(chunks[0])]
+        for chunk in chunks[1:]:
+            received = workers[0] and _receive(*workers[0], chunk)
+            workers.pop(0)
+            results.append(received or _verify_chunk(chunk))
+        return results
+    except BaseException:
+        for worker in filter(None, workers):
+            _end(*worker)
+        raise
+
+
+def _fork(chunk):
+    """(pid, read end of its pipe) of a worker that verifies ``chunk`` and
+    sends its summary line, then its report lines; None where no process
+    can be started."""
+    try:
+        pipe, out = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(pipe)
+        os.close(out)
+        return None
+    if pid == 0:  # the worker: no flush, atexit handler or error line of its own
+        status = 1
+        try:
+            os.close(pipe)
+            counts, lines = _verify_chunk(chunk)
+            with open(out, "wb") as stream:
+                stream.write((summary_line(counts) + lines).encode())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(out)
+    return pid, pipe
+
+
+def _receive(pid: int, pipe: int, chunk):
+    """The (counts, report lines) that worker ``pid`` sent for ``chunk``,
+    read to the end of ``pipe`` before the worker is reaped; None if it
+    exited nonzero or the payload is short."""
+    with open(pipe, "rb") as stream:
+        head, _, lines = stream.read().decode().partition("\n")
+    try:
+        status = os.waitpid(pid, 0)[1]
+    except ChildProcessError:  # reaped already, where SIGCHLD is ignored
+        status = 0
+    if status != 0 or lines.count("\n") != len(chunk.identities):
+        return None
+    return json.loads(head)["summary"], lines
+
+
+def _end(pid: int, pipe: int):
+    """Kill and reap worker ``pid`` and close ``pipe``, each where not done
+    already."""
+    from signal import SIGKILL  # only a run that fails needs it
+
+    for step, *arguments in ((os.kill, pid, SIGKILL), (os.waitpid, pid, 0), (os.close, pipe)):
+        try:
+            step(*arguments)
+        except OSError:  # done already
+            pass
 
 
 def _parse_range(text: str):
@@ -266,6 +383,7 @@ _COMMANDS = {
         "--x": ("x", str, "2", "argument for bernstein tables"),
         "--k": ("k", int, 0, "lower index for integral tables"),
         "--at-one": ("at_one", None, False, "add the q=1 column (symbolic tables)"),
+        "--format": ("format", ("json", "csv"), "json", "output format"),
     }),
     "selftest": (_cmd_selftest, "small grid self-check", {
         "--corrupt": ("corrupt", None, False, "flip one sign to prove failures are detected")}),
@@ -363,9 +481,12 @@ def _help(command) -> str:
                       *(f"  {flag:<{width}}{text}" for flag, text in flags.items())]) + "\n"
 
 
-def main(argv=None) -> int:
+def main(argv=None, cpus: int = 1) -> int:
+    """The command of ``argv`` (by default the process's) as an exit code;
+    ``verify`` may use up to ``cpus`` processes, so by default it runs here."""
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
+        args.cpus = cpus
         return _COMMANDS[args.command][0](args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -376,7 +497,8 @@ def main(argv=None) -> int:
 
 
 def console_main() -> int:
-    """``main`` as a process: its exit code, with stdout flushed.
+    """``main`` as a process, whose ``verify`` may fork a worker per
+    usable CPU: its exit code, with stdout flushed.
 
     A closed stdout is an output that cannot be written: one error line and
     exit 2, with stdout pointed at os.devnull so that the interpreter's own
@@ -392,7 +514,7 @@ def console_main() -> int:
                           errors=sys.stdout.errors, closefd=False)
     try:
         try:
-            return main()
+            return main(cpus=usable_cpus())
         finally:
             if sys.stdout is not None:  # None when fd 1 was closed at start
                 sys.stdout.flush()

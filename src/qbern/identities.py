@@ -490,6 +490,10 @@ class SuiteConfig(Record):
             return QContext.symbolic()
         return QContext.padic(self.prime, self.precision, self.q)
 
+    def grid(self) -> list:
+        """The entries to verify: the configured ones, else the built-in grid."""
+        return self.identities if self.identities is not None else default_grid(self.backend)
+
     @classmethod
     def from_json(cls, data) -> "SuiteConfig":
         """The configuration of a JSON grid; malformed input raises DomainError."""
@@ -575,9 +579,8 @@ def default_grid(backend: str) -> list:
 def run_suite(config: SuiteConfig) -> list:
     """Run the configured grid; one report per entry, in grid order."""
     ctx = config.context()
-    grid = config.identities if config.identities is not None else default_grid(config.backend)
     return [verify(name, params, ctx, config.target_valuation, config.level_cap)
-            for name, params in grid]
+            for name, params in config.grid()]
 
 
 def _corrupted(report: IdentityReport, ctx: QContext) -> IdentityReport:
@@ -611,9 +614,19 @@ def suite_exit_status(reports) -> int:
     return 1 if any(not r.passed for r in reports) else 0
 
 
+# one encoder for every line: json.dumps builds one per call
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def report_lines(reports) -> str:
+    """One JSON line per report, each ending in a newline."""
+    return "".join([_encode(r.to_json()) + "\n" for r in reports])
+
+
+def summary_line(counts: dict) -> str:
+    """The closing line of a report stream: ``counts`` as ``summarize`` gives them."""
+    return _encode({"summary": counts}) + "\n"
+
+
 def reports_to_jsonl(reports) -> str:
-    # one encoder for every line: json.dumps builds one per call
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    lines = [encode(r.to_json()) for r in reports]
-    lines.append(encode({"summary": summarize(reports)}))
-    return "\n".join(lines) + "\n"
+    return report_lines(reports) + summary_line(summarize(reports))

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,10 @@ from pathlib import Path
 import pytest
 
 import qbern
+from qbern import cli
 from qbern.cli import main
+from qbern.errors import DomainError
+from qbern.identities import CATALOG, SuiteConfig, default_grid
 
 SRC = str(Path(qbern.__file__).resolve().parents[1])
 
@@ -525,11 +529,11 @@ def test_selftest_corrupt_flips_the_first_row_that_ran(capsys):
 
 
 @pytest.mark.parametrize("before, after", [
-    (["--format", "csv", "table", "--kind", "beta", "--range", "0:2"],
-     ["table", "--kind", "beta", "--range", "0:2", "--format", "csv"]),
+    (["--precision", "6", "table", "--kind", "beta", "--range", "0:2", "--backend", "padic"],
+     ["table", "--kind", "beta", "--range", "0:2", "--backend", "padic", "--precision", "6"]),
     (["--backend", "padic", "--p", "5", "beta", "--n", "3"],
      ["beta", "--n", "3", "--backend", "padic", "--p", "5"]),
-], ids=["format", "backend"])
+], ids=["precision", "backend"])
 def test_global_flags_before_the_subcommand(capsys, before, after):
     first = run(capsys, *before)
     assert first[0] == 0
@@ -558,6 +562,9 @@ ARGV_OUTCOMES = {
                        "argument --backend: invalid choice: 'foo' (choose from 'symbolic', 'padic')"),
     "invalid-command": (["nope"], 2, "invalid choice: 'nope'"),
     "unrecognized": (["beta", "--n", "2", "--grid", "g"], 2, "unrecognized arguments: --grid g"),
+    # only table reads --format, so every other command refuses it
+    "format-off-table": (["beta", "--n", "2", "--format", "csv"], 2,
+                         "unrecognized arguments: --format csv"),
     "switch-with-value": (["table", "--kind", "beta", "--range", "0:2", "--at-one=1"], 2,
                           "argument --at-one: ignored explicit argument '1'"),
     "no-command": ([], 2, "the following arguments are required: command"),
@@ -694,6 +701,7 @@ def _child_env():
 
 @pytest.mark.parametrize("argv, code", [
     (["verify", "--backend", "padic"], 0),
+    (["verify"], 0),
     (["selftest", "--corrupt"], 1),
     (["beta", "--n"], 2),
     (["integrate", "--backend", "padic", "--level-cap", "2", "--target-valuation", "6",
@@ -701,7 +709,8 @@ def _child_env():
     (["--help"], 0),
     (["verify", "--help"], 0),
     (["beta", "--n", "2", "--backend", "foo"], 2),
-], ids=["verify", "corrupt", "usage", "budget", "help", "command-help", "invalid-choice"])
+], ids=["verify", "verify-split", "corrupt", "usage", "budget", "help", "command-help",
+        "invalid-choice"])
 def test_process_matches_main(argv, code, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     try:
@@ -774,3 +783,153 @@ def test_main_freezes_nothing(capsys):
     before = gc.get_freeze_count()
     assert main(["beta", "--n", "2"]) == 0
     assert gc.get_freeze_count() == before
+
+
+# -- verify split over forked workers -------------------------------------------
+#
+# In the process, a grid of at least 2 * ROWS_PER_WORKER rows is verified in
+# chunks, each after the first by a forked worker; the symbolic default grid
+# (478 rows) is one.  A plant is a catalog row made to raise or to fail, which
+# the workers inherit: the rows Q_TO_1 n = 12, near the grid's end, are in a
+# worker's chunk, and PROP2 n = 2, its first row, in the parent's.
+
+_PLANTS = {
+    "worker-fails": ("Q_TO_1", 12, None),
+    "worker-raises": ("Q_TO_1", 12, DomainError("planted in a worker's chunk")),
+    "parent-raises": ("PROP2", 2, DomainError("planted in the first chunk")),
+}
+_TESTS = str(Path(__file__).resolve().parent)
+# ``console_main`` on two CPUs, whatever the host has, with the plant named
+# by its first argument; "no worker left" closes stderr if it left no child
+_SPLIT = f"""import os, sys
+sys.path.insert(0, {_TESTS!r})
+import test_cli
+from qbern import cli
+cli.usable_cpus = lambda: 2
+plant = sys.argv.pop(1)
+if plant:
+    test_cli.plant(setattr, plant)
+code = cli.console_main()
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.stderr.write("no worker left\\n")
+sys.exit(code)
+"""
+
+
+def plant(setattr, name: str):
+    """Set, with ``setattr``, the side function of the row the plant
+    ``name`` names, so that the row raises or its right side is negated."""
+    identity, n, error = _PLANTS[name]
+    entry = CATALOG[identity]
+    sides = entry.sides
+
+    def planted(run, **params):
+        if params["n"] != n:
+            return sides(run, **params)
+        if error is not None:
+            raise error
+        lhs, rhs, notes, quarantined = sides(run, **params)
+        return lhs, -rhs, notes, quarantined
+
+    setattr(entry, "sides", planted)
+
+
+def _split(plant_name: str, *argv, read=None):
+    """(exit code, stdout, stderr) of ``_SPLIT``; stdout is closed unread
+    when ``read`` is 0."""
+    child = subprocess.Popen([sys.executable, "-c", _SPLIT, plant_name, *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    if read == 0:
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        return child.wait(timeout=60), b"", err
+    out, err = child.communicate(timeout=60)
+    return child.returncode, out, err
+
+
+def test_the_plants_fall_in_the_chunks_they_are_named_after():
+    grid = default_grid("symbolic")
+    assert cli.worker_count(len(grid), 2) == 2
+    assert grid.index(("PROP2", {"n": 2})) < len(grid) // 2 <= grid.index(("Q_TO_1", {"n": 12}))
+
+
+@pytest.mark.parametrize("name, code", [("worker-fails", 1), ("worker-raises", 2),
+                                        ("parent-raises", 2)])
+def test_a_planted_row_ends_the_split_run_as_the_serial_one(name, code, capsys, monkeypatch):
+    plant(monkeypatch.setattr, name)
+    status = main(["verify"])
+    captured = capsys.readouterr()
+    assert status == code
+    assert _split(name, "verify") == (
+        status, captured.out.encode(), captured.err.encode() + b"no worker left\n")
+
+
+@pytest.mark.parametrize("name, read, code", [
+    ("", None, 0), ("worker-fails", None, 1), ("worker-raises", None, 2),
+    ("parent-raises", None, 2), ("", 0, 2),
+], ids=["exit-0", "exit-1", "exit-2-worker", "exit-2-parent", "closed-stdout"])
+def test_no_worker_outlives_console_main(name, read, code):
+    status, _, err = _split(name, "verify", read=read)
+    assert status == code
+    assert err.endswith(b"no worker left\n")
+
+
+def test_a_short_payload_is_refused():
+    chunk = SuiteConfig(identities=[("PROP2", {"n": 2}), ("PROP2", {"n": 3})])
+    pipe, out = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # one report line of the two, then a clean exit
+        try:
+            os.write(out, b'{"summary":{"total":2}}\n{"identity":"PROP2"}\n')
+        finally:
+            os._exit(0)
+    os.close(out)
+    assert cli._receive(pid, pipe, chunk) is None
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_worker_that_cannot_start_leaves_its_rows_here(call, capsys, monkeypatch):
+    serial = run(capsys, "verify")
+
+    def refuse():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, call, refuse)
+    code = main(["verify"], cpus=2)
+    assert (code, *capsys.readouterr()) == serial
+
+
+def test_a_process_that_ignores_sigchld_prints_the_same_bytes():
+    # SIG_IGN survives exec, and then the kernel reaps each worker itself
+    runs = [subprocess.run([sys.executable, "-m", "qbern.cli", "verify"], env=_child_env(),
+                           capture_output=True, check=False, preexec_fn=preexec)
+            for preexec in (None, lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN))]
+    assert [(done.returncode, done.stdout, done.stderr) for done in runs] == [
+        (0, runs[0].stdout, b"")] * 2
+
+
+def test_main_alone_never_forks(capsys, monkeypatch):
+    def fork():
+        raise AssertionError("main forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert main(["verify"]) == 0
+
+
+def test_worker_count_is_one_where_a_split_cannot_pay(monkeypatch):
+    least = 2 * cli.ROWS_PER_WORKER
+    assert cli.worker_count(100 * least, 1) == 1
+    assert cli.worker_count(least - 1, 64) == 1
+    assert cli.worker_count(least, 64) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert cli.usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli.usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli.usable_cpus() == 4
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert cli.usable_cpus() == 1
