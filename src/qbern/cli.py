@@ -304,6 +304,8 @@ def _parse_range(text: str):
 
 
 def _cmd_table(args) -> int:
+    if args.at_one and args.kind != "beta":
+        raise DomainError("the q=1 column is for beta tables only")
     ctx = _config(args).context()
     tbl = table_for(ctx)
     rows = []
@@ -382,7 +384,7 @@ _COMMANDS = {
         "--range": ("range", str, REQUIRED, 'index range "a:b" (inclusive)'),
         "--x": ("x", str, "2", "argument for bernstein tables"),
         "--k": ("k", int, 0, "lower index for integral tables"),
-        "--at-one": ("at_one", None, False, "add the q=1 column (symbolic tables)"),
+        "--at-one": ("at_one", None, False, "add the q=1 column (symbolic beta tables)"),
         "--format": ("format", ("json", "csv"), "json", "output format"),
     }),
     "selftest": (_cmd_selftest, "small grid self-check", {

@@ -34,7 +34,8 @@ class DomainError(QbernError, ValueError):
 
 
 class BudgetExceeded(QbernError):
-    """A computation would exceed the configured work budget."""
+    """A computation would exceed the term budget, or (as MaxLevelExceeded)
+    a Riemann run ended short of its target."""
 
 
 class MaxLevelExceeded(BudgetExceeded):

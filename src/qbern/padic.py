@@ -115,28 +115,17 @@ class PadicNumber:
         return cls(ctx, inf, 0, prec)
 
     @classmethod
-    def from_rational(cls, num: int, den: int, ctx: PadicContext) -> "PadicNumber":
-        """Embed num/den into Q_p with K certified unit digits."""
-        if den == 0:
-            raise DivisionByZero("denominator of a rational embedding is zero")
+    def from_fraction(cls, value: int | Fraction, ctx: PadicContext) -> "PadicNumber":
+        """Embed an int or Fraction into Q_p with K certified unit digits."""
+        num, den = value.numerator, value.denominator
         if num == 0:
             return cls.zero(ctx)
-        p, k = ctx.prime, ctx.precision
-        vn = int_valuation(num, p)
-        vd = int_valuation(den, p)
+        p, mod = ctx.prime, ctx.prime ** ctx.precision
+        vn, vd = int_valuation(num, p), int_valuation(den, p)
+        # a unit times a unit's inverse, reduced mod p^K: already the normal form
+        unit = num // p ** vn * pow(den // p ** vd, -1, mod) % mod
         v = vn - vd
-        unit_num = num // p ** vn
-        unit_den = den // p ** vd
-        unit = unit_num * pow(unit_den, -1, p ** k) % p ** k
-        return cls(ctx, v, unit, v + k)
-
-    @classmethod
-    def from_int(cls, n: int, ctx: PadicContext) -> "PadicNumber":
-        return cls.from_rational(n, 1, ctx)
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction, ctx: PadicContext) -> "PadicNumber":
-        return cls.from_rational(fr.numerator, fr.denominator, ctx)
+        return cls._of_unit(ctx, v, unit, v + ctx.precision)
 
     # -- predicates and accessors -------------------------------------
 
@@ -170,9 +159,7 @@ class PadicNumber:
                     f"operands use different contexts: {self.ctx} vs {other.ctx}"
                 )
             return other
-        if isinstance(other, int):
-            return PadicNumber.from_int(other, self.ctx)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return PadicNumber.from_fraction(other, self.ctx)
         raise TypeError(f"cannot combine PadicNumber with {type(other).__name__}")
 
@@ -248,22 +235,18 @@ class PadicNumber:
         return PadicNumber._of_unit(self.ctx, v, unit, prec)
 
     def __pow__(self, e: int):
+        # every product in square-and-multiply keeps the base's relative
+        # precision prec - v, so the power is one modular pow on the unit
         if not isinstance(e, int):
             return NotImplemented
-        if e == 0:
-            return PadicNumber.from_int(1, self.ctx)
-        base = self
-        if e < 0:
-            base = PadicNumber.from_int(1, self.ctx) / self
-            e = -e
-        acc = None
-        while e:
-            if e & 1:
-                acc = base if acc is None else acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc
+        if e <= 0:
+            one = PadicNumber.from_fraction(1, self.ctx)
+            return one if e == 0 else (one / self) ** -e
+        if self.is_zero():
+            return PadicNumber.zero(self.ctx, e * self.prec)
+        rel = self.prec - self.v
+        unit = self.unit ** e if isinf(rel) else pow(self.unit, e, self.ctx.prime ** rel)
+        return PadicNumber._of_unit(self.ctx, e * self.v, unit, e * self.v + rel)
 
     # -- comparisons ---------------------------------------------------
 

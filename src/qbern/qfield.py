@@ -69,8 +69,8 @@ __all__ = [
 
 _ONE = Fraction(1)
 
-# the most terms a computation builds: Riemann-sum terms, or the Z[q]
-# coefficients of a symbolic value at an integer x
+# the most Z[q] coefficients a symbolic value at an integer x may build;
+# check_zq_budget is its one reader
 DEFAULT_TERM_BUDGET = 2_000_000
 
 # ---------------------------------------------------------------------------
@@ -584,7 +584,7 @@ class QContext(Record):
         """Embed an integer or Fraction into the backend."""
         if self.is_symbolic:
             return RationalFunction.from_fraction(value)
-        return PadicNumber.from_fraction(Fraction(value), self.pctx)
+        return PadicNumber.from_fraction(value, self.pctx)
 
     def read(self, value: RationalFunction) -> Scalar:
         """A rational function of the indeterminate q, at this context's q:
@@ -629,8 +629,8 @@ def _binomial_series_q_pow(x: PadicNumber, ctx: QContext) -> PadicNumber:
 
 
 def q_pow(x, ctx: QContext) -> Scalar:
-    """q^x; integer exponents by repeated multiplication, p-adic ones by
-    the binomial series in (q - 1)."""
+    """q^x; integer exponents by ``**`` (one modular ``pow`` on padic),
+    p-adic ones by the binomial series in (q - 1)."""
     if isinstance(x, int):
         return ctx.q ** x
     if ctx.is_symbolic:

@@ -565,6 +565,8 @@ ARGV_OUTCOMES = {
     # only table reads --format, so every other command refuses it
     "format-off-table": (["beta", "--n", "2", "--format", "csv"], 2,
                          "unrecognized arguments: --format csv"),
+    "at-one-off-beta": (["table", "--kind", "bernstein", "--range", "0:1", "--at-one"], 2,
+                        "error: the q=1 column is for beta tables only"),
     "switch-with-value": (["table", "--kind", "beta", "--range", "0:2", "--at-one=1"], 2,
                           "argument --at-one: ignored explicit argument '1'"),
     "no-command": ([], 2, "the following arguments are required: command"),

@@ -303,7 +303,7 @@ def test_compare_valuation_verdict(padic_ctx3):
     # sides that claim 20 digits but agree only to 10 pass at the target
     # with a valuation verdict, and fail above what they achieve
     one = padic_ctx3.one()
-    lhs = one + PadicNumber.from_int(3**10, padic_ctx3.pctx)
+    lhs = one + PadicNumber.from_fraction(3**10, padic_ctx3.pctx)
     assert _compare(lhs, one, padic_ctx3, 8) == Verdict.to_valuation(8)
     verdict = _compare(lhs, one, padic_ctx3, 12)
     assert (verdict.kind, verdict.valuation) == ("fail", 10)

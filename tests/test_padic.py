@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qbern.errors import (
     ContextMismatch,
     DivisionByZero,
+    QbernError,
     RequestedPrecisionNotCertified,
 )
 from qbern.padic import PadicContext, PadicNumber, int_valuation
@@ -18,7 +19,7 @@ C324 = PadicContext(3, 24)
 
 
 def fr(num, den=1, ctx=C324):
-    return PadicNumber.from_rational(num, den, ctx)
+    return PadicNumber.from_fraction(Fraction(num, den), ctx)
 
 
 # -- context validation ------------------------------------------------------
@@ -40,14 +41,14 @@ def test_rejects_nonpositive_precision():
 
 def test_embed_one_half():
     # extended-Euclid: 2 * 41 = 82 = 1 (mod 81), and 41 = 2 + 3 + 9 + 27
-    x = PadicNumber.from_rational(1, 2, C34)
+    x = PadicNumber.from_fraction(Fraction(1, 2), C34)
     assert x.valuation == 0
     assert x.unit_digits() == (2, 1, 1, 1)
     assert x.prec == 4
 
 
 def test_embed_zero_is_exact():
-    z = PadicNumber.from_rational(0, 1, C34)
+    z = PadicNumber.from_fraction(0, C34)
     assert isinf(z.valuation)
     assert z.is_zero()
     assert isinf(z.prec)
@@ -55,20 +56,21 @@ def test_embed_zero_is_exact():
 
 def test_embed_nine_halves():
     # factor 3^2 out of 9, invert 2 modulo 3^K
-    x = PadicNumber.from_rational(9, 2, C34)
+    x = PadicNumber.from_fraction(Fraction(9, 2), C34)
     assert x.valuation == 2
     assert x.unit_digits() == (2, 1, 1, 1)
-
-
-def test_embed_zero_denominator():
-    with pytest.raises(DivisionByZero):
-        PadicNumber.from_rational(1, 0, C34)
 
 
 def test_embed_negative():
     x = fr(-1)
     assert (x + 1).is_zero()
     assert x.valuation == 0
+
+
+@pytest.mark.parametrize("ctx", [C34, C324], ids=["K4", "K24"])
+@pytest.mark.parametrize("n", [0, 1, -1, 2, 3, -9, 18, -5 * 3**4, 3**30, -(10**40)])
+def test_embed_int_is_embed_of_its_fraction(ctx, n):
+    assert PadicNumber.from_fraction(n, ctx) == PadicNumber.from_fraction(Fraction(n), ctx)
 
 
 # -- arithmetic examples -----------------------------------------------------
@@ -123,7 +125,7 @@ def test_valuation_examples():
 
 def test_context_mismatch():
     with pytest.raises(ContextMismatch):
-        fr(1) + PadicNumber.from_rational(1, 1, PadicContext(5, 24))
+        fr(1) + PadicNumber.from_fraction(1, PadicContext(5, 24))
 
 
 # -- equals_to_precision ------------------------------------------------------
@@ -211,8 +213,8 @@ rationals = st.fractions(
 def padics(draw, ctx=C324):
     value = draw(rationals)
     scale = draw(st.integers(min_value=-3, max_value=5))
-    return PadicNumber.from_fraction(value, ctx) * PadicNumber.from_rational(
-        3**max(scale, 0), 3**max(-scale, 0), ctx
+    return PadicNumber.from_fraction(value, ctx) * PadicNumber.from_fraction(
+        Fraction(3) ** scale, ctx
     )
 
 
@@ -273,6 +275,50 @@ def test_roundtrip_higher_precision_extends(value, K):
         assert hi.unit_digits()[:shared] == lo.unit_digits()
 
 
+# -- powers --------------------------------------------------------------------
+
+
+def _pow_by_products(x, e):
+    # the reference: e - 1 products of the base, after 1/x when e < 0
+    one = PadicNumber.from_fraction(1, x.ctx)
+    if e == 0:
+        return one
+    if e < 0:
+        x, e = one / x, -e
+    acc = x
+    for _ in range(e - 1):
+        acc = acc * x
+    return acc
+
+
+def _outcome(f):
+    try:
+        return f()
+    except QbernError as exc:
+        return type(exc)
+
+
+POW_BASES = {
+    "unit": lambda ctx: PadicNumber.from_fraction(1 + ctx.prime, ctx),
+    "unit-half": lambda ctx: PadicNumber.from_fraction(Fraction(-1, 2), ctx),
+    "v2": lambda ctx: PadicNumber.from_fraction(2 * ctx.prime**2, ctx),
+    "v-1": lambda ctx: PadicNumber.from_fraction(Fraction(1, ctx.prime), ctx),
+    "v-3": lambda ctx: PadicNumber.from_fraction(Fraction(2, ctx.prime**3), ctx),
+    "exact-zero": lambda ctx: PadicNumber.from_fraction(0, ctx),
+    "zero-prec3": lambda ctx: PadicNumber.zero(ctx, 3),
+    "zero-prec-2": lambda ctx: PadicNumber.zero(ctx, -2),
+    "exact-2p": lambda ctx: PadicNumber(ctx, 1, 2, inf),
+}
+
+
+@pytest.mark.parametrize("p, K", [(3, 24), (5, 6), (7, 2)])
+@pytest.mark.parametrize("base", POW_BASES)
+@pytest.mark.parametrize("e", range(-3, 13))
+def test_pow_is_repeated_multiplication(p, K, base, e):
+    x = POW_BASES[base](PadicContext(p, K))
+    assert _outcome(lambda: x**e) == _outcome(lambda: _pow_by_products(x, e))
+
+
 # -- the lifting-the-exponent law ---------------------------------------------
 
 
@@ -280,7 +326,7 @@ def test_roundtrip_higher_precision_extends(value, K):
 @pytest.mark.parametrize("qfun", [lambda p: 1 + p, lambda p: 1 + p + p * p])
 def test_lifting_the_exponent(p, qfun):
     ctx = PadicContext(p, 24)
-    q = PadicNumber.from_int(qfun(p), ctx)
+    q = PadicNumber.from_fraction(qfun(p), ctx)
     e = (q - 1).valuation
     power = q
     for m in range(1, 51):

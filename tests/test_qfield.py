@@ -326,7 +326,7 @@ def test_q_pow_series_matches_int_powers(padic_ctx3):
     for x in (-3, -1, 0, 2, 7):
         direct = q_pow(x, padic_ctx3)
         series = _binomial_series_q_pow(
-            PadicNumber.from_int(x, padic_ctx3.pctx), padic_ctx3
+            PadicNumber.from_fraction(x, padic_ctx3.pctx), padic_ctx3
         )
         assert scalars_equal(direct, series, padic_ctx3)
 
