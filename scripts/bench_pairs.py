@@ -15,9 +15,10 @@ Each run lasts ``--seconds``, by default the ``run_seconds`` of
 BENCHMARK.json.  A metric counts in a pair only when both runs of the pair
 reported it, so the two series stay aligned seed for seed.  It prints each
 side's median and quartiles of every end-to-end metric, the number of pairs
-in which the change's ``wall_s`` is lower, and for every ``end_to_end``
-metric of BENCHMARK.json one of three states, reading its ``bound`` as
-relative to the parent's median:
+in which the change's ``wall_s`` is lower (a tie counts for neither side),
+whether that shows a gain, and for every ``end_to_end`` metric of
+BENCHMARK.json one of three states, reading its ``bound`` as relative to the
+parent's median:
 
 * ``within bound``;
 * ``worse``: the change's median is worse than the parent's by more than
@@ -25,8 +26,14 @@ relative to the parent's median:
 * ``unresolved``: the parent's own (q3 - q1)/median exceeds the bound, or a
   side has no value, so the runs cannot tell.
 
+A gain in ``wall_s`` is shown (``wall_s_gain_shown``) only when the change
+is lower in at least 9 of every 10 pairs and the parent's median exceeds the
+change's by more than the parent's own q3 - q1.  After the pairs, each side
+runs ``perfbench/run.py --trace 1`` once per workload with the first pair's
+seed, and its ``correct`` is recorded under ``traced``.
+
 It writes those figures as JSON to ``--out``.  The exit code is 1 when any
-run reports ``correct: false``.
+run, traced or not, reports ``correct: false``.
 """
 
 from __future__ import annotations
@@ -44,11 +51,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def run_side(directory: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``directory``: its final JSON object."""
+def run_side(directory: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py --trace TRACE`` run in ``directory``: its final
+    JSON object."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=directory, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if not lines:
@@ -69,7 +77,7 @@ def compare(dirs: dict, workload: str, seed: int, pairs: int, seconds: float):
     correct = True
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        out = {side: run_side(dirs[side], workload, seed + i, seconds) for side in order}
+        out = {side: run_side(dirs[side], workload, seed + i, seconds, 0) for side in order}
         correct = correct and all(o.get("correct") for o in out.values())
         metrics = {side: out[side].get("metrics", {}) for side in SIDES}
         for name in metrics["parent"]:
@@ -81,8 +89,22 @@ def compare(dirs: dict, workload: str, seed: int, pairs: int, seconds: float):
                for side in SIDES}
     summary["wall_s_wins"] = sum(change < parent for parent, change in walls)
     summary["wall_s_pairs"] = len(walls)
-    summary["all_correct"] = correct
-    return summary, correct
+    summary["wall_s_gain_shown"] = gain_shown(summary)
+    summary["traced"] = {side: bool(run_side(dirs[side], workload, seed, seconds, 1)
+                                    .get("correct")) for side in SIDES}
+    summary["all_correct"] = correct and all(summary["traced"].values())
+    return summary, summary["all_correct"]
+
+
+def gain_shown(summary: dict) -> bool:
+    """The change is lower in at least 9/10 of the pairs (ties count for
+    neither side) and its median ``wall_s`` is below the parent's by more
+    than the parent's q3 - q1."""
+    wins, pairs = summary["wall_s_wins"], summary["wall_s_pairs"]
+    if not pairs or 10 * wins < 9 * pairs:
+        return False
+    parent, change = summary["parent"]["wall_s"], summary["change"]["wall_s"]
+    return parent["median"] - change["median"] > parent["q3"] - parent["q1"]
 
 
 def bound_state(summary: dict, metric: dict) -> str:
@@ -132,7 +154,9 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: {state}")
         print(f"{workload}: change lower in wall_s in "
               f"{summary['wall_s_wins']}/{summary['wall_s_pairs']} "
-              f"pairs; all runs correct: {correct}")
+              f"pairs; gain shown: {summary['wall_s_gain_shown']}")
+        print(f"{workload}: traced run correct: parent {summary['traced']['parent']}, "
+              f"change {summary['traced']['change']}; all runs correct: {correct}")
     if args.out is not None:
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if ok else 1

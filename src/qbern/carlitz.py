@@ -165,14 +165,9 @@ class CarlitzTable:
         ctx = self.ctx
         qx = q_pow(x, ctx)
         bx = q_bracket(x, ctx)
-        qx_pows = [ctx.one()]
-        bx_pows = [ctx.one()]
-        for _ in range(n):
-            qx_pows.append(qx_pows[-1] * qx)
-            bx_pows.append(bx_pows[-1] * bx)
         acc = ctx.zero()
         for i in range(n + 1):
-            acc = acc + comb(n, i) * self.beta(i) * qx_pows[i] * bx_pows[n - i]
+            acc = acc + comb(n, i) * self.beta(i) * qx ** i * bx ** (n - i)
         return acc
 
     def _zq_beta_poly(self, n: int, x: int) -> RationalFunction:

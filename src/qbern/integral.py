@@ -312,7 +312,7 @@ def integrate(
     if level_cap is not None and level_cap < 1:
         raise DomainError("level cap must be >= 1")
     valuations = _u_coefficient_valuations(f, ctx)
-    carry, diagonal, history = [], [], []
+    carry, diagonal, gaps, history = [], [], [], []
     stop = f"within level cap {level_cap}"
     # uncapped, the run ends by level K: [p^N]_q has valuation N, so the weight sum vanishes
     for level in count(1) if level_cap is None else range(1, level_cap + 1):
@@ -327,8 +327,9 @@ def integrate(
             history.append((s - last)._effective_valuation())
         last, value, bound, kind = s, s, 0, "none"
         if diagonal is not None:
+            gaps.append(_gap(ctx, level))
             try:
-                diagonal = _neville_step(diagonal, s, ctx)
+                diagonal = _neville_step(diagonal, s, gaps)
             except (DivisionByZero, PrecisionExhausted):
                 diagonal = None  # 1 - t_N vanishes to the working precision, and
                 # every later tableau holds the entry that could not be formed
@@ -383,12 +384,13 @@ def _u_coefficient_valuations(f: Integrand, ctx: QContext) -> list:
             for g in _expand(a, b, pow(s, c, mod), s, 1)]
 
 
-def _neville_step(diagonal: list, s: Scalar, ctx: QContext) -> list:
+def _neville_step(diagonal: list, s: Scalar, gaps: list) -> list:
     """The next diagonal of the Neville tableau at t = 1.
 
     S_i is the level-(i+1) sum and g_i = 1 - t_(i+1) its gap; T[i][w] is
     the value at t = 1 of the polynomial through S_i..S_(i+w).  ``diagonal``
-    holds T[m-1-w][w] for w < m, s is S_m, and the new diagonal is
+    holds T[m-1-w][w] for w < m, s is S_m, ``gaps`` is the run's list of
+    g_0..g_m, one ``_gap`` per level, and the new diagonal is
     T[m-w][w] = (g_m T[m-w][w-1] - g_(m-w) T[m-w+1][w-1]) / (g_m - g_(m-w)):
     the same operations on the same operands as the full tableau.  Its last
     entry is the extrapolation over all m + 1 levels.
@@ -396,7 +398,7 @@ def _neville_step(diagonal: list, s: Scalar, ctx: QContext) -> list:
     m = len(diagonal)
     new = [s]
     for w in range(1, m + 1):
-        gm, gi = _gap(ctx, m + 1), _gap(ctx, m - w + 1)
+        gm, gi = gaps[m], gaps[m - w]
         new.append((gm * diagonal[w - 1] - gi * new[w - 1]) / (gm - gi))
     return new
 
@@ -452,10 +454,9 @@ def closed_bracket_power(m: int, x, ctx: QContext) -> Scalar:
 
 def _integrated(g: list, q, one, m: int):
     """sum_l (l+1) g_l/(1 - q^(l+1)) / (1-q)^(m-1) in the ring of q and the g_l."""
-    acc, qp = 0, q  # qp = q^(l+1)
+    acc = 0
     for l, c in enumerate(g):
-        acc = acc + (l + 1) * c / (one - qp)
-        qp = qp * q
+        acc = acc + (l + 1) * c / (one - q ** (l + 1))
     return acc / (one - q) ** (m - 1)
 
 

@@ -619,12 +619,10 @@ def _binomial_series_q_pow(x: PadicNumber, ctx: QContext) -> PadicNumber:
     one = ctx.one()
     acc = one
     binom = one
-    qm1_pow = one
     qm1 = ctx.q - 1
     for k in range(1, k_star):
         binom = binom * (x - (k - 1)) / k
-        qm1_pow = qm1_pow * qm1
-        acc = acc + binom * qm1_pow
+        acc = acc + binom * qm1 ** k
     return acc
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from qbern import carlitz, qfield
 from qbern.carlitz import CarlitzTable, classical_bernoulli, eval_at_one, table_for
-from qbern.errors import DomainError, PoleAtOne, PrecisionExhausted
+from qbern.errors import DomainError, PoleAtOne, PrecisionExhausted, QbernError
 from qbern.padic import PadicNumber
 from qbern.qfield import QContext, RationalFunction, q_bracket, q_pow, scalars_equal
 
@@ -146,8 +146,10 @@ def test_beta_inverse_q(sym_table):
     assert inverse.beta(2) == rf((0, 0, 1), (1, 2, 2, 1))  # q^2/((q+1)(q^2+q+1))
 
 
-# The reference for the symbolic beta_poly at an integer x: the sum taken
-# term by term in RationalFunction arithmetic, at q and at 1/q alike.
+# The reference for beta_poly: the sum taken term by term, with q^(ix) and
+# [x]_q^(n-i) built as running products.  It is the reference for the
+# symbolic path at an integer x, at q and at 1/q alike, and for the padic
+# path, which takes those powers by ``**``.
 
 
 def _termwise_beta_poly(tbl, n, x):
@@ -208,6 +210,24 @@ def test_beta_poly_padic_argument(padic_ctx3):
         + ptbl.beta(2) * qx * qx
     )
     assert scalars_equal(ptbl.beta_poly(2, x), expect, padic_ctx3)
+
+
+def _padic_outcome(compute):
+    try:
+        value = compute()
+    except QbernError as exc:
+        return type(exc)
+    return (value.v, value.unit, value.prec)
+
+
+@pytest.mark.parametrize("x", [*range(-3, 6), Fraction(-1, 2), Fraction(1, 3), Fraction(5, 4)])
+def test_padic_beta_poly_matches_running_products(power_contexts, x):
+    # the same (v, unit, prec), or the same exception class, n <= 8
+    for ctx in power_contexts:
+        tbl = table_for(ctx)
+        for n in range(9):
+            assert (_padic_outcome(lambda: tbl.beta_poly(n, x))
+                    == _padic_outcome(lambda: _termwise_beta_poly(tbl, n, x))), (ctx.q, n)
 
 
 # -- classical oracle -------------------------------------------------------------

@@ -982,6 +982,33 @@ def test_padic_closed_form_past_the_exact_span_sums_padic_scalars(padic_ctx3):
         assert closed_bracket_power(m, x, padic_ctx3) == want
 
 
+def _running_product_closed_bracket_power(m, x, ctx):
+    # closed_bracket_power with q^(l+1) built as a running product
+    def integrated(g, q, one):
+        acc, qp = 0, q
+        for l, c in enumerate(g):
+            acc = acc + (l + 1) * c / (one - qp)
+            qp = qp * q
+        return acc / (one - q) ** (m - 1)
+
+    if m == 0:
+        return ctx.one()
+    if not isinstance(x, int) or m * abs(x) > integral._EXACT_SPAN:
+        return integrated(integral._u_poly(BracketPower(x, m), ctx), ctx.q, ctx.one())
+    q = ctx.rational
+    g = [c.evaluate(q) for c in integral._u_poly(BracketPower(x, m), SYM)]
+    return ctx.embed(integrated(g, q, 1))
+
+
+@pytest.mark.parametrize("m", range(7))
+@pytest.mark.parametrize("x", [-3, 0, 2, 129, -86, Fraction(-1, 2)])
+def test_padic_closed_bracket_power_matches_running_products(power_contexts, m, x):
+    # the same (v, unit, prec), or the same exception class
+    for ctx in power_contexts:
+        assert (_outcome(lambda: closed_bracket_power(m, x, ctx))
+                == _outcome(lambda: _running_product_closed_bracket_power(m, x, ctx))), ctx.q
+
+
 def test_closed_reflected_power_base(sym_table):
     assert closed_reflected_power(0, 0, SYM) == SYM.one()
     assert closed_reflected_power(1, 0, SYM) == rf((0, 1), (1, 1))    # q/(1+q)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import inf
+from math import ceil, inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +11,7 @@ from qbern.errors import (
     DivisionByZero,
     DomainError,
     NonIntegerExponentInSymbolicMode,
+    QbernError,
 )
 from qbern import qfield
 from qbern.padic import PadicContext, PadicNumber
@@ -329,6 +330,38 @@ def test_q_pow_series_matches_int_powers(padic_ctx3):
             PadicNumber.from_fraction(x, padic_ctx3.pctx), padic_ctx3
         )
         assert scalars_equal(direct, series, padic_ctx3)
+
+
+def _running_product_q_pow(x, ctx):
+    # the binomial series with (q - 1)^k built as a running product
+    x = PadicNumber.from_fraction(x, ctx.pctx)
+    if x.valuation < 0:
+        raise DomainError("p-adic exponents must lie in Z_p")
+    one = ctx.one()
+    acc = binom = qm1_pow = one
+    qm1 = ctx.q - 1
+    for k in range(1, ceil(ctx.pctx.precision / ctx.q_minus_one_valuation)):
+        binom = binom * (x - (k - 1)) / k
+        qm1_pow = qm1_pow * qm1
+        acc = acc + binom * qm1_pow
+    return acc
+
+
+def _padic_outcome(compute):
+    try:
+        value = compute()
+    except QbernError as exc:
+        return type(exc)
+    return (value.v, value.unit, value.prec)
+
+
+@pytest.mark.parametrize("x", [Fraction(-1, 2), Fraction(1, 3), Fraction(5, 4),
+                               Fraction(-9, 8), Fraction(2, 7)])
+def test_q_pow_series_matches_running_products(power_contexts, x):
+    # the same (v, unit, prec), or the same exception class
+    for ctx in power_contexts:
+        assert (_padic_outcome(lambda: q_pow(x, ctx))
+                == _padic_outcome(lambda: _running_product_q_pow(x, ctx))), ctx.q
 
 
 def test_q_pow_rejects_outside_zp(padic_ctx3):

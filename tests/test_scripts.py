@@ -28,9 +28,9 @@ def test_bench_pairs(tmp_path, capsys):
     bench = load("bench_pairs")
     calls = []
 
-    def fake_run(directory, workload, seed, seconds):
+    def fake_run(directory, workload, seed, seconds, trace):
         side = "parent" if directory == tmp_path else "change"
-        calls.append((side, workload, seed))
+        calls.append((side, workload, seed, trace))
         wall = 0.6 + seed / 100 if side == "parent" else 0.25 + seed / 100
         return {"correct": True, "metrics": {"wall_s": {"value": wall, "unit": "s"},
                                              "setup_s": {"value": 0.1, "unit": "s"}}}
@@ -41,11 +41,20 @@ def test_bench_pairs(tmp_path, capsys):
             "--pairs", "4", "--out", str(out)]
     assert bench.main(argv) == 0
     # sides alternate which goes first, and pair i runs seed 3 + i
-    assert [c[0] for c in calls] == ["parent", "change", "change", "parent"] * 2
-    assert [c[2] for c in calls] == [3, 3, 4, 4, 5, 5, 6, 6]
-    assert "change lower in wall_s in 4/4 pairs; all runs correct: True" in capsys.readouterr().out
+    untraced = [c for c in calls if not c[3]]
+    assert [c[0] for c in untraced] == ["parent", "change", "change", "parent"] * 2
+    assert [c[2] for c in untraced] == [3, 3, 4, 4, 5, 5, 6, 6]
+    # then one traced run per side and workload, with the first pair's seed
+    assert sorted(c for c in calls if c[3]) == [("change", "symbolic_grid", 3, 1),
+                                                ("parent", "symbolic_grid", 3, 1)]
+    printed = capsys.readouterr().out
+    assert "change lower in wall_s in 4/4 pairs; gain shown: True" in printed
+    assert "traced run correct: parent True, change True; all runs correct: True" in printed
     report = json.loads(out.read_text())["workloads"]["symbolic_grid"]
     assert report["wall_s_wins"] == 4
+    # 0.645 - 0.295 is far above the parent's q3 - q1 of 0.015
+    assert report["wall_s_gain_shown"] is True
+    assert report["traced"] == {"parent": True, "change": True}
     assert report["parent"]["wall_s"]["median"] == pytest.approx(0.645)
     assert report["change"]["wall_s"]["q1"] == pytest.approx(0.2875)
     assert report["change"]["setup_s"]["median"] == pytest.approx(0.1)
@@ -53,7 +62,7 @@ def test_bench_pairs(tmp_path, capsys):
     # A parent run that prints nothing drops its whole pair, so every later
     # pair still compares the same seed on both sides; each end-to-end metric
     # gets one of three states against its relative bound.
-    def gappy_run(directory, workload, seed, seconds):
+    def gappy_run(directory, workload, seed, seconds, trace):
         side = "parent" if directory == tmp_path else "change"
         if side == "parent" and seed == 4:
             return {"correct": False, "metrics": {}}
@@ -72,7 +81,8 @@ def test_bench_pairs(tmp_path, capsys):
     report = json.loads(out.read_text())["workloads"]["symbolic_grid"]
     # pairs of seeds 3, 5 and 6: the change is slower in each
     assert (report["wall_s_wins"], report["wall_s_pairs"]) == (0, 3)
-    assert "change lower in wall_s in 0/3 pairs" in printed
+    assert report["wall_s_gain_shown"] is False
+    assert "change lower in wall_s in 0/3 pairs; gain shown: False" in printed
     assert report["parent"]["wall_s"]["median"] == pytest.approx(0.55)
     assert report["change"]["wall_s"]["median"] == pytest.approx(0.555)
     assert report["bounds"] == {"setup_s": "worse", "wall_s": "within bound",
@@ -80,3 +90,31 @@ def test_bench_pairs(tmp_path, capsys):
                                 "verify_pass_ratio": "within bound"}
     assert "symbolic_grid setup_s: worse" in printed
     assert "symbolic_grid peak_rss_mb: unresolved" in printed
+
+    # Lower in every pair, but by less than the parent's own spread: no gain
+    # is shown.  A traced run that is not correct fails the comparison.
+    def close_run(directory, workload, seed, seconds, trace):
+        side = "parent" if directory == tmp_path else "change"
+        if trace:
+            return {"correct": side == "parent", "metrics": {}}
+        wall = 0.5 + seed / 10 - (0.01 if side == "change" else 0)
+        return {"correct": True, "metrics": {"wall_s": {"value": wall}}}
+
+    bench.run_side = close_run
+    assert bench.main(argv) == 1
+    printed = capsys.readouterr().out
+    report = json.loads(out.read_text())["workloads"]["symbolic_grid"]
+    # medians 0.95 and 0.94 against the parent's q3 - q1 of 0.15
+    assert (report["wall_s_wins"], report["wall_s_pairs"]) == (4, 4)
+    assert report["wall_s_gain_shown"] is False
+    assert report["traced"] == {"parent": True, "change": False}
+    assert "change lower in wall_s in 4/4 pairs; gain shown: False" in printed
+    assert "traced run correct: parent True, change False; all runs correct: False" in printed
+
+    # 9 of 10 pairs is enough, 8 of 10 is not
+    parent = {"median": 1.0, "q1": 0.99, "q3": 1.01}
+    change = {"median": 0.9, "q1": 0.89, "q3": 0.91}
+    for wins, shown in ((10, True), (9, True), (8, False)):
+        summary = {"wall_s_wins": wins, "wall_s_pairs": 10,
+                   "parent": {"wall_s": parent}, "change": {"wall_s": change}}
+        assert bench.gain_shown(summary) is shown
