@@ -32,8 +32,10 @@ change's by more than the parent's own q3 - q1.  After the pairs, each side
 runs ``perfbench/run.py --trace 1`` once per workload with the first pair's
 seed, and its ``correct`` is recorded under ``traced``.
 
-It writes those figures as JSON to ``--out``.  The exit code is 1 when any
-run, traced or not, reports ``correct: false``.
+It also records and prints each side's ``src_lines``, the total line count
+of its ``src/qbern/*.py`` as ``wc -l`` counts it.  It writes those figures
+as JSON to ``--out``.  The exit code is 1 when any run, traced or not,
+reports ``correct: false``.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ def run_side(directory: Path, workload: str, seed: int, seconds: float, trace: i
     if not lines:
         return {"correct": False, "metrics": {}}
     return json.loads(lines[-1])
+
+
+def src_lines(directory: Path) -> int:
+    """The newlines in ``directory``'s ``src/qbern/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (directory / "src" / "qbern").glob("*.py"))
 
 
 def quartiles(series: list) -> dict:
@@ -139,7 +147,10 @@ def main(argv=None) -> int:
                  "python": platform.python_version()},
         "pairs": args.pairs, "seeds": [args.seed, args.seed + args.pairs - 1],
         "seconds": seconds, "workloads": {},
+        "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
     }
+    print(f"src lines: parent {report['src_lines']['parent']}, "
+          f"change {report['src_lines']['change']}")
     ok = True
     for workload in workloads:
         summary, correct = compare(dirs, workload, args.seed, args.pairs, seconds)

@@ -479,6 +479,8 @@ class SuiteConfig(Record):
                  level_cap: int | None = None, identities: list | None = None):
         if target_valuation < 1:  # a comparison at valuation <= 0 certifies no digit
             raise DomainError(f"target valuation must be at least 1, not {target_valuation}")
+        if level_cap is not None and level_cap < 1:
+            raise DomainError("level cap must be >= 1")
         self.backend, self.prime, self.precision, self.q = backend, prime, precision, q
         self.target_valuation, self.level_cap = target_valuation, level_cap
         self.identities = identities  # [(identity_name, params_dict), ...]

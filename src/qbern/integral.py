@@ -43,12 +43,13 @@ The printed reflected closed form is this form at 1/q (THM1's reflection
 duality), so the oracle's ruling on it rules on this prefactor.
 
 Each integrand has one shape (``_shape``): ``scale * y^a (1 - y)^b`` for
-y = [x + c]_q or [c - x]_{1/q}, which ``_bracket_form`` writes as
-(1 - r q^x)/(1 - s); no other integrand exists.  ``riemann_sum``, the one
-Riemann evaluator, reads it, and a constant (a + b = 0) forms no 1/(1 - s).
-It has one expansion in u = q^x, ``_u_poly``: the certificate reads its
-coefficient valuations, and the bracket-power closed form integrates it
-term by term.  Since ``QContext`` carries q to exactly K digits,
+y = [x + c]_q or [c - x]_{1/q}, that is (1 - r q^x)/(1 - s) with (r, s) =
+(q^c, q) or (q^-c, 1/q); no other integrand exists.  ``riemann_sum``, the
+one Riemann evaluator, reads it, and a constant (a + b = 0) forms no
+1/(1 - s).  ``_expand`` writes (1 - r u)^a (r u - s)^b in u = q^x in the
+ring it is given: the certificate reads its coefficient valuations in ints
+modulo p^K, and the bracket-power closed form integrates it term by term
+in the ring it sums in.  Since ``QContext`` carries q to exactly K digits,
 ``riemann_sum`` sums in plain ints with no division, bit for bit as the
 same sum taken term by term in ``PadicNumber`` arithmetic, which the tests
 keep as its reference.
@@ -180,14 +181,6 @@ def _shape(f: Integrand):
     if isinstance(f, BernsteinProduct):
         return (*_bernstein_shape(f.factors), 0, False)
     raise DomainError(f"unknown integrand {f!r}")
-
-
-def _bracket_form(c: int, reflected: bool, ctx: QContext):
-    """(r, s) with y = (1 - r q^x)/(1 - s) and 1 - y = (r q^x - s)/(1 - s):
-    (q^c, q) for [x + c]_q, (q^-c, 1/q) for [c - x]_{1/q}."""
-    if reflected:
-        return q_pow(-c, ctx), ctx.one() / ctx.q
-    return q_pow(c, ctx), ctx.q
 
 
 def riemann_sum(f: Integrand, ctx: QContext, level: int, carry: list | None = None) -> Scalar:
@@ -349,14 +342,6 @@ def integrate(
     )
 
 
-def _u_poly(f: Integrand, ctx: QContext) -> list:
-    """g_0..g_d with (1 - r u)^a (r u - s)^b = sum_j g_j u^j in u = q^x, for
-    (r, s) of ``_bracket_form``: f is this times scale (1-s)^-(a+b), which
-    the callers keep, as dividing by it here would cost digits."""
-    _, a, b, c, reflected = _shape(f)
-    return _expand(a, b, *_bracket_form(c, reflected, ctx), ctx.one())
-
-
 def _expand(a: int, b: int, r, s, one) -> list:
     """The coefficients of (1 - r u)^a (r u - s)^b in u, in the ring of r and s."""
     poly = [one]
@@ -369,12 +354,13 @@ def _expand(a: int, b: int, r, s, one) -> list:
 
 
 def _u_coefficient_valuations(f: Integrand, ctx: QContext) -> list:
-    """Lower bounds on the valuations of f's coefficients in u: r and s are
-    units and nu(1 - s) = nu(q - 1), so those of ``_u_poly`` plus a shift.
+    """Lower bounds on the valuations of f's coefficients in u: f is
+    scale (1 - s)^-(a+b) times the ``_expand`` of its shape, r and s are
+    units and nu(1 - s) = nu(q - 1), so those of ``_expand`` plus a shift.
 
-    The expansion of ``_u_poly`` is taken in ints and read modulo p^K, from
-    q carried to exactly K digits: r = s^c for s = q, or 1/q when reflected.
-    A zero residue reads as K, as the precision of the padic zero does."""
+    The expansion is taken in ints and read modulo p^K, from q carried to
+    exactly K digits: r = s^c for s = q, or 1/q when reflected.  A zero
+    residue reads as K, as the precision of the padic zero does."""
     scale, a, b, c, reflected = _shape(f)
     p, digits = ctx.prime, ctx.pctx.precision
     mod = p ** digits
@@ -428,28 +414,29 @@ def _certificate(valuations: list, value: Scalar, level: int, ctx: QContext):
 
 
 # the largest m |x| whose bracket-power closed form is summed exactly: the
-# exact value has about m |x| log2(q) bits, and the expansion at the
-# indeterminate q costs about (m |x|)^2
+# exact value has about m |x| log2(q) bits
 _EXACT_SPAN = 256
 
 
 def closed_bracket_power(m: int, x, ctx: QContext) -> Scalar:
     """Closed form of the integral of [x + y]_q^m over y, which is beta_poly(m, x).
 
-    With I_q(u^l) = (l+1)/[l+1]_q term by term over ``_u_poly``, it is
-    sum_l (l+1) g_l/(1 - q^(l+1)) / (1-q)^(m-1); exponent 0 returns the exact 1.
-    On padic at an integer x with m |x| <= _EXACT_SPAN the sum runs exactly
-    at the rational q, over the g_l of the indeterminate q evaluated there,
-    and is embedded once, as ``QContext.read`` embeds a value: in padic
-    scalars its divisions leave about K - (m+1) nu(q-1) digits.
+    With I_q(u^l) = (l+1)/[l+1]_q term by term over the g_l of
+    (1 - q^x u)^m (``_expand``), it is sum_l (l+1) g_l/(1 - q^(l+1)) / (1-q)^(m-1);
+    exponent 0 returns the exact 1.  The sum runs in the context's scalars,
+    except on padic at an integer x with m |x| <= _EXACT_SPAN: there it runs
+    in ``Fraction``s at the rational q and is embedded once, as
+    ``QContext.read`` embeds a value, where in padic scalars its divisions
+    would leave about K - (m+1) nu(q-1) digits.
     """
+    if m < 0:
+        raise DomainError("power must be nonnegative")
     if m == 0:
         return ctx.one()
     if ctx.is_symbolic or not isinstance(x, int) or m * abs(x) > _EXACT_SPAN:
-        return _integrated(_u_poly(BracketPower(x, m), ctx), ctx.q, ctx.one(), m)
+        return _integrated(_expand(m, 0, q_pow(x, ctx), ctx.q, ctx.one()), ctx.q, ctx.one(), m)
     q = ctx.rational
-    g = [c.evaluate(q) for c in _u_poly(BracketPower(x, m), QContext.symbolic())]
-    return ctx.embed(_integrated(g, q, 1, m))
+    return ctx.embed(_integrated(_expand(m, 0, q ** x, q, 1), q, 1, m))
 
 
 def _integrated(g: list, q, one, m: int):

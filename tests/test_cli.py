@@ -520,6 +520,14 @@ def test_target_valuation_below_one_exits_2(name, capsys, tmp_path):
     assert "target valuation must be at least 1" in err
 
 
+def test_level_cap_below_one_in_a_grid_file_exits_2(capsys, tmp_path):
+    # PROP2 reads no oracle, so only the configuration can refuse the cap
+    path = tmp_path / "grid.json"
+    path.write_text(_grid(("PROP2", {"n": 2}), backend="padic", level_cap=0))
+    assert run(capsys, "verify", "--grid", str(path)) == (
+        2, "", "error: level cap must be >= 1\n")
+
+
 def test_selftest_corrupt_flips_the_first_row_that_ran(capsys):
     code, out, _ = run(capsys, "selftest", "--corrupt", "--precision", "3")
     assert code == 1
@@ -557,6 +565,10 @@ ARGV_OUTCOMES = {
                      "--q", "10"], 2, "q - 1 vanishes to the working precision"),
     "prefix-target": (["selftest", "--target", "0"], 2, "target valuation must be at least 1"),
     "prefix-target-8": (["selftest", "--target", "8"], 0, ""),
+    # a cap below 1 is refused with the configuration, also where no row
+    # reads the oracle
+    "level-cap-0-verify": (["verify", "--level-cap", "0"], 2, "level cap must be >= 1"),
+    "level-cap-0-beta": (["beta", "--n", "3", "--level-cap", "0"], 2, "level cap must be >= 1"),
     "invalid-int": (["beta", "--n", "x"], 2, "argument --n: invalid int value: 'x'"),
     "invalid-choice": (["beta", "--n", "2", "--backend", "foo"], 2,
                        "argument --backend: invalid choice: 'foo' (choose from 'symbolic', 'padic')"),

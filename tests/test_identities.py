@@ -463,8 +463,9 @@ MUTATIONS = {
         m, "__init__", _polys_keyed_on_n, (CarlitzTable,)),
     # the one expansion in u = q^x with its odd coefficients negated
     "u_poly_odd_terms_negated": lambda m: _patch(
-        m, "_u_poly",
-        lambda f: lambda g, ctx: [-c if j % 2 else c for j, c in enumerate(f(g, ctx))]),
+        m, "_expand",
+        lambda f: lambda a, b, r, s, one: [-c if j % 2 else c
+                                          for j, c in enumerate(f(a, b, r, s, one))]),
     # a product with c q^s shifts by q^s with no regard to the power of q
     # the other side carries, so n and d can share a factor q
     "unit_shift_keeps_shared_q": lambda m: m.setattr(qfield, "_unit_times", _shift_uncancelled),

@@ -10,14 +10,19 @@ import pytest
 
 from qbern import integral
 from qbern.carlitz import CarlitzTable, table_for
-from qbern.errors import DivisionByZero, DomainError, MaxLevelExceeded, PrecisionExhausted
+from qbern.errors import (
+    DivisionByZero,
+    DomainError,
+    MaxLevelExceeded,
+    PrecisionExhausted,
+    QbernError,
+)
 from qbern.integral import (
     BernsteinProduct,
     BracketPower,
     ReflectedPower,
     RiemannResult,
     _bernstein_shape,
-    _bracket_form,
     _int_bracket,
     _power_integral_direct,
     _reflected_sum,
@@ -96,6 +101,21 @@ def test_precision_ends_an_uncapped_run(p):
 
 
 # -- the PadicNumber reference for the integer kernel -------------------------
+
+
+def _bracket_form(c, reflected, ctx):
+    """(r, s) with y = (1 - r q^x)/(1 - s) and 1 - y = (r q^x - s)/(1 - s):
+    (q^c, q) for [x + c]_q, (q^-c, 1/q) for [c - x]_{1/q}."""
+    if reflected:
+        return q_pow(-c, ctx), ctx.one() / ctx.q
+    return q_pow(c, ctx), ctx.q
+
+
+def _u_poly(f, ctx):
+    """g_0..g_d with (1 - r u)^a (r u - s)^b = sum_j g_j u^j in u = q^x, in
+    the scalars of ctx, for (r, s) of ``_bracket_form``."""
+    _, a, b, c, reflected = _shape(f)
+    return integral._expand(a, b, *_bracket_form(c, reflected, ctx), ctx.one())
 
 
 def _term_evaluator(f, ctx):
@@ -640,7 +660,7 @@ def test_certificates_against_exact_rational_sums(p):
 # -- the certificate soundness gate ---------------------------------------------
 #
 # At the rational q the integral is exactly sum_j g_j (j+1)/[j+1]_q, with the
-# g_j of ``_u_coefficients``, which shares no code with ``_u_poly``.  At every
+# g_j of ``_u_coefficients``, which shares no code with ``_expand``.  At every
 # level of an uncapped run, up to the level whose sum cannot be formed, the
 # extrapolation ``integrate`` forms, before it is truncated, must agree with
 # that limit to at least its certificate.  Each mutation below plants a
@@ -747,15 +767,15 @@ VALUATION_SWEEP = (
     (3, 24, "4"), (5, 24, "26"), (7, 24, "8"), (3, 3, "4"), (3, 4, "10"),
 ])
 def test_coefficient_valuations_match_the_padic_expansion(p, digits, spec):
-    # the ints modulo p^K give, bit for bit, the valuations of ``_u_poly``
-    # expanded in PadicNumbers, zeros included (137 and 17 of them at K = 3
+    # the ints modulo p^K give, bit for bit, the valuations of ``_expand``
+    # taken in PadicNumbers (``_u_poly``), zeros included (137 and 17 of them at K = 3
     # and 4), where the padic zero's precision K is read
     base = QContext.padic(p, digits, spec)
     for ctx in (base, invert_q(base)):
         for f in VALUATION_SWEEP:
             scale, a, b, _, _ = _shape(f)
             shift = int_valuation(scale, p) - ctx.q_minus_one_valuation * (a + b)
-            want = [shift + g._effective_valuation() for g in integral._u_poly(f, ctx)]
+            want = [shift + g._effective_valuation() for g in _u_poly(f, ctx)]
             assert _u_coefficient_valuations(f, ctx) == want, (ctx.rational, f)
 
 
@@ -934,8 +954,12 @@ def test_closed_bracket_power_base_cases(sym_table):
     assert closed_bracket_power(0, 0, SYM) == SYM.one()
     assert closed_bracket_power(1, 0, SYM) == rf((-1,), (1, 1))
     assert closed_bracket_power(2, 0, SYM) == rf((0, 1), (1, 2, 2, 1))
-    with pytest.raises(DomainError):
-        closed_bracket_power(-1, 0, SYM)
+    # a negative power is refused on both backends, on padic both at an
+    # integer x (the exact sum) and at a rational one (padic scalars)
+    ctx = QContext.padic(3, 24)
+    for c, x in ((SYM, 0), (ctx, 0), (ctx, Fraction(-1, 2))):
+        with pytest.raises(DomainError):
+            closed_bracket_power(-1, x, c)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -977,13 +1001,15 @@ def test_padic_closed_form_past_the_exact_span_sums_padic_scalars(padic_ctx3):
     # bits), so the sum stays in padic scalars, as at a rational x
     assert integral._EXACT_SPAN == 256
     for m, x in ((2, 129), (3, -86), (2, Fraction(-1, 2))):
-        u = integral._u_poly(BracketPower(x, m), padic_ctx3)
+        u = _u_poly(BracketPower(x, m), padic_ctx3)
         want = integral._integrated(u, padic_ctx3.q, padic_ctx3.one(), m)
         assert closed_bracket_power(m, x, padic_ctx3) == want
 
 
 def _running_product_closed_bracket_power(m, x, ctx):
-    # closed_bracket_power with q^(l+1) built as a running product
+    # closed_bracket_power as it was: q^(l+1) built as a running product, and
+    # the exact sum over the coefficients at the indeterminate q evaluated at
+    # the rational q
     def integrated(g, q, one):
         acc, qp = 0, q
         for l, c in enumerate(g):
@@ -993,20 +1019,32 @@ def _running_product_closed_bracket_power(m, x, ctx):
 
     if m == 0:
         return ctx.one()
-    if not isinstance(x, int) or m * abs(x) > integral._EXACT_SPAN:
-        return integrated(integral._u_poly(BracketPower(x, m), ctx), ctx.q, ctx.one())
+    if ctx.is_symbolic or not isinstance(x, int) or m * abs(x) > integral._EXACT_SPAN:
+        return integrated(_u_poly(BracketPower(x, m), ctx), ctx.q, ctx.one())
     q = ctx.rational
-    g = [c.evaluate(q) for c in integral._u_poly(BracketPower(x, m), SYM)]
+    g = [c.evaluate(q) for c in _u_poly(BracketPower(x, m), SYM)]
     return ctx.embed(integrated(g, q, 1))
 
 
-@pytest.mark.parametrize("m", range(7))
-@pytest.mark.parametrize("x", [-3, 0, 2, 129, -86, Fraction(-1, 2)])
+def _closed_outcome(compute):
+    # (v, unit, prec) of a padic value, the canonical (c, n, d) of a
+    # rational function, or the class of the error
+    try:
+        s = compute()
+    except QbernError as exc:
+        return type(exc).__name__
+    return (s._c, s._n, s._d) if isinstance(s, RationalFunction) else (s.v, s.unit, s.prec)
+
+
+@pytest.mark.parametrize("m", range(9))
+@pytest.mark.parametrize("x", [-3, 0, 2, 129, -86, Fraction(-1, 2), -1, 1, 20])
 def test_padic_closed_bracket_power_matches_running_products(power_contexts, m, x):
-    # the same (v, unit, prec), or the same exception class
-    for ctx in power_contexts:
-        assert (_outcome(lambda: closed_bracket_power(m, x, ctx))
-                == _outcome(lambda: _running_product_closed_bracket_power(m, x, ctx))), ctx.q
+    # the same value and precision, or the same exception class, on padic
+    # and on symbolic, at q and at 1/q
+    for ctx in (*power_contexts, SYM, invert_q(SYM)):
+        assert (_closed_outcome(lambda: closed_bracket_power(m, x, ctx))
+                == _closed_outcome(lambda: _running_product_closed_bracket_power(m, x, ctx))
+                ), ctx.q
 
 
 def test_closed_reflected_power_base(sym_table):

@@ -27,6 +27,17 @@ def test_calibrate_convergence(capsys):
 def test_bench_pairs(tmp_path, capsys):
     bench = load("bench_pairs")
     calls = []
+    # fake checkouts of known sizes: the parent is tmp_path, the change a copy
+    # of the benchmark declaration; only src/qbern/*.py counts
+    change = tmp_path / "change"
+    for root, sizes in ((tmp_path, (3, 4)), (change, (5,))):
+        (root / "src" / "qbern").mkdir(parents=True)
+        for i, size in enumerate(sizes):
+            (root / "src" / "qbern" / f"m{i}.py").write_text("x = 1\n" * size)
+    (tmp_path / "src" / "qbern" / "notes.txt").write_text("not counted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    (change / "BENCHMARK.json").write_text((bench.ROOT / "BENCHMARK.json").read_text())
+    bench.ROOT = change
 
     def fake_run(directory, workload, seed, seconds, trace):
         side = "parent" if directory == tmp_path else "change"
@@ -48,6 +59,8 @@ def test_bench_pairs(tmp_path, capsys):
     assert sorted(c for c in calls if c[3]) == [("change", "symbolic_grid", 3, 1),
                                                 ("parent", "symbolic_grid", 3, 1)]
     printed = capsys.readouterr().out
+    assert "src lines: parent 7, change 5" in printed
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 7, "change": 5}
     assert "change lower in wall_s in 4/4 pairs; gain shown: True" in printed
     assert "traced run correct: parent True, change True; all runs correct: True" in printed
     report = json.loads(out.read_text())["workloads"]["symbolic_grid"]
