@@ -358,6 +358,8 @@ _SELFTEST_GRID = {"identities": [["THM1", {"n": 1, "x": 0}], ["PROP2", {"n": 2}]
 
 def _cmd_selftest(args) -> int:
     # the other suite flags apply; the backend is always padic
+    if getattr(args, "backend", "padic") != "padic":
+        raise DomainError("selftest requires the padic backend")
     config = _config(args, _SELFTEST_GRID).replace(backend="padic")
     reports = run_suite(config)
     if args.corrupt:

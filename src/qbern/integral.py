@@ -194,11 +194,11 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int, carry: list | None = No
     integers and are summed modulo p^K, all that the result reads, as the
     power sums S_k(m) = sum_{x<m} u^x y_x^k, k <= d = a + b: the weight sum is
     S_0(p^N) and the weighted sum sum_{i<=b} C(b,i) (-1)^i S_(a+i)(p^N).
-    Level 1 sums its p terms; ``_block_step`` takes the sums from m to p m
-    residues.  A nonempty ``carry`` from the previous level's call for f and
-    ctx holds [m, [S_0(m), ..., S_d(m)]] with m = p^(N-1), the residues
-    summed, so a carried level is one block step; the list is updated in
-    place.
+    Every level is block steps from the single residue x = 0, where
+    S_k(1) = y_0^k: ``_block_step`` takes the sums from m to p m residues.
+    A nonempty ``carry`` from the previous level's call for f and ctx holds
+    [m, [S_0(m), ..., S_d(m)]] with m = p^(N-1), the residues summed, so a
+    carried level is one block step; the list is updated in place.
 
     The result, or the exception, is that of the same sum taken term by
     term in ``PadicNumber`` arithmetic with y = (1 - r q^x) (1/(1 - s)).
@@ -233,7 +233,7 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int, carry: list | None = No
         m, sums = carry
     else:
         y = _int_bracket(c, pow(u, -1, mod) if reflected else u, p, mod)
-        m, sums = p, _first_level(y, u, gamma, p, a + b, mod)
+        m, sums = 1, [pow(y, k, mod) for k in range(a + b + 1)]
     while m < total:
         sums = _block_step(sums, u, gamma, p, mod)
         m *= p
@@ -242,20 +242,6 @@ def riemann_sum(f: Integrand, ctx: QContext, level: int, carry: list | None = No
     weighted = sum((-1) ** i * comb(b, i) * sums[a + i] for i in range(b + 1)) % mod
     return (PadicNumber(pctx, 0, scale * weighted, shift + digits - e)
             / PadicNumber(pctx, 0, sums[0], digits))
-
-
-def _first_level(y: int, u: int, gamma: int, p: int, d: int, mod: int) -> list:
-    """S_0(p), ..., S_d(p) modulo ``mod``, summed term by term from y = y_0."""
-    sums = [0] * (d + 1)
-    qx = 1
-    for _ in range(p):
-        term = qx
-        for k in range(d + 1):
-            sums[k] += term
-            term = term * y % mod
-        qx = qx * u % mod
-        y = (u * y + gamma) % mod
-    return [s % mod for s in sums]
 
 
 def _block_step(sums: list, u: int, gamma: int, p: int, mod: int) -> list:

@@ -565,6 +565,10 @@ ARGV_OUTCOMES = {
                      "--q", "10"], 2, "q - 1 vanishes to the working precision"),
     "prefix-target": (["selftest", "--target", "0"], 2, "target valuation must be at least 1"),
     "prefix-target-8": (["selftest", "--target", "8"], 0, ""),
+    # selftest runs on padic: another backend asked for is refused, not overridden
+    "selftest-symbolic": (["selftest", "--backend", "symbolic"], 2,
+                          "error: selftest requires the padic backend"),
+    "selftest-padic": (["selftest", "--backend", "padic"], 0, ""),
     # a cap below 1 is refused with the configuration, also where no row
     # reads the oracle
     "level-cap-0-verify": (["verify", "--level-cap", "0"], 2, "level cap must be >= 1"),

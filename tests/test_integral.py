@@ -326,27 +326,24 @@ def test_block_sums_bit_identical_to_term_loop(p):
 
 
 def test_integrate_takes_one_block_step_per_level(padic_ctx5, monkeypatch):
-    # level 1 sums its p terms, and each later level is one block step from
-    # the carried sums: no level goes back over its p^N residues
+    # every level, level 1 included, is one block step: level 1 from the
+    # single residue x = 0, each later level from the carried sums, so no
+    # level goes back over its p^N residues
     calls = []
+    block_step = integral._block_step
 
-    def counted(name):
-        original = getattr(integral, name)
+    def counted(*args):
+        calls.append("_block_step")
+        return block_step(*args)
 
-        def run(*args):
-            calls.append(name)
-            return original(*args)
-        return run
-
-    for name in ("_first_level", "_block_step"):
-        monkeypatch.setattr(integral, name, counted(name))
+    monkeypatch.setattr(integral, "_block_step", counted)
     with pytest.raises(MaxLevelExceeded) as capped:
         integrate(BernsteinProduct(((2, 5, 1),)), padic_ctx5, 40, level_cap=6)
     assert capped.value.result.level == 6
-    assert calls == ["_first_level"] + ["_block_step"] * 5
+    assert calls == ["_block_step"] * 6
     calls.clear()
     riemann_sum(BracketPower(1, 3), padic_ctx5, 4)
-    assert calls == ["_first_level"] + ["_block_step"] * 3
+    assert calls == ["_block_step"] * 4
 
 
 # -- convergence against an independent rational oracle -----------------------
