@@ -14,9 +14,10 @@ to pair so that a drift of the host's speed falls on both sides alike.
 Each run lasts ``--seconds``, by default the ``run_seconds`` of
 BENCHMARK.json.  A metric counts in a pair only when both runs of the pair
 reported it, so the two series stay aligned seed for seed.  It prints each
-side's median and quartiles of every end-to-end metric, the number of pairs
-in which the change's ``wall_s`` is lower (a tie counts for neither side),
-whether that shows a gain, and for every ``end_to_end`` metric of
+side's median and quartiles of every end-to-end metric, for ``wall_s`` and
+``setup_s`` the number of pairs in which the change's value is lower (a tie
+counts for neither side) and whether that shows a gain, and for every
+``end_to_end`` metric of
 BENCHMARK.json one of three states, reading its ``bound`` as relative to the
 parent's median:
 
@@ -28,7 +29,8 @@ parent's median:
 
 A gain in ``wall_s`` is shown (``wall_s_gain_shown``) only when the change
 is lower in at least 9 of every 10 pairs and the parent's median exceeds the
-change's by more than the parent's own q3 - q1.  After the pairs, each side
+change's by more than the parent's own q3 - q1; the same rule gives
+``setup_s_gain_shown``, next to ``setup_s_wins`` and ``setup_s_pairs``.  After the pairs, each side
 runs ``perfbench/run.py --trace 1`` once per workload with the first pair's
 seed, and its ``correct`` is recorded under ``traced``.
 
@@ -51,6 +53,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+GAIN_METRICS = ("wall_s", "setup_s")  # each gets _wins, _pairs and _gain_shown
 
 
 def run_side(directory: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -92,26 +95,27 @@ def compare(dirs: dict, workload: str, seed: int, pairs: int, seconds: float):
             if name in metrics["change"]:
                 for side in SIDES:
                     values[side].setdefault(name, []).append(metrics[side][name]["value"])
-    walls = list(zip(values["parent"].get("wall_s", []), values["change"].get("wall_s", [])))
     summary = {side: {name: quartiles(series) for name, series in values[side].items()}
                for side in SIDES}
-    summary["wall_s_wins"] = sum(change < parent for parent, change in walls)
-    summary["wall_s_pairs"] = len(walls)
-    summary["wall_s_gain_shown"] = gain_shown(summary)
+    for metric in GAIN_METRICS:
+        pairs = list(zip(values["parent"].get(metric, []), values["change"].get(metric, [])))
+        summary[f"{metric}_wins"] = sum(change < parent for parent, change in pairs)
+        summary[f"{metric}_pairs"] = len(pairs)
+        summary[f"{metric}_gain_shown"] = gain_shown(summary, metric)
     summary["traced"] = {side: bool(run_side(dirs[side], workload, seed, seconds, 1)
                                     .get("correct")) for side in SIDES}
     summary["all_correct"] = correct and all(summary["traced"].values())
     return summary, summary["all_correct"]
 
 
-def gain_shown(summary: dict) -> bool:
+def gain_shown(summary: dict, metric: str = "wall_s") -> bool:
     """The change is lower in at least 9/10 of the pairs (ties count for
-    neither side) and its median ``wall_s`` is below the parent's by more
+    neither side) and its median ``metric`` is below the parent's by more
     than the parent's q3 - q1."""
-    wins, pairs = summary["wall_s_wins"], summary["wall_s_pairs"]
+    wins, pairs = summary[f"{metric}_wins"], summary[f"{metric}_pairs"]
     if not pairs or 10 * wins < 9 * pairs:
         return False
-    parent, change = summary["parent"]["wall_s"], summary["change"]["wall_s"]
+    parent, change = summary["parent"][metric], summary["change"][metric]
     return parent["median"] - change["median"] > parent["q3"] - parent["q1"]
 
 
@@ -163,9 +167,10 @@ def main(argv=None) -> int:
                       f"(q1 {q['q1']:.6g}, q3 {q['q3']:.6g})")
         for name, state in summary["bounds"].items():
             print(f"{workload} {name}: {state}")
-        print(f"{workload}: change lower in wall_s in "
-              f"{summary['wall_s_wins']}/{summary['wall_s_pairs']} "
-              f"pairs; gain shown: {summary['wall_s_gain_shown']}")
+        for metric in GAIN_METRICS:
+            print(f"{workload}: change lower in {metric} in "
+                  f"{summary[f'{metric}_wins']}/{summary[f'{metric}_pairs']} "
+                  f"pairs; gain shown: {summary[f'{metric}_gain_shown']}")
         print(f"{workload}: traced run correct: parent {summary['traced']['parent']}, "
               f"change {summary['traced']['change']}; all runs correct: {correct}")
     if args.out is not None:

@@ -14,28 +14,19 @@ from __future__ import annotations
 
 import gc
 import io
-import json
 import os
 import sys
 from math import isinf
 from types import SimpleNamespace
 
-from .bernstein import BernsteinSpec, bernstein_eval
 from .carlitz import eval_at_one, table_for
+from .config import _GRID_FIELDS, SuiteConfig
 from .errors import BudgetExceeded, DomainError, MaxLevelExceeded, QbernError
-from .identities import (
-    _GRID_FIELDS,
-    SuiteConfig,
-    _corrupted,
-    report_lines,
-    reports_to_jsonl,
-    run_suite,
-    suite_exit_status,
-    summarize,
-    summary_line,
-)
-from .integral import bernstein_power_product_integral, integrand_from_json, integrate
 from .qfield import rational_literal
+
+# A command imports the layers that only it runs (the identity catalog, the
+# integrator, the Bernstein basis, json, csv) where it runs them: a process
+# pays for every import, and a beta table reads none of these.
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -78,6 +69,7 @@ def _read_json(spec: str, what: str):
     """The JSON value of ``spec``: inline text, or the file named after a
     leading "@".  Unreadable, malformed or too deeply nested JSON raises
     DomainError."""
+    import json
     try:
         if spec.startswith("@"):
             what += " file"
@@ -102,6 +94,7 @@ def _parse_x(text: str):
 def _print_value(args, ctx, value, **index) -> int:
     """Emit the JSON payload of one scalar ``value`` with its ``index``
     fields (n, k, x) and return the exit code."""
+    import json
     payload = {**index, "backend": ctx.backend, "value": value.to_json()}
     if ctx.is_symbolic:
         payload["rendered"] = value.render()
@@ -134,6 +127,7 @@ def _write_stdout(text: str):
 def _render_cell(value, ctx) -> str:
     if ctx.is_symbolic:
         return value.render()
+    import json
     return json.dumps(value.to_json(), sort_keys=True)
 
 
@@ -151,6 +145,7 @@ def _cmd_beta_poly(args) -> int:
 
 
 def _cmd_bernstein(args) -> int:
+    from .bernstein import BernsteinSpec, bernstein_eval
     ctx = _config(args).context()
     x = _parse_x(args.x)
     value = bernstein_eval(BernsteinSpec(args.k, args.n), x, ctx)
@@ -158,6 +153,8 @@ def _cmd_bernstein(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    import json
+    from .integral import integrand_from_json, integrate
     config = _config(args)
     ctx = config.context()
     integrand = integrand_from_json(_read_json(args.integrand, "integrand"))
@@ -173,6 +170,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .identities import summary_line
     grid = _read_json("@" + args.grid, "grid") if args.grid else None
     config = _config(args, grid)
     rows = config.grid()
@@ -213,6 +211,7 @@ def worker_count(rows: int, cpus: int) -> int:
 
 
 def _verify_chunk(config) -> tuple:
+    from .identities import report_lines, run_suite, summarize
     reports = run_suite(config)
     return summarize(reports), report_lines(reports)
 
@@ -257,6 +256,7 @@ def _fork(chunk):
         status = 1
         try:
             os.close(pipe)
+            from .identities import summary_line
             counts, lines = _verify_chunk(chunk)
             with open(out, "wb") as stream:
                 stream.write((summary_line(counts) + lines).encode())
@@ -271,6 +271,7 @@ def _receive(pid: int, pipe: int, chunk):
     """The (counts, report lines) that worker ``pid`` sent for ``chunk``,
     read to the end of ``pipe`` before the worker is reaped; None if it
     exited nonzero or the payload is short."""
+    import json
     with open(pipe, "rb") as stream:
         head, _, lines = stream.read().decode().partition("\n")
     try:
@@ -286,7 +287,6 @@ def _end(pid: int, pipe: int):
     """Kill and reap worker ``pid`` and close ``pipe``, each where not done
     already."""
     from signal import SIGKILL  # only a run that fails needs it
-
     for step, *arguments in ((os.kill, pid, SIGKILL), (os.waitpid, pid, 0), (os.close, pipe)):
         try:
             step(*arguments)
@@ -322,6 +322,7 @@ def _cmd_table(args) -> int:
                 row["value_at_q1"] = str(eval_at_one(tbl.beta(n)))
             rows.append(row)
     elif args.kind == "bernstein":
+        from .bernstein import BernsteinSpec, bernstein_eval
         x = _parse_x(args.x)
         header = ["n", "k", "x", "value"]
         for n in _parse_range(args.range):
@@ -330,6 +331,7 @@ def _cmd_table(args) -> int:
                 rows.append({"n": n, "k": k, "x": str(x),
                              "value": _render_cell(value, ctx)})
     else:
+        from .integral import bernstein_power_product_integral
         if args.k < 0:
             raise DomainError("need k >= 0")
         header = ["n", "k", "route", "value"]
@@ -340,14 +342,14 @@ def _cmd_table(args) -> int:
             rows.append({"n": n, "k": args.k, "route": "direct",
                          "value": _render_cell(value, ctx)})
     if args.format == "csv":
-        import csv  # only this branch needs it, and every process pays its imports
-
+        import csv
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         _emit(args, buf.getvalue())
     else:
+        import json
         _emit(args, json.dumps({"kind": args.kind, "rows": rows}, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -357,6 +359,7 @@ _SELFTEST_GRID = {"identities": [["THM1", {"n": 1, "x": 0}], ["PROP2", {"n": 2}]
 
 
 def _cmd_selftest(args) -> int:
+    from .identities import _corrupted, reports_to_jsonl, run_suite, suite_exit_status
     # the other suite flags apply; the backend is always padic
     if getattr(args, "backend", "padic") != "padic":
         raise DomainError("selftest requires the padic backend")

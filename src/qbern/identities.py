@@ -31,6 +31,9 @@ Only THM1, EQ6 (padic only) and THM3 on the padic backend compare against
 the Riemann oracle; the Bernstein identities compare the two closed routes of
 ``bernstein_power_product_integral``: reflected (the paper's route I, over
 beta_{.,1/q}) and direct (route II, over beta_{.,q}).
+
+JSON input: ``_grid_entry`` reads a grid entry against its row's parameter
+types; the field types, a grid's own fields and ``SuiteConfig`` are config's.
 """
 
 from __future__ import annotations
@@ -42,22 +45,17 @@ from math import isinf
 
 from .bernstein import BernsteinSpec, bernstein_eval
 from .carlitz import CarlitzTable, classical_bernoulli, eval_at_one, table_for
+from .config import INT, INTS, ORACLE_TARGET, PAIRS, SuiteConfig, check_fields, one_of
 from .errors import BudgetExceeded, DomainError, MaxLevelExceeded, PoleAtOne, PrecisionExhausted
 from .integral import (
-    INT,
-    INTS,
-    PAIRS,
     BracketPower,
     ReflectedPower,
     _bernstein_shape,
-    _is_json_int,
     _reflected_sum,
     bernstein_power_product_integral,
-    check_fields,
     closed_one_minus_x_power,
     closed_reflected_power,
     integrate,
-    one_of,
 )
 from .qfield import QContext, RationalFunction, Scalar, invert_q, q_pow
 from .record import Record
@@ -74,10 +72,6 @@ __all__ = [
     "suite_exit_status",
     "summarize",
 ]
-
-# the padic comparison valuation, and the valuation a Riemann-oracle side
-# runs to, when the caller sets no target
-ORACLE_TARGET = 8
 
 
 class Verdict(Record):
@@ -371,7 +365,7 @@ def _q_to_1(run: _Run, n: int, xi: bool):
 # ---------------------------------------------------------------------------
 
 
-# parameter types besides those of integral.py
+# parameter types besides those of config.py
 _BOOL = ("true or false", lambda v: isinstance(v, bool))
 _READING = ('"sigma" or "literal"', lambda v: v in ("sigma", "literal"))
 
@@ -445,17 +439,6 @@ def verify_theorem1(n: int, x: int, ctx: QContext, target: int = ORACLE_TARGET,
 # ---------------------------------------------------------------------------
 
 
-# a grid's fields, each optional; SuiteConfig gives the defaults
-_GRID_FIELDS = {
-    "backend": ('"symbolic" or "padic"', lambda v: v in ("symbolic", "padic")),
-    "prime": INT,
-    "precision": INT,
-    "q": ("a rational literal string or an integer",
-          lambda v: isinstance(v, str) or _is_json_int(v)),
-    "target_valuation": INT,
-    "level_cap": ("an integer or null", lambda v: v is None or _is_json_int(v)),
-    "identities": ("a list of grid entries or null", lambda v: v is None or isinstance(v, list)),
-}
 _ENTRY_FIELDS = {"identity": one_of(CATALOG),
                  "params": ("a JSON object", lambda v: isinstance(v, dict))}
 
@@ -469,40 +452,6 @@ def _grid_entry(entry) -> tuple:
     name, params = entry["identity"], entry.get("params", {})
     check_fields(f"{name} params", params, CATALOG[name].params, CATALOG[name].defaults)
     return name, params
-
-
-class SuiteConfig(Record):
-    """Grid plus backend parameters for one suite run."""
-
-    def __init__(self, backend: str = "symbolic", prime: int = 3, precision: int = 24,
-                 q: str = "1+p", target_valuation: int = ORACLE_TARGET,
-                 level_cap: int | None = None, identities: list | None = None):
-        if target_valuation < 1:  # a comparison at valuation <= 0 certifies no digit
-            raise DomainError(f"target valuation must be at least 1, not {target_valuation}")
-        if level_cap is not None and level_cap < 1:
-            raise DomainError("level cap must be >= 1")
-        self.backend, self.prime, self.precision, self.q = backend, prime, precision, q
-        self.target_valuation, self.level_cap = target_valuation, level_cap
-        self.identities = identities  # [(identity_name, params_dict), ...]
-
-    def context(self) -> QContext:
-        if self.backend == "symbolic":
-            if self.q != "1+p":
-                raise DomainError("a q literal only applies to the padic backend")
-            return QContext.symbolic()
-        return QContext.padic(self.prime, self.precision, self.q)
-
-    def grid(self) -> list:
-        """The entries to verify: the configured ones, else the built-in grid."""
-        return self.identities if self.identities is not None else default_grid(self.backend)
-
-    @classmethod
-    def from_json(cls, data) -> "SuiteConfig":
-        """The configuration of a JSON grid; malformed input raises DomainError."""
-        check_fields("grid", data, _GRID_FIELDS, optional=_GRID_FIELDS)
-        entries = data.get("identities")
-        return cls(**{**data, "identities": None if entries is None
-                      else [_grid_entry(entry) for entry in entries]})
 
 
 def default_grid(backend: str) -> list:

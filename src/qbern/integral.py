@@ -53,6 +53,8 @@ in the ring it sums in.  Since ``QContext`` carries q to exactly K digits,
 ``riemann_sum`` sums in plain ints with no division, bit for bit as the
 same sum taken term by term in ``PadicNumber`` arithmetic, which the tests
 keep as its reference.
+
+JSON input: ``integrand_from_json`` reads an integrand with config's field types.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from math import comb, inf, isinf
 from operator import mul
 
 from .carlitz import CarlitzTable, table_for
+from .config import INT, TRIPLES, check_fields, one_of
 from .errors import DivisionByZero, DomainError, MaxLevelExceeded, PrecisionExhausted
 from .padic import PadicNumber, int_valuation
 from .qfield import QContext, Scalar, _int_bracket, invert_q, q_pow
@@ -513,44 +516,6 @@ def bernstein_power_product_integral(factors, ctx: QContext, route: str = "direc
 # ---------------------------------------------------------------------------
 # JSON input
 # ---------------------------------------------------------------------------
-
-
-def _is_json_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _int_lists(v, width: int) -> bool:
-    return isinstance(v, list) and all(
-        isinstance(t, list) and len(t) == width and all(map(_is_json_int, t)) for t in v)
-
-
-# field types: (what an error message calls it, predicate)
-INT = ("an integer", _is_json_int)
-INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_json_int, v)))
-PAIRS = ("a list of [n, m] integer pairs", lambda v: _int_lists(v, 2))
-TRIPLES = ("a list of [k, n, m] integer triples", lambda v: _int_lists(v, 3))
-
-
-def one_of(table: dict) -> tuple:
-    """The field type of a name: a string key of ``table``."""
-    return ("one of " + ", ".join(map(repr, table)), lambda v: isinstance(v, str) and v in table)
-
-
-def check_fields(what: str, data, declared: dict, optional=()) -> None:
-    """Raise DomainError unless ``data`` is a JSON object of ``declared``
-    fields only, each of its declared type, with every field not in
-    ``optional`` present."""
-    if not isinstance(data, dict):
-        raise DomainError(f"{what} must be a JSON object, got {data!r}")
-    for name, (kind, ok) in declared.items():
-        if name in data:
-            if not ok(data[name]):
-                raise DomainError(f"{what}: {name!r} must be {kind}, got {data[name]!r}")
-        elif name not in optional:
-            raise DomainError(f"{what}: missing field {name!r}")
-    unknown = set(data) - set(declared)
-    if unknown:
-        raise DomainError(f"{what}: unknown fields {sorted(unknown, key=repr)}")
 
 
 # integrand type -> (class, its fields)

@@ -690,13 +690,63 @@ def test_symbolic_verify_rejects_q_literal(capsys):
     assert err == "error: a q literal only applies to the padic backend\n"
 
 
-def test_cli_import_path_loads_no_optional_modules():
-    # every qbern process pays its imports; -S keeps site's own imports out,
-    # csv is imported only by the branch that writes it, and the command line
-    # is read without argparse and the gettext and locale it pulls in
-    probe = (f"import sys; sys.path.insert(0, {SRC!r}); import qbern.cli; "
-             "print(sorted({'argparse', 'csv', 'dataclasses', 'gettext', 'inspect', 'locale',"
-             " 'typing'} & set(sys.modules)))")
+# the modules an import probe looks for: the command line is read without
+# argparse and the gettext and locale it pulls in, and records need neither
+# dataclasses nor typing; csv, json and the layers above the Carlitz table
+# are imported only by the commands that run them
+_PROBED = ("argparse", "csv", "dataclasses", "gettext", "inspect", "json", "locale",
+           "qbern.bernstein", "qbern.identities", "qbern.integral", "typing")
+
+
+def test_cli_import_path_loads_no_optional_modules(tmp_path):
+    # every qbern process pays its imports; -S keeps site's own imports out.
+    # A beta table loads only csv of them; a verify run loads the catalog, so
+    # the probe can fail.
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"identities": [["PROP2", {"n": 2}]]}')
+    for argv, loaded in [
+        (None, []),
+        (["table", "--kind", "beta", "--range", "0:3", "--at-one", "--format", "csv"], ["csv"]),
+        (["verify", "--grid", str(grid)],
+         ["json", "qbern.bernstein", "qbern.identities", "qbern.integral"]),
+    ]:
+        run = "0" if argv is None else f"main({argv + ['--out', os.devnull]!r})"
+        probe = (f"import sys; sys.path.insert(0, {SRC!r}); from qbern.cli import main; "
+                 f"code = {run}; print(code, sorted(set({_PROBED!r}) & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-S", "-c", probe],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == f"0 {loaded}\n", argv
+
+
+# the public names of the package, as it exported them when it imported every
+# submodule up front
+_PUBLIC = {
+    "BernsteinSpec", "bernstein_eval", "CarlitzTable", "classical_bernoulli", "eval_at_one",
+    "table_for", "BudgetExceeded", "ContextMismatch", "DivisionByZero", "DomainError",
+    "MaxLevelExceeded", "NonIntegerExponentInSymbolicMode", "PoleAtOne", "PrecisionExhausted",
+    "QbernError", "RequestedPrecisionNotCertified", "IdentityReport", "SuiteConfig", "Verdict",
+    "run_suite", "suite_exit_status", "BernsteinProduct", "BracketPower", "ReflectedPower",
+    "RiemannResult", "bernstein_power_product_integral", "closed_bracket_power",
+    "closed_one_minus_x_power", "closed_reflected_power", "integrate", "riemann_sum",
+    "PadicContext", "PadicNumber", "QContext", "RationalFunction", "Scalar", "invert_q",
+    "q_bracket", "q_pow", "scalars_equal",
+}
+
+
+def test_the_package_loads_each_public_name_from_its_submodule():
+    assert set(qbern.__all__) == _PUBLIC and len(qbern.__all__) == len(_PUBLIC)
+    assert qbern.__version__ == "0.1.0"
+    assert set(qbern.__all__) <= set(dir(qbern))
+    for name in qbern.__all__:
+        value = getattr(qbern, name)
+        module = sys.modules[f"qbern.{qbern._HOME[name]}"]
+        assert value is vars(module)[name]
+        if callable(value):  # defined there, not imported from elsewhere
+            assert value.__module__ == module.__name__
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qbern.no_such_name
+    probe = (f"import sys; sys.path.insert(0, {SRC!r}); import qbern; "
+             "print(sorted(name for name in sys.modules if name.startswith('qbern.')))")
     done = subprocess.run([sys.executable, "-S", "-c", probe],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"

@@ -131,3 +131,26 @@ def test_bench_pairs(tmp_path, capsys):
         summary = {"wall_s_wins": wins, "wall_s_pairs": 10,
                    "parent": {"wall_s": parent}, "change": {"wall_s": change}}
         assert bench.gain_shown(summary) is shown
+
+    # setup_s is held to the same rule, on its own: here the change starts
+    # faster in every pair while wall_s ties in every pair
+    def setup_run(directory, workload, seed, seconds, trace):
+        side = "parent" if directory == tmp_path else "change"
+        setup = 0.06 + seed / 1000 - (0.005 if side == "change" else 0)
+        return {"correct": True, "metrics": {"wall_s": {"value": 0.07},
+                                             "setup_s": {"value": setup}}}
+
+    bench.run_side = setup_run
+    assert bench.main(argv) == 0
+    printed = capsys.readouterr().out
+    report = json.loads(out.read_text())["workloads"]["symbolic_grid"]
+    # medians 0.0645 and 0.0595 against the parent's q3 - q1 of 0.0015
+    assert (report["setup_s_wins"], report["setup_s_pairs"]) == (4, 4)
+    assert report["setup_s_gain_shown"] is True
+    assert (report["wall_s_wins"], report["wall_s_gain_shown"]) == (0, False)
+    assert "change lower in setup_s in 4/4 pairs; gain shown: True" in printed
+    assert "change lower in wall_s in 0/4 pairs; gain shown: False" in printed
+    for wins, shown in ((9, True), (8, False)):
+        summary = {"setup_s_wins": wins, "setup_s_pairs": 10,
+                   "parent": {"setup_s": parent}, "change": {"setup_s": change}}
+        assert bench.gain_shown(summary, "setup_s") is shown
