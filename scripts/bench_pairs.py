@@ -30,9 +30,12 @@ parent's median:
 A gain in ``wall_s`` is shown (``wall_s_gain_shown``) only when the change
 is lower in at least 9 of every 10 pairs and the parent's median exceeds the
 change's by more than the parent's own q3 - q1; the same rule gives
-``setup_s_gain_shown``, next to ``setup_s_wins`` and ``setup_s_pairs``.  After the pairs, each side
-runs ``perfbench/run.py --trace 1`` once per workload with the first pair's
-seed, and its ``correct`` is recorded under ``traced``.
+``setup_s_gain_shown``, next to ``setup_s_wins`` and ``setup_s_pairs``.
+Each side's ``wall_s`` and ``setup_s`` of every counted pair, in pair
+order, are kept under ``series``, so that a count of wins can be read back
+pair by pair.  After the pairs, each side runs ``perfbench/run.py --trace
+1`` once per workload with the first pair's seed, and its ``correct`` is
+recorded under ``traced``.
 
 It also records and prints each side's ``src_lines``, the total line count
 of its ``src/qbern/*.py`` as ``wc -l`` counts it.  It writes those figures
@@ -97,6 +100,8 @@ def compare(dirs: dict, workload: str, seed: int, pairs: int, seconds: float):
                     values[side].setdefault(name, []).append(metrics[side][name]["value"])
     summary = {side: {name: quartiles(series) for name, series in values[side].items()}
                for side in SIDES}
+    summary["series"] = {side: {metric: values[side].get(metric, []) for metric in GAIN_METRICS}
+                         for side in SIDES}
     for metric in GAIN_METRICS:
         pairs = list(zip(values["parent"].get(metric, []), values["change"].get(metric, [])))
         summary[f"{metric}_wins"] = sum(change < parent for parent, change in pairs)

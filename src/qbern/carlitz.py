@@ -35,7 +35,6 @@ A padic context or a rational x sums the terms in the backend's scalars.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import comb
 from operator import sub
@@ -218,28 +217,35 @@ class CarlitzTable:
 # classical oracle and the q -> 1 degeneration
 # ---------------------------------------------------------------------------
 
-_BERNOULLI_CACHE = [Fraction(1)]
+_BERNOULLI_CACHE = []
 
 
 def classical_bernoulli(n: int) -> Fraction:
     """Ordinary Bernoulli number B_n (B_1 = -1/2), by the defining recurrence
     sum_{k=0}^{m} C(m+1, k) B_k = 0."""
+    from fractions import Fraction
     if n < 0:
         raise DomainError("index must be nonnegative")
     while len(_BERNOULLI_CACHE) <= n:
         m = len(_BERNOULLI_CACHE)
         s = sum(comb(m + 1, k) * _BERNOULLI_CACHE[k] for k in range(m))
-        _BERNOULLI_CACHE.append(-s / (m + 1))
+        _BERNOULLI_CACHE.append(-s / (m + 1) if m else Fraction(1))
     return _BERNOULLI_CACHE[n]
 
 
-def eval_at_one(f: RationalFunction) -> Fraction:
-    """Substitute q = 1 after canonical cancellation; PoleAtOne if the
-    reduced denominator vanishes there."""
+def _at_one(f: RationalFunction) -> tuple:
+    """f at q = 1 after canonical cancellation, as ``value_at``'s int pair;
+    PoleAtOne if the reduced denominator vanishes there."""
     try:
-        return f.evaluate(1)
+        return f.value_at(1)
     except DivisionByZero:
         raise PoleAtOne("reduced denominator vanishes at q = 1") from None
+
+
+def eval_at_one(f: RationalFunction) -> Fraction:
+    """``_at_one`` as a Fraction; the beta table formats the pair itself."""
+    from fractions import Fraction
+    return Fraction(*_at_one(f))
 
 
 # one memoized table per context; recomputation is deterministic so sharing is safe

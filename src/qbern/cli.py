@@ -19,14 +19,15 @@ import sys
 from math import isinf
 from types import SimpleNamespace
 
-from .carlitz import eval_at_one, table_for
+from .carlitz import _at_one, table_for
 from .config import _GRID_FIELDS, SuiteConfig
 from .errors import BudgetExceeded, DomainError, MaxLevelExceeded, QbernError
 from .qfield import rational_literal
 
 # A command imports the layers that only it runs (the identity catalog, the
-# integrator, the Bernstein basis, json, csv) where it runs them: a process
-# pays for every import, and a beta table reads none of these.
+# integrator, the Bernstein basis, json) where it runs them: a process pays
+# for every import, and a beta table reads none of these.  CSV needs no csv
+# module: ``_csv_field`` quotes a field as its writer does.
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -319,7 +320,8 @@ def _cmd_table(args) -> int:
             row = {"n": n, "backend": ctx.backend,
                    "value": _render_cell(tbl.beta(n), ctx)}
             if args.at_one:
-                row["value_at_q1"] = str(eval_at_one(tbl.beta(n)))
+                a, b = _at_one(tbl.beta(n))  # printed as str(Fraction) prints it
+                row["value_at_q1"] = str(a) if b == 1 else f"{a}/{b}"
             rows.append(row)
     elif args.kind == "bernstein":
         from .bernstein import BernsteinSpec, bernstein_eval
@@ -342,16 +344,19 @@ def _cmd_table(args) -> int:
             rows.append({"n": n, "k": args.k, "route": "direct",
                          "value": _render_cell(value, ctx)})
     if args.format == "csv":
-        import csv
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        _emit(args, buf.getvalue())
+        lines = [header] + [[row[key] for key in header] for row in rows]
+        _emit(args, "".join(",".join(map(_csv_field, line)) + "\n" for line in lines))
     else:
         import json
         _emit(args, json.dumps({"kind": args.kind, "rows": rows}, sort_keys=True) + "\n")
     return EXIT_OK
+
+
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer(buf, lineterminator="\\n")`` writes a field:
+    quoted, with its quotes doubled, if it holds a comma, a quote or "\\n"."""
+    cell = str(value)
+    return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\n') else cell
 
 
 _SELFTEST_GRID = {"identities": [["THM1", {"n": 1, "x": 0}], ["PROP2", {"n": 2}],

@@ -15,7 +15,6 @@ share between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import inf, isinf
 
 from .errors import (
@@ -159,9 +158,11 @@ class PadicNumber:
                     f"operands use different contexts: {self.ctx} vs {other.ctx}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
-            return PadicNumber.from_fraction(other, self.ctx)
-        raise TypeError(f"cannot combine PadicNumber with {type(other).__name__}")
+        if not isinstance(other, int):
+            from fractions import Fraction  # loaded already by whoever made a Fraction
+            if not isinstance(other, Fraction):
+                raise TypeError(f"cannot combine PadicNumber with {type(other).__name__}")
+        return PadicNumber.from_fraction(other, self.ctx)
 
     def _effective_valuation(self):
         # Lower bound on the true valuation: exact for nonzero values,

@@ -2,12 +2,12 @@
 
 The symbolic backend stores a value as ``c * n(q) / d(q)``: n and d are
 coprime primitive int lists in Z[q] with positive leading coefficients, and
-c is one Fraction (zero is c = 0, n = ()).  That form is unique, so
-identity verification reduces to tuple equality.  Every operation works on
-the int lists, following the primitive-part arithmetic of Geddes, Czapor
-and Labahn, *Algorithms for Computer Algebra* (1992); by Gauss's lemma a
-product of primitive parts is primitive, so only the numerator of a sum has
-a content to take.  Under it:
+c is one reduced int pair (num, den), den > 0 (zero is c = (0, 1), n = ()).
+That form is unique, so identity verification reduces to tuple equality.
+Every operation works on the int lists, following the primitive-part
+arithmetic of Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*
+(1992); by Gauss's lemma a product of primitive parts is primitive, so only
+the numerator of a sum has a content to take.  Under it:
 
 * products by Kronecker substitution, one big-int product of the lists
   packed at 2^b, read back as signed digits (Harvey, J. Symb. Comput. 44,
@@ -26,13 +26,15 @@ a content to take.  Under it:
   xi is past twice the coefficients of the gcd (times a bounded integer)
   and of both cofactors.
 
-Fractions appear only at the edges: the public constructor clears the
-denominators of its coefficients, and ``num``/``den`` rebuild the canonical
-Fraction tuples (monic denominator) on demand.  The p-adic backend reuses
-:mod:`qbern.padic` with a fixed admissible q (a unit with
-nu_p(q - 1) >= 1, i.e. |1 - q|_p < 1).  Its [x]_q at an integer x is one
-modular computation on the K digits of q, ``_int_bracket``, which the
-Riemann kernel in :mod:`qbern.integral` shares; it keeps all K digits.
+Fractions appear only at the edges, the one place ``fractions`` is
+imported: the constructor clears the denominators of its coefficients, a
+Fraction operand enters as its pair, ``num``, ``den`` and ``evaluate``
+return Fractions on demand, and a padic context keeps its rational q as
+one.  The p-adic backend reuses :mod:`qbern.padic` with a fixed admissible
+q (a unit with nu_p(q - 1) >= 1, i.e. |1 - q|_p < 1).  Its [x]_q at an
+integer x is one modular computation on the K digits of q,
+``_int_bracket``, which the Riemann kernel in :mod:`qbern.integral` shares;
+it keeps all K digits.
 
 A ``Scalar`` is either a :class:`RationalFunction` or a
 :class:`~qbern.padic.PadicNumber`; binary operations require matching
@@ -41,7 +43,6 @@ variants and contexts.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import ceil, gcd, inf, lcm
 
@@ -67,8 +68,6 @@ __all__ = [
     "rational_literal",
 ]
 
-_ONE = Fraction(1)
-
 # the most Z[q] coefficients a symbolic value at an integer x may build;
 # check_zq_budget is its one reader
 DEFAULT_TERM_BUDGET = 2_000_000
@@ -86,7 +85,7 @@ def _strip(coeffs):
 
 
 def _clear_denominators(a):
-    # A Fraction tuple as (int list, least common denominator).
+    # An int or Fraction tuple as (int list, least common denominator).
     den = 1
     for c in a:
         if c.denominator != 1:
@@ -281,6 +280,12 @@ def _fmt_poly(a) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _lowest(a, b):
+    # a/b as a reduced int pair (num, den) with den > 0, for b != 0
+    g = gcd(a, b)
+    return (a // g, b // g) if b > 0 else (-a // g, -b // g)
+
+
 def _rf(c, n, d):
     # A RationalFunction from its parts, already in canonical form.
     f = object.__new__(RationalFunction)
@@ -289,7 +294,7 @@ def _rf(c, n, d):
 
 
 def _unit_times(f, c, s):
-    # f * c q^s for a nonzero canonical f, a nonzero int or Fraction c and an
+    # f * c q^s for a nonzero canonical f, a nonzero content pair c and an
     # int s.  A unit of Q[q, 1/q] keeps n and d primitive and coprime, so c
     # scales and the lists shift: q^|s| multiplies n (d for s < 0), and the
     # power of q the other side carries cancels up to |s|.
@@ -298,16 +303,18 @@ def _unit_times(f, c, s):
     while t < k and not down[t]:
         t += 1
     up, down = (0,) * (k - t) + up, down[t:]
-    return _rf(f._c * c, up, down) if s >= 0 else _rf(f._c * c, down, up)
+    c = _lowest(f._c[0] * c[0], f._c[1] * c[1])
+    return _rf(c, up, down) if s >= 0 else _rf(c, down, up)
 
 
 class RationalFunction:
     """A ratio of polynomials in q over Q, as ``c * n / d``.
 
     n and d are coprime primitive polynomials in Z[q] with positive leading
-    coefficients and c is a Fraction; zero is c = 0, n = ().  The form is
-    unique, so equality of values is equality of (c, n, d).  The constructor
-    takes Fraction or int coefficients in any form.
+    coefficients and c is a reduced int pair (num, den), den > 0; zero is
+    c = (0, 1), n = ().  The form is unique, so equality of values is
+    equality of (c, n, d).  The constructor takes Fraction or int
+    coefficients in any form.
     """
 
     __slots__ = ("_c", "_n", "_d")
@@ -318,37 +325,43 @@ class RationalFunction:
         if not den:
             raise DivisionByZero("rational function with zero denominator")
         if not num:
-            self._c, self._n, self._d = Fraction(0), (), (1,)
+            self._c, self._n, self._d = (0, 1), (), (1,)
             return
         x, dx = _clear_denominators(num)
         y, dy = _clear_denominators(den)
         cx, cy = _content(x), _content(y)
         _, n, d = _zgcd([c // cx for c in x], [c // cy for c in y])
-        self._c = Fraction(cx * dy, dx * cy)
+        self._c = _lowest(cx * dy, dx * cy)
         self._n, self._d = tuple(n), tuple(d)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_fraction(cls, fr) -> "RationalFunction":
-        fr = Fraction(fr)
-        return _rf(fr, (1,) if fr else (), (1,))
+        """The constant ``fr``: an int, or anything ``Fraction`` reads (only
+        that loads ``fractions``)."""
+        if not isinstance(fr, int):
+            from fractions import Fraction
+            fr = Fraction(fr)
+        return _rf((fr.numerator, fr.denominator), (1,) if fr else (), (1,))
 
     @classmethod
     def indeterminate(cls) -> "RationalFunction":
-        return _rf(_ONE, (0, 1), (1,))
+        return _rf((1, 1), (0, 1), (1,))
 
     # -- the canonical Fraction form ----------------------------------------
 
     @property
     def num(self) -> tuple:
         """Numerator coefficients over Q, ascending, for a monic denominator."""
-        scale = self._c / self._d[-1]
+        from fractions import Fraction
+        scale = Fraction(self._c[0], self._c[1] * self._d[-1])
         return tuple(scale * c for c in self._n)
 
     @property
     def den(self) -> tuple:
         """Monic denominator coefficients over Q, ascending."""
+        from fractions import Fraction
         lc = self._d[-1]
         return tuple(Fraction(c, lc) for c in self._d)
 
@@ -362,9 +375,11 @@ class RationalFunction:
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.from_fraction(other)
-        raise TypeError(f"cannot combine RationalFunction with {type(other).__name__}")
+        if not isinstance(other, int):
+            from fractions import Fraction  # loaded already by whoever made one
+            if not isinstance(other, Fraction):
+                raise TypeError(f"cannot combine RationalFunction with {type(other).__name__}")
+        return RationalFunction.from_fraction(other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -372,10 +387,9 @@ class RationalFunction:
             return other
         if not other._n:
             return self
-        c1, n1, d1 = self._c, self._n, self._d
-        c2, n2, d2 = other._c, other._n, other._d
+        (a1, b1), n1, d1 = self._c, self._n, self._d
+        (a2, b2), n2, d2 = other._c, other._n, other._d
         # c1 = k s1 and c2 = k s2 with coprime ints s1, s2
-        a1, b1, a2, b2 = c1.numerator, c1.denominator, c2.numerator, c2.denominator
         g, m = gcd(a1, a2), lcm(b1, b2)
         s1, s2 = a1 // g * (m // b1), a2 // g * (m // b2)
         if d1 == d2:
@@ -389,23 +403,19 @@ class RationalFunction:
             return RationalFunction.from_fraction(0)
         ct = _content(t)
         _, t, h = _zgcd([c // ct for c in t], h)
-        return _rf(Fraction(g * ct, m), t, _zmul(_zmul(e1, e2), h))
+        return _rf(_lowest(g * ct, m), t, _zmul(_zmul(e1, e2), h))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _rf(-self._c, self._n, self._d)
+        return _rf((-self._c[0], self._c[1]), self._n, self._d)
 
     def __sub__(self, other):
         other = self._coerce(other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other or not self._n:
-                return RationalFunction.from_fraction(0)
-            return _unit_times(self, other, 0)
-        other = self._coerce(other)
+        other = self._coerce(other)  # an int or Fraction is the unit c q^0
         if not self._n or not other._n:
             return RationalFunction.from_fraction(0)
         # a unit c q^s: its n and d are each a power of q
@@ -417,14 +427,15 @@ class RationalFunction:
             return _unit_times(other, self._c, len(n) - len(d))
         _, n1, d2 = _zgcd(self._n, other._d)
         _, n2, d1 = _zgcd(other._n, self._d)
-        return _rf(self._c * other._c, _zmul(n1, n2), _zmul(d1, d2))
+        c = _lowest(self._c[0] * other._c[0], self._c[1] * other._c[1])
+        return _rf(c, _zmul(n1, n2), _zmul(d1, d2))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RationalFunction":
         if not self._n:
             raise DivisionByZero("reciprocal of zero rational function")
-        return _rf(1 / self._c, self._d, self._n)
+        return _rf(_lowest(self._c[1], self._c[0]), self._d, self._n)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -438,7 +449,8 @@ class RationalFunction:
         base = self.reciprocal() if e < 0 else self
         e = abs(e)
         # powers of coprime primitive parts stay coprime and primitive
-        return _rf(base._c ** e, _zpow(base._n, e), _zpow(base._d, e))
+        a, b = base._c
+        return _rf((a ** e, b ** e), _zpow(base._n, e), _zpow(base._d, e))
 
     # -- structure --------------------------------------------------------
 
@@ -449,31 +461,37 @@ class RationalFunction:
         top = max(len(self._n), len(self._d))
         n = _strip((0,) * (top - len(self._n)) + self._n[::-1])
         d = _strip((0,) * (top - len(self._d)) + self._d[::-1])
-        c = self._c
+        a, b = self._c
         if n and n[-1] < 0:
-            c, n = -c, [-a for a in n]
+            a, n = -a, [-c for c in n]
         if d[-1] < 0:
-            c, d = -c, [-a for a in d]
-        return _rf(c, n, d)
+            a, d = -a, [-c for c in d]
+        return _rf((a, b), n, d)
 
-    def evaluate(self, x) -> Fraction:
+    def value_at(self, x) -> tuple:
+        """The value at an int or Fraction q = x as a reduced int pair
+        (num, den), den > 0; DivisionByZero at a root of d."""
         # s^D n(x) / s^D d(x) at x = r/s: two integers for the larger degree D
-        x, top = Fraction(x), max(len(self._n), len(self._d)) - 1
+        top = max(len(self._n), len(self._d)) - 1
         nv, dv = (_homeval(a, x.numerator, x.denominator, top) for a in (self._n, self._d))
         if dv == 0:
             raise DivisionByZero(f"denominator vanishes at q = {x}")
-        return Fraction(self._c.numerator * nv, self._c.denominator * dv)
+        return _lowest(self._c[0] * nv, self._c[1] * dv)
+
+    def evaluate(self, x) -> Fraction:
+        """``value_at`` as a Fraction, at any x that ``Fraction`` reads."""
+        from fractions import Fraction
+        return Fraction(*self.value_at(Fraction(x)))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.from_fraction(other)
-        if not isinstance(other, RationalFunction):
+        try:
+            other = self._coerce(other)
+        except TypeError:
             return NotImplemented
         return self._n == other._n and self._d == other._d and self._c == other._c
 
     def __hash__(self):
-        # the int parts of c: Fraction's own hash takes a modular inverse
-        return hash((self._c.numerator, self._c.denominator, self._n, self._d))
+        return hash((*self._c, self._n, self._d))
 
     # -- serialization ------------------------------------------------------
 
@@ -482,7 +500,7 @@ class RationalFunction:
         monic denominator."""
         lc = self._d[-1]
         return {
-            "num": _fmt_scaled(self._n, self._c.numerator, self._c.denominator * lc),
+            "num": _fmt_scaled(self._n, self._c[0], self._c[1] * lc),
             "den": _fmt_scaled(self._d, 1, lc),
         }
 
@@ -501,12 +519,15 @@ _Q = RationalFunction.indeterminate()
 
 
 def rational_literal(text: str) -> Fraction:
-    """A rational literal such as "3", "-2/5" or "0.5"; a zero denominator
-    is a DomainError rather than a ZeroDivisionError."""
+    """A rational literal such as "3", "-2/5" or "0.5"; a malformed literal
+    or a zero denominator is a DomainError."""
+    from fractions import Fraction
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise DomainError(f"zero denominator in the rational literal {text!r}") from exc
+    except ValueError as exc:
+        raise DomainError(f"invalid rational literal {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +551,7 @@ class QContext(Record):
                     or q not in (_Q, _Q.reciprocal())):
                 raise DomainError("a symbolic q is the indeterminate q or its reciprocal 1/q")
         elif backend == "padic":
+            from fractions import Fraction
             if pctx is None or not isinstance(rational, Fraction):
                 raise DomainError("padic context needs a PadicContext and a rational q")
             if q != PadicNumber.from_fraction(rational, pctx):
@@ -554,6 +576,7 @@ class QContext(Record):
 
     @classmethod
     def padic(cls, prime: int, precision: int, q="1+p") -> "QContext":
+        from fractions import Fraction
         pctx = PadicContext(prime, precision)
         if isinstance(q, str):
             q = Fraction(1 + prime) if q.strip() == "1+p" else rational_literal(q)
@@ -633,6 +656,7 @@ def q_pow(x, ctx: QContext) -> Scalar:
         return ctx.q ** x
     if ctx.is_symbolic:
         raise NonIntegerExponentInSymbolicMode("symbolic backend takes integer x only")
+    from fractions import Fraction
     if isinstance(x, Fraction):
         x = PadicNumber.from_fraction(x, ctx.pctx)
     if not isinstance(x, PadicNumber):

@@ -1,6 +1,8 @@
 """Command-line surface: outputs, formats, exit codes."""
 
+import csv
 import gc
+import io
 import json
 import os
 import re
@@ -13,7 +15,7 @@ import pytest
 
 import qbern
 from qbern import cli
-from qbern.cli import main
+from qbern.cli import _csv_field, main
 from qbern.errors import DomainError
 from qbern.identities import CATALOG, SuiteConfig, default_grid
 
@@ -442,6 +444,14 @@ def test_zero_denominator_literal(name, capsys, tmp_path):
     assert "zero denominator" in err
 
 
+def test_malformed_grid_q_is_a_usage_error(capsys, tmp_path):
+    # as on the command line (ARGV_OUTCOMES), in the wording of a zero denominator
+    path = tmp_path / "grid.json"
+    path.write_text(_grid(("PROP2", {"n": 2}), backend="padic", q="abc"))
+    assert run(capsys, "verify", "--grid", str(path)) == (
+        2, "", "error: invalid rational literal 'abc'\n")
+
+
 def test_q_congruent_to_one_exits_2(capsys):
     # q = 10 is 1 mod 3^2, so q - 1 vanishes at precision 2; q itself is not 1
     code, out, err = run(capsys, "beta", "--n", "1", "--backend", "padic",
@@ -561,6 +571,16 @@ ARGV_OUTCOMES = {
                           2, _Q1),
     "repeat-after-command-wins": (["--q", "4", "beta", "--n", "1", "--backend", "padic",
                                    "--q", "1"], 2, _Q1),
+    # a malformed rational literal is a usage error, worded as a zero
+    # denominator is, wherever the literal is read
+    "q-word": (["beta", "--n", "1", "--backend", "padic", "--q", "abc"], 2,
+               "error: invalid rational literal 'abc'"),
+    "q-two-slashes": (["beta", "--n", "1", "--backend", "padic", "--q", "1/2/3"], 2,
+                      "error: invalid rational literal '1/2/3'"),
+    "q-nan": (["beta", "--n", "1", "--backend", "padic", "--q", "nan"], 2,
+              "error: invalid rational literal 'nan'"),
+    "x-hex": (["beta-poly", "--n", "2", "--x", "0x10"], 2,
+              "error: invalid rational literal '0x10'"),
     "prefix-prec": (["beta", "--n", "1", "--backend", "padic", "--p", "3", "--prec", "2",
                      "--q", "10"], 2, "q - 1 vanishes to the working precision"),
     "prefix-target": (["selftest", "--target", "0"], 2, "target valuation must be at least 1"),
@@ -620,6 +640,17 @@ def test_table_beta_csv(capsys):
         "1,symbolic,(-1)/(1 + q),-1/2",
         "2,symbolic,(q)/(1 + 2*q + 2*q^2 + q^3),1/6",
     ]
+
+
+@pytest.mark.parametrize("field", [
+    "a,b", 'say "hi"', "a\rb", "a\nb", " lead", "trail ", "", 7,
+    '{"digits": [1, 2], "p": 5, "precision": 24, "valuation": 0}',
+], ids=["comma", "quote", "cr", "lf", "leading-space", "trailing-space", "empty", "int",
+        "padic-cell"])
+def test_csv_field_quotes_as_the_csv_module(field):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([field, "n", field])
+    assert ",".join(map(_csv_field, [field, "n", field])) + "\n" == buf.getvalue()
 
 
 def test_table_empty_range(capsys):
@@ -694,21 +725,24 @@ def test_symbolic_verify_rejects_q_literal(capsys):
 # argparse and the gettext and locale it pulls in, and records need neither
 # dataclasses nor typing; csv, json and the layers above the Carlitz table
 # are imported only by the commands that run them
-_PROBED = ("argparse", "csv", "dataclasses", "gettext", "inspect", "json", "locale",
-           "qbern.bernstein", "qbern.identities", "qbern.integral", "typing")
+_PROBED = ("argparse", "csv", "dataclasses", "decimal", "fractions", "gettext", "inspect",
+           "json", "locale", "numbers", "qbern.bernstein", "qbern.identities", "qbern.integral",
+           "typing")
 
 
 def test_cli_import_path_loads_no_optional_modules(tmp_path):
     # every qbern process pays its imports; -S keeps site's own imports out.
-    # A beta table loads only csv of them; a verify run loads the catalog, so
-    # the probe can fail.
+    # A beta table loads none of them, its q=1 column and CSV included; a
+    # verify run loads the catalog, and a padic number its rational q as a
+    # Fraction, so the probe can fail.
     grid = tmp_path / "grid.json"
     grid.write_text('{"identities": [["PROP2", {"n": 2}]]}')
     for argv, loaded in [
         (None, []),
-        (["table", "--kind", "beta", "--range", "0:3", "--at-one", "--format", "csv"], ["csv"]),
+        (["table", "--kind", "beta", "--range", "0:3", "--at-one", "--format", "csv"], []),
         (["verify", "--grid", str(grid)],
          ["json", "qbern.bernstein", "qbern.identities", "qbern.integral"]),
+        (["beta", "--n", "2", "--backend", "padic"], ["decimal", "fractions", "json", "numbers"]),
     ]:
         run = "0" if argv is None else f"main({argv + ['--out', os.devnull]!r})"
         probe = (f"import sys; sys.path.insert(0, {SRC!r}); from qbern.cli import main; "

@@ -2,6 +2,7 @@
 
 import json
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -480,7 +481,9 @@ MUTATIONS = {
 def _shift_uncancelled(f, c, s):
     up, down = (f._n, f._d) if s >= 0 else (f._d, f._n)
     up = (0,) * abs(s) + up
-    return qfield._rf(f._c * c, up, down) if s >= 0 else qfield._rf(f._c * c, down, up)
+    c = Fraction(*f._c) * Fraction(*c)
+    c = c.numerator, c.denominator
+    return qfield._rf(c, up, down) if s >= 0 else qfield._rf(c, down, up)
 
 
 def _read_unsubstituted(init):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import ceil, inf
+from math import ceil, gcd, inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -188,7 +188,7 @@ def _fraction_horner_evaluate(f, x):
     dv = peval(f._d)
     if dv == 0:
         raise DivisionByZero(f"denominator vanishes at q = {x}")
-    return f._c * peval(f._n) / dv
+    return Fraction(*f._c) * peval(f._n) / dv
 
 
 eval_points = st.one_of(
@@ -215,6 +215,7 @@ def test_evaluate_matches_fraction_horner(a, b, x, pole):
     else:
         got = f.evaluate(x)
         assert type(got) is Fraction and got == want
+        assert f.value_at(x) == (want.numerator, want.denominator)
 
 
 # -- brackets ------------------------------------------------------------------
@@ -654,11 +655,15 @@ def _general_mul(a, b):
         return RF.from_fraction(0)
     _, n1, d2 = qfield._zgcd(a._n, b._d)
     _, n2, d1 = qfield._zgcd(b._n, a._d)
-    return qfield._rf(a._c * b._c, qfield._zmul(n1, n2), qfield._zmul(d1, d2))
+    c = Fraction(*a._c) * Fraction(*b._c)
+    return qfield._rf((c.numerator, c.denominator), qfield._zmul(n1, n2), qfield._zmul(d1, d2))
 
 
 def _parts(f):
-    return type(f._c), f._c, f._n, f._d
+    # the stored form, whose content is a reduced int pair
+    a, b = f._c
+    assert type(a) is int and type(b) is int and b > 0 and gcd(a, b) == 1
+    return f._c, f._n, f._d
 
 
 small_ints = st.lists(st.integers(-9, 9), max_size=6)
@@ -780,7 +785,7 @@ def test_gcd_coprime_and_content():
     # over Q the gcd is monic and the contents land in c
     f = rf(a, b)
     assert f == rf((2, -6), (21, 3, 3))
-    assert (f._c, f._n, f._d) == (Fraction(-2, 3), (-1, 3), (7, 1, 1))
+    assert (f._c, f._n, f._d) == ((-2, 3), (-1, 3), (7, 1, 1))
 
 
 def test_heuristic_starts_at_the_certified_bound(monkeypatch):

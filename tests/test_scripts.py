@@ -65,6 +65,10 @@ def test_bench_pairs(tmp_path, capsys):
     assert "traced run correct: parent True, change True; all runs correct: True" in printed
     report = json.loads(out.read_text())["workloads"]["symbolic_grid"]
     assert report["wall_s_wins"] == 4
+    # each side's values of every pair, in pair order (seeds 3..6)
+    assert report["series"]["parent"]["wall_s"] == pytest.approx([0.63, 0.64, 0.65, 0.66])
+    assert report["series"]["change"] == {"wall_s": pytest.approx([0.28, 0.29, 0.30, 0.31]),
+                                          "setup_s": [0.1] * 4}
     # 0.645 - 0.295 is far above the parent's q3 - q1 of 0.015
     assert report["wall_s_gain_shown"] is True
     assert report["traced"] == {"parent": True, "change": True}
@@ -94,6 +98,8 @@ def test_bench_pairs(tmp_path, capsys):
     report = json.loads(out.read_text())["workloads"]["symbolic_grid"]
     # pairs of seeds 3, 5 and 6: the change is slower in each
     assert (report["wall_s_wins"], report["wall_s_pairs"]) == (0, 3)
+    assert report["series"]["parent"]["setup_s"] == [0.1] * 3
+    assert report["series"]["change"]["wall_s"] == pytest.approx([0.535, 0.555, 0.565])
     assert report["wall_s_gain_shown"] is False
     assert "change lower in wall_s in 0/3 pairs; gain shown: False" in printed
     assert report["parent"]["wall_s"]["median"] == pytest.approx(0.55)
@@ -120,6 +126,7 @@ def test_bench_pairs(tmp_path, capsys):
     # medians 0.95 and 0.94 against the parent's q3 - q1 of 0.15
     assert (report["wall_s_wins"], report["wall_s_pairs"]) == (4, 4)
     assert report["wall_s_gain_shown"] is False
+    assert report["series"]["parent"]["setup_s"] == []  # no run reported it
     assert report["traced"] == {"parent": True, "change": False}
     assert "change lower in wall_s in 4/4 pairs; gain shown: False" in printed
     assert "traced run correct: parent True, change False; all runs correct: False" in printed
